@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def cmd_analytic(config: dict, args) -> int:
     if section.get("linear_radii"):
         if "linear_eta" not in section:
             raise ConfigError("analytic: 'linear_radii' requires 'linear_eta'")
-        eta = Direction(section["linear_eta"])
+        eta = _direction(section["linear_eta"], "analytic.linear_eta")
         for r in section["linear_radii"]:
             rows.append((f"linear_cdf[r={_fmt(float(r))}]", analytic.linear_cdf(spec, eta, float(r))))
     if section.get("pore_moments"):
@@ -127,46 +128,64 @@ _EST_KEYS = ("quantities", "n_points", "n_replicates", "lags", "radii", "eta",
              "n_rays", "n_lines", "probe_length", "step", "n_dirs", "richardson")
 
 
+def _count(section: dict, key: str, default: int, minimum: int = 1) -> int:
+    value = section.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < minimum):
+        raise ConfigError(f"estimate.{key}: must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _direction(value, path: str) -> Direction:
+    try:
+        return Direction(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
+             n_points: int) -> estimate.Estimator:
+    """One quantity's estimator; bad arguments fail here, before any sampling."""
+    required = {"covariance": ("lags",), "spherical_cdf": ("radii",),
+                "linear_cdf": ("radii", "eta")}.get(quantity, ())
+    if any(key not in section for key in required):
+        raise ConfigError(f"estimate: '{quantity}' requires " + " and ".join(f"'{k}'" for k in required))
+    try:
+        if quantity == "volume_fraction":
+            return estimate.prepare_volume_fraction(spec, window, n_points)
+        if quantity == "covariance":
+            return estimate.prepare_covariance(spec, window, section["lags"], n_points)
+        if quantity == "spherical_cdf":
+            return estimate.prepare_spherical_cdf(spec, window, section["radii"], n_points)
+        if quantity == "linear_cdf":
+            return estimate.prepare_linear_cdf(
+                spec, window, _direction(section["eta"], "estimate.eta"), section["radii"],
+                _count(section, "n_rays", n_points))
+        if quantity == "surface_linescan":
+            return estimate.prepare_linescan(spec, window, _count(section, "n_lines", n_points),
+                                             section.get("probe_length"))
+        if quantity == "surface_covderiv":
+            return estimate.prepare_covderiv(
+                spec, window, float(section.get("step", 0.02)), _count(section, "n_dirs", 32),
+                n_points, richardson=bool(section.get("richardson", False)))
+    except ConfigError:
+        raise
+    except estimate.ArgumentError as exc:
+        raise ConfigError(f"estimate.{exc.field}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"estimate.quantities: {quantity}: {exc}") from exc
+    raise ConfigError(f"estimate.quantities: unknown quantity '{quantity}'")
+
+
 def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
     spec = _parse_spec(config)
     window = _parse_window(config)
     section = dict(config.get("estimate", {}))
     _check_keys(section, "estimate", ("quantities",), _EST_KEYS)
-    n_points = int(section.get("n_points", 100_000))
-    n_reps = int(section.get("n_replicates", 50))
-    reports: list[estimate.EstimateReport] = []
-    for quantity in section["quantities"]:
-        if quantity == "volume_fraction":
-            reports.append(estimate.est_volume_fraction(
-                spec, window, n_points, n_reps, args.seed, args.workers))
-        elif quantity == "covariance":
-            if "lags" not in section:
-                raise ConfigError("estimate: 'covariance' requires 'lags'")
-            reports += estimate.est_covariance(
-                spec, window, section["lags"], n_points, n_reps, args.seed, args.workers)
-        elif quantity == "spherical_cdf":
-            if "radii" not in section:
-                raise ConfigError("estimate: 'spherical_cdf' requires 'radii'")
-            reports += estimate.est_spherical_cdf(
-                spec, window, section["radii"], n_points, n_reps, args.seed, args.workers)
-        elif quantity == "linear_cdf":
-            if "radii" not in section or "eta" not in section:
-                raise ConfigError("estimate: 'linear_cdf' requires 'radii' and 'eta'")
-            reports += estimate.est_linear_cdf(
-                spec, window, Direction(section["eta"]), section["radii"],
-                int(section.get("n_rays", n_points)), n_reps, args.seed, args.workers)
-        elif quantity == "surface_linescan":
-            reports.append(estimate.est_specific_surface_linescan(
-                spec, window, int(section.get("n_lines", n_points)), n_reps,
-                args.seed, args.workers, section.get("probe_length")))
-        elif quantity == "surface_covderiv":
-            reports.append(estimate.est_specific_surface_covderiv(
-                spec, window, float(section.get("step", 0.02)), int(section.get("n_dirs", 32)),
-                n_points, n_reps, args.seed, args.workers,
-                richardson=bool(section.get("richardson", False))))
-        else:
-            raise ConfigError(f"estimate.quantities: unknown quantity '{quantity}'")
-    return reports
+    n_points = _count(section, "n_points", 100_000)
+    n_reps = _count(section, "n_replicates", 50, minimum=2)
+    estimators = [_prepare(q, section, spec, window, n_points) for q in section["quantities"]]
+    return estimate.run_estimators(spec, window, estimators, n_reps, args.seed, args.workers)
 
 
 def _emit_reports(reports, args) -> None:
@@ -188,7 +207,8 @@ def cmd_estimate(config: dict, args) -> int:
 def cmd_compare(config: dict, args) -> int:
     reports = _run_estimators(config, args)
     _emit_reports(reports, args)
-    worst = max((abs(r.z_score) for r in reports if r.z_score is not None), default=0.0)
+    zs = [abs(r.z_score) for r in reports if r.z_score is not None]
+    worst = math.nan if any(math.isnan(z) for z in zs) else max(zs, default=0.0)
     print(f"worst |z| = {_fmt(worst)} (threshold {_fmt(args.z_threshold)})")
     return 0 if worst <= args.z_threshold else 2
 
@@ -258,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         config = _load_config(args.config)
         return _COMMANDS[args.command](config, args)
     except ConfigError as exc:

@@ -6,9 +6,17 @@ replicate values together with the standard error across replicates.
 Points inside one realization are dependent, so replicate-level resampling
 is the honest uncertainty for z-tests against the analytic values.
 
+Every characteristic is a functional of the same random set, so one
+realization per replicate serves all requested quantities:
+``run_estimators`` samples it once, runs each quantity's per-replicate
+function on it, and drops it before the next replicate.  The ``est_*``
+functions are one-quantity calls of that runner.
+
 Streams are addressed as (seed, 2*rep) for the realization and
-(seed, 2*rep + 1) for the query randomness, so results depend only on
-(seed, replicate index), never on worker count or scheduling order.
+(seed, 2*rep + 1) for the query randomness; each quantity draws from its
+own fresh copy of the query stream.  Results therefore depend only on
+(seed, replicate index), never on worker count, scheduling order or which
+other quantities share the run.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,7 +48,16 @@ from .sim import (
 DEFAULT_LAG_FRACTION = 0.25  # lags and probe radii are capped at this fraction of the min side
 
 __all__ = [
+    "ArgumentError",
     "EstimateReport",
+    "Estimator",
+    "run_estimators",
+    "prepare_volume_fraction",
+    "prepare_covariance",
+    "prepare_spherical_cdf",
+    "prepare_linear_cdf",
+    "prepare_linescan",
+    "prepare_covderiv",
     "est_volume_fraction",
     "est_covariance",
     "est_spherical_cdf",
@@ -49,6 +67,14 @@ __all__ = [
     "reports_to_csv",
     "reports_to_json",
 ]
+
+
+class ArgumentError(ValueError):
+    """An estimator argument is out of range; ``field`` names the argument."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -71,58 +97,72 @@ class EstimateReport:
         z = None
         if analytic is not None:
             diff = est - analytic
-            z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
+            if math.isnan(diff) or math.isnan(se):
+                z = math.nan
+            elif se > 0:
+                z = diff / se
+            else:
+                z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
         return EstimateReport(name, est, se, int(n_samples), n, int(seed), analytic, z)
 
 
-def _run_replicates(n_reps: int, fn, workers: int):
+# One validated quantity: ``one(real, gen)`` gives a replicate's value per label from the
+# shared realization and the quantity's query stream, ``n_samples`` counts the samples per
+# replicate and ``references`` holds the analytic value per label.
+Estimator = namedtuple("Estimator", "labels n_samples one references")
+
+
+def run_estimators(spec: ProcessSpec, window: Window, estimators, n_reps: int, seed: int,
+                   workers: int = 1) -> list[EstimateReport]:
+    """Reports of every estimator, in order, sampling one realization per replicate."""
+
+    def replicate(rep):
+        real = sample_realization(spec, window, seed, stream=2 * rep)
+        return [e.one(real, philox_stream(seed, 2 * rep + 1)) for e in estimators]
+
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(fn, range(n_reps)))
+            per_rep = list(pool.map(replicate, range(n_reps)))
     else:
-        values = [fn(r) for r in range(n_reps)]
-    return np.asarray(values, dtype=float)
-
-
-def _rep_streams(spec, window, seed, rep):
-    real = sample_realization(spec, window, seed, stream=2 * rep)
-    gen = philox_stream(seed, 2 * rep + 1)
-    return real, gen
+        per_rep = [replicate(r) for r in range(n_reps)]
+    reports = []
+    for j, e in enumerate(estimators):
+        values = np.asarray([vals[j] for vals in per_rep], dtype=float).reshape(n_reps, len(e.labels))
+        reports += [EstimateReport.from_replicates(label, values[:, i], e.n_samples * n_reps, seed,
+                                                   analytic=ref)
+                    for i, (label, ref) in enumerate(zip(e.labels, e.references))]
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # volume fraction and covariance
 # ---------------------------------------------------------------------------
 
-def est_volume_fraction(spec: ProcessSpec, window: Window, n_points: int, n_reps: int,
-                        seed: int, workers: int = 1) -> EstimateReport:
+def prepare_volume_fraction(spec: ProcessSpec, window: Window, n_points: int) -> Estimator:
     """Fraction of uniform window points covered by the union set."""
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         pts = window.uniform_points(gen, n_points)
         return float(np.mean(covered_mask(real, pts)))
 
-    values = _run_replicates(n_reps, one, workers)
-    return EstimateReport.from_replicates(
-        "volume_fraction", values, n_points * n_reps, seed, analytic=analytic.volume_fraction(spec)
-    )
+    return Estimator(["volume_fraction"], n_points, one, [analytic.volume_fraction(spec)])
 
 
-def est_covariance(spec: ProcessSpec, window: Window, lags, n_points: int, n_reps: int,
-                   seed: int, workers: int = 1) -> list[EstimateReport]:
+def prepare_covariance(spec: ProcessSpec, window: Window, lags, n_points: int) -> Estimator:
     """Two-point coverage frequency at each lag, on the lag-eroded window."""
     lags = [np.asarray(h, dtype=float) for h in lags]
     cap = DEFAULT_LAG_FRACTION * window.min_side
     for h in lags:
+        if h.shape != (window.dim,):
+            raise ArgumentError("lags", f"lag {h} is not a vector in R^{window.dim}")
         if float(np.linalg.norm(h)) >= cap:
-            raise ValueError(f"lag {h} exceeds the {DEFAULT_LAG_FRACTION:g} * min-side cap {cap:g}")
+            raise ArgumentError("lags", f"lag {h} exceeds the {DEFAULT_LAG_FRACTION:g} * min-side "
+                                        f"cap {cap:g}")
+    subs = [window.erode_for_lag(h) for h in lags]
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         vals = []
-        for h in lags:
-            sub = window.erode_for_lag(h)
+        for h, sub in zip(lags, subs):
             pts = sub.uniform_points(gen, n_points)
             hit = covered_mask(real, pts)
             if float(np.linalg.norm(h)) > 0.0:
@@ -130,17 +170,20 @@ def est_covariance(spec: ProcessSpec, window: Window, lags, n_points: int, n_rep
             vals.append(float(np.mean(hit)))
         return vals
 
-    values = _run_replicates(n_reps, one, workers)
-    return [
-        EstimateReport.from_replicates(
-            f"covariance[{np.array2string(h, separator=',')}]",
-            values[:, j],
-            n_points * n_reps,
-            seed,
-            analytic=analytic.covariance(spec, h),
-        )
-        for j, h in enumerate(lags)
-    ]
+    return Estimator([f"covariance[{np.array2string(h, separator=',')}]" for h in lags], n_points,
+                     one, [analytic.covariance(spec, h) for h in lags])
+
+
+def est_volume_fraction(spec: ProcessSpec, window: Window, n_points: int, n_reps: int,
+                        seed: int, workers: int = 1) -> EstimateReport:
+    est = prepare_volume_fraction(spec, window, n_points)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)[0]
+
+
+def est_covariance(spec: ProcessSpec, window: Window, lags, n_points: int, n_reps: int,
+                   seed: int, workers: int = 1) -> list[EstimateReport]:
+    est = prepare_covariance(spec, window, lags, n_points)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +208,22 @@ def _uncovered_points(real: Realization, gen, region: Window, n_points: int, p_h
     return np.vstack(out)
 
 
-def est_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: int, n_reps: int,
-                      seed: int, workers: int = 1) -> list[EstimateReport]:
-    """Empirical distance distribution from uncovered points to the union."""
+def _check_radii(radii) -> list[float]:
     radii = [float(r) for r in radii]
+    if not radii:
+        raise ArgumentError("radii", "at least one radius is required")
     if min(radii) < 0:
-        raise ValueError("radii must be nonnegative")
+        raise ArgumentError("radii", "radii must be nonnegative")
+    return radii
+
+
+def prepare_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: int) -> Estimator:
+    """Empirical distance distribution from uncovered points to the union."""
+    radii = _check_radii(radii)
     r_max = max(radii)
     cap = DEFAULT_LAG_FRACTION * window.min_side
     if r_max > cap:
-        raise ValueError(f"max radius {r_max} exceeds the distance cap {cap:g}")
+        raise ArgumentError("radii", f"max radius {r_max} exceeds the distance cap {cap:g}")
     if spec.base.has_zero_mass:
         raise ValueError("spherical contact estimation is unsupported for base laws "
                          "with radius-zero atoms")
@@ -183,49 +232,50 @@ def est_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: int, n
         raise ValueError("complement is too thin for rejection sampling (p > 0.999)")
     region = window.erode(r_max)
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         pts = _uncovered_points(real, gen, region, n_points, p)
         dist = distance_mask(real, pts)
         return [float(np.mean(dist <= r)) for r in radii]
 
-    values = _run_replicates(n_reps, one, workers)
-    return [
-        EstimateReport.from_replicates(
-            f"spherical_cdf[r={r:g}]", values[:, j], n_points * n_reps, seed,
-            analytic=analytic.spherical_cdf(spec, r),
-        )
-        for j, r in enumerate(radii)
-    ]
+    return Estimator([f"spherical_cdf[r={r:g}]" for r in radii], n_points, one,
+                     [analytic.spherical_cdf(spec, r) for r in radii])
 
 
-def est_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii, n_rays: int,
-                   n_reps: int, seed: int, workers: int = 1) -> list[EstimateReport]:
+def prepare_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii,
+                       n_rays: int) -> Estimator:
     """Empirical first-contact distribution along rays in direction eta."""
-    radii = [float(r) for r in radii]
-    if min(radii) < 0:
-        raise ValueError("radii must be nonnegative")
+    radii = _check_radii(radii)
     r_max = max(radii)
     eta_vec = eta.vec if isinstance(eta, Direction) else Direction(eta).vec
-    region = window.erode_for_lag(r_max * eta_vec)
+    if eta_vec.shape != (window.dim,):
+        raise ArgumentError("eta", f"eta is not a direction in R^{window.dim}")
+    try:
+        region = window.erode_for_lag(r_max * eta_vec)
+    except ValueError as exc:
+        raise ArgumentError("radii", f"max radius {r_max} leaves no room for rays: {exc}") from exc
     p = analytic.volume_fraction(spec)
     if p > 0.999:
         raise ValueError("complement is too thin for rejection sampling (p > 0.999)")
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         pts = _uncovered_points(real, gen, region, n_rays, p)
         t_first = first_entry_times(real, pts, eta_vec, r_max)
         return [float(np.mean(t_first <= r)) for r in radii]
 
-    values = _run_replicates(n_reps, one, workers)
-    return [
-        EstimateReport.from_replicates(
-            f"linear_cdf[r={r:g}]", values[:, j], n_rays * n_reps, seed,
-            analytic=analytic.linear_cdf(spec, eta, r),
-        )
-        for j, r in enumerate(radii)
-    ]
+    return Estimator([f"linear_cdf[r={r:g}]" for r in radii], n_rays, one,
+                     [analytic.linear_cdf(spec, eta, r) for r in radii])
+
+
+def est_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: int, n_reps: int,
+                      seed: int, workers: int = 1) -> list[EstimateReport]:
+    est = prepare_spherical_cdf(spec, window, radii, n_points)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)
+
+
+def est_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii, n_rays: int,
+                   n_reps: int, seed: int, workers: int = 1) -> list[EstimateReport]:
+    est = prepare_linear_cdf(spec, window, eta, radii, n_rays)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +296,8 @@ def _crofton_factor(d: int) -> float:
     return d * ball_constants(d)[0] / ball_constants(d - 1)[0]
 
 
-def est_specific_surface_linescan(spec: ProcessSpec, window: Window, n_lines: int, n_reps: int,
-                                  seed: int, workers: int = 1,
-                                  probe_length: float | None = None) -> EstimateReport:
+def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
+                     probe_length: float | None = None) -> Estimator:
     """Line-intercept estimator of the specific surface area.
 
     Probe segments of a fixed length are placed with Haar-uniform direction
@@ -260,12 +309,12 @@ def est_specific_surface_linescan(spec: ProcessSpec, window: Window, n_lines: in
     """
     length = probe_length if probe_length is not None else 0.8 * window.min_side
     if not 0 < length < window.min_side:
-        raise ValueError("probe length must be positive and below the window min side")
+        raise ArgumentError("probe_length",
+                            "probe length must be positive and below the window min side")
     factor = _crofton_factor(spec.d)
     inner = window.erode(0.5 * length)
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         dirs = _haar_directions(spec.d, gen, n_lines)
         mids = inner.uniform_points(gen, n_lines)
         origins = mids - 0.5 * length * dirs
@@ -273,16 +322,12 @@ def est_specific_surface_linescan(spec: ProcessSpec, window: Window, n_lines: in
         entries = count_component_entries(ids, tins, touts, length)
         return factor * entries / (n_lines * length)
 
-    values = _run_replicates(n_reps, one, workers)
-    return EstimateReport.from_replicates(
-        "specific_surface_linescan", values, n_lines * n_reps, seed,
-        analytic=analytic.specific_surface(spec),
-    )
+    return Estimator(["specific_surface_linescan"], n_lines, one,
+                     [analytic.specific_surface(spec)])
 
 
-def est_specific_surface_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int,
-                                  n_points: int, n_reps: int, seed: int,
-                                  workers: int = 1, richardson: bool = False) -> EstimateReport:
+def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int, n_points: int,
+                     richardson: bool = False) -> Estimator:
     """Covariance-derivative estimator of the specific surface area.
 
     For Haar directions xi the one-sided derivative is approximated by
@@ -294,12 +339,11 @@ def est_specific_surface_covderiv(spec: ProcessSpec, window: Window, step: float
     """
     cap = DEFAULT_LAG_FRACTION * window.min_side
     if not 0 < step < cap:
-        raise ValueError(f"step must be in (0, {cap:g})")
+        raise ArgumentError("step", f"step must be in (0, {cap:g})")
     factor = _crofton_factor(spec.d)
     inner = window.erode(step)
 
-    def one(rep):
-        real, gen = _rep_streams(spec, window, seed, rep)
+    def one(real, gen):
         pts = inner.uniform_points(gen, n_points)
         base = covered_mask(real, pts)
         p0 = float(np.mean(base))
@@ -314,11 +358,22 @@ def est_specific_surface_covderiv(spec: ProcessSpec, window: Window, step: float
             acc += diff
         return -factor * acc / n_dirs
 
-    values = _run_replicates(n_reps, one, workers)
-    return EstimateReport.from_replicates(
-        "specific_surface_covderiv", values, n_points * n_dirs * n_reps, seed,
-        analytic=analytic.specific_surface(spec),
-    )
+    return Estimator(["specific_surface_covderiv"], n_points * n_dirs, one,
+                     [analytic.specific_surface(spec)])
+
+
+def est_specific_surface_linescan(spec: ProcessSpec, window: Window, n_lines: int, n_reps: int,
+                                  seed: int, workers: int = 1,
+                                  probe_length: float | None = None) -> EstimateReport:
+    est = prepare_linescan(spec, window, n_lines, probe_length)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)[0]
+
+
+def est_specific_surface_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int,
+                                  n_points: int, n_reps: int, seed: int,
+                                  workers: int = 1, richardson: bool = False) -> EstimateReport:
+    est = prepare_covderiv(spec, window, step, n_dirs, n_points, richardson)
+    return run_estimators(spec, window, [est], n_reps, seed, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +400,13 @@ def reports_to_csv(reports, path) -> None:
             writer.writerow(row)
 
 
+def _json_value(val):
+    """Strict-JSON form of a report field: non-finite numbers become null."""
+    return None if isinstance(val, float) and not math.isfinite(val) else val
+
+
 def reports_to_json(reports) -> str:
     return json.dumps(
-        {"reports": [{f: getattr(rep, f) for f in _CSV_FIELDS} for rep in reports]},
-        indent=2, allow_nan=True, default=float,
+        {"reports": [{f: _json_value(getattr(rep, f)) for f in _CSV_FIELDS} for rep in reports]},
+        indent=2, allow_nan=False, default=float,
     )

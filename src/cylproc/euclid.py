@@ -444,11 +444,6 @@ class ConvexPolygon:
         proj = self.vertices @ perp
         return -float(np.max(proj) - np.min(proj))
 
-    def support_width(self, v) -> float:
-        """Length of the projection of the polygon onto the direction v."""
-        proj = self.vertices @ np.asarray(v, dtype=float)
-        return float(np.max(proj) - np.min(proj))
-
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.shape[0]} vertices, area={self.area:.6g})"
 

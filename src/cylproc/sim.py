@@ -405,6 +405,29 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     )
 
 
+def _probe_components(ids, tins, touts):
+    """Intervals sorted by (probe, t_in), each with its probe's running exit maximum.
+
+    Returns the sorted entries, the running maxima and a flag for every
+    interval that opens a merged component.  The maximum is taken within
+    each probe (a segmented prefix scan over doubling offsets), so the merge
+    tolerance is exact at every probe index.
+    """
+    order = np.lexsort((tins, ids))
+    ids, tins, reach = ids[order], tins[order], touts[order]
+    step = 1
+    while step < len(ids):
+        same = ids[step:] == ids[:-step]
+        if not same.any():
+            break
+        reach[step:] = np.where(same, np.maximum(reach[step:], reach[:-step]), reach[step:])
+        step *= 2
+    prev = np.full(len(ids), -np.inf)
+    same = ids[1:] == ids[:-1]
+    prev[1:][same] = reach[:-1][same]
+    return tins, reach, tins > prev + _TANGENT_TOL
+
+
 def count_component_entries(ids, tins, touts, length: float) -> int:
     """Number of merged-component entry points strictly inside the probes.
 
@@ -413,37 +436,18 @@ def count_component_entries(ids, tins, touts, length: float) -> int:
     entry endpoint; components straddling the probe start (t_in == 0) are
     dropped.
     """
-    if len(ids) == 0:
-        return 0
-    shift = length * 1.25 + 1.0
-    u = tins + ids * shift
-    v = touts + ids * shift
-    order = np.argsort(u, kind="stable")
-    u, v, tin_sorted = u[order], v[order], tins[order]
-    run = np.maximum.accumulate(v)
-    prev = np.concatenate(([-np.inf], run[:-1]))
-    starts = u > prev + _TANGENT_TOL
-    return int(np.count_nonzero(starts & (tin_sorted > 1e-9)))
+    tins, _, starts = _probe_components(ids, tins, touts)
+    return int(np.count_nonzero(starts & (tins > 1e-9)))
 
 
 def covered_length(ids, tins, touts, length: float) -> float:
     """Total length of the union of intervals across all probes."""
     if len(ids) == 0:
         return 0.0
-    shift = length * 1.25 + 1.0
-    u = tins + ids * shift
-    v = touts + ids * shift
-    order = np.argsort(u, kind="stable")
-    u, v = u[order], v[order]
-    total = 0.0
-    cur_lo, cur_hi = u[0], v[0]
-    for lo, hi in zip(u[1:], v[1:]):
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    return total + (cur_hi - cur_lo)
+    tins, reach, starts = _probe_components(ids, tins, touts)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:] - 1, len(tins) - 1)
+    return float(np.sum(reach[last] - tins[first]))
 
 
 def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.ndarray, length: float):

@@ -130,3 +130,86 @@ def test_missing_config_sections(tmp_path, capsys):
     assert "missing required field 'window'" in capsys.readouterr().err
     assert main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "missing required field 'optimize'" in capsys.readouterr().err
+
+
+ALL_QUANTITIES = ["volume_fraction", "covariance", "spherical_cdf", "linear_cdf",
+                  "surface_linescan", "surface_covderiv"]
+SMALL_ESTIMATE = {"quantities": ALL_QUANTITIES, "n_points": 300, "n_replicates": 3,
+                  "lags": [[1.0, 0.5, 0.0]], "radii": [1.0], "eta": [0.0, 0.0, 1.0],
+                  "n_lines": 500, "n_dirs": 3}
+
+
+def counting_sampler(monkeypatch):
+    import cylproc.estimate
+
+    calls = []
+    original = cylproc.estimate.sample_realization
+
+    def sample(*args, **kwargs):
+        calls.append(kwargs.get("stream"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cylproc.estimate, "sample_realization", sample)
+    return calls
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_compare_shares_one_realization_per_replicate(tmp_path, monkeypatch, workers):
+    calls = counting_sampler(monkeypatch)
+    window = {"lo": [0, 0, 0], "hi": [12, 12, 12]}
+    cfg = write_config(tmp_path, {"spec": SPEC3, "window": window, "estimate": SMALL_ESTIMATE})
+    out = tmp_path / "all"
+    # three replicates make no z-test; only the bytes are compared
+    assert main(["compare", "--config", cfg, "--seed", "8", "--workers", workers,
+                 "--z-threshold", "1e9", "--out", str(out)]) == 0
+    assert sorted(calls) == [0, 2, 4]  # one realization per replicate, stream 2*rep
+    shared = (out / "reports.csv").read_bytes()
+
+    header, rows = None, b""
+    for q in ALL_QUANTITIES:
+        one = write_config(tmp_path, {"spec": SPEC3, "window": window,
+                                      "estimate": dict(SMALL_ESTIMATE, quantities=[q])},
+                           name=f"{q}.json")
+        assert main(["estimate", "--config", one, "--seed", "8", "--workers", workers,
+                     "--out", str(tmp_path / q)]) == 0
+        head, _, body = (tmp_path / q / "reports.csv").read_bytes().partition(b"\n")
+        header = header or head
+        assert head == header
+        rows += body
+    assert shared == header + b"\n" + rows
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lags", [[3.0, 0.0, 0.0]]),
+    ("radii", [3.0]),
+    ("eta", [0.0, 0.0, 0.0]),
+    ("step", 3.0),
+    ("probe_length", 9.0),
+    ("n_points", 0),
+    ("n_rays", 0),
+    ("n_lines", 0),
+    ("n_dirs", 0),
+    ("n_replicates", 1),
+])
+def test_estimator_argument_errors_exit_1_before_sampling(tmp_path, monkeypatch, capsys,
+                                                          field, value):
+    calls = counting_sampler(monkeypatch)
+    cfg = write_config(tmp_path, {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [8, 8, 8]},
+                                  "estimate": dict(SMALL_ESTIMATE, **{field: value})})
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: estimate.{field}: ")
+    assert calls == []
+
+
+def test_analytic_zero_linear_eta_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"spec": SPEC3, "analytic": {"linear_radii": [1.0],
+                                                              "linear_eta": [0, 0, 0]}})
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: analytic.linear_eta: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--seed", "-1")])
+def test_bad_seed_and_worker_count_exit_1(tmp_path, capsys, flag, value):
+    cfg = write_config(tmp_path, {"spec": SPEC3})
+    assert main(["analytic", "--config", cfg, flag, value, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cylproc.analytic import covariance_2d_isotropic, linear_cdf, specific_surface, volume_fraction
 from cylproc.estimate import (
+    ArgumentError,
     EstimateReport,
     est_covariance,
     est_linear_cdf,
@@ -12,8 +14,15 @@ from cylproc.estimate import (
     est_specific_surface_linescan,
     est_spherical_cdf,
     est_volume_fraction,
+    prepare_covariance,
+    prepare_covderiv,
+    prepare_linear_cdf,
+    prepare_linescan,
+    prepare_spherical_cdf,
+    prepare_volume_fraction,
     reports_to_csv,
     reports_to_json,
+    run_estimators,
 )
 from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
 from cylproc.model import DeterministicBase, FixedAxes, GirdleBand, Isotropic, ProcessSpec
@@ -219,3 +228,60 @@ def test_report_z_score_edge_cases():
     assert rep.z_score == 0.0
     rep = EstimateReport.from_replicates("x", [0.5, 0.5], 10, 1, analytic=0.4)
     assert rep.z_score == math.inf
+
+
+def test_report_nan_difference_stays_nan():
+    rep = EstimateReport.from_replicates("x", [math.nan, math.nan], 10, 1, analytic=0.4)
+    assert math.isnan(rep.estimate) and math.isnan(rep.z_score)
+    rep = EstimateReport.from_replicates("x", [0.5, 0.5], 10, 1, analytic=math.nan)
+    assert math.isnan(rep.z_score)
+
+
+def test_report_json_is_strict_for_non_finite_values():
+    reps = [EstimateReport("a", math.nan, math.nan, 0, 2, 7, analytic=0.4, z_score=math.nan),
+            EstimateReport("b", 0.5, 0.0, 100, 2, 7, analytic=0.4, z_score=-math.inf)]
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    doc = json.loads(reports_to_json(reps), parse_constant=reject)
+    a, b = doc["reports"]
+    assert a["estimate"] is None and a["std_error"] is None and a["z_score"] is None
+    assert a["analytic"] == 0.4
+    assert b["estimate"] == 0.5 and b["z_score"] is None
+
+
+def test_shared_realization_runner_matches_single_quantity_runs():
+    spec, window = spec3_iso(), Window((0, 0, 0), (12, 12, 12))
+    estimators = [prepare_volume_fraction(spec, window, 500),
+                  prepare_covariance(spec, window, [[1.0, 0.0, 0.0]], 500),
+                  prepare_volume_fraction(spec, window, 500)]
+    shared = run_estimators(spec, window, estimators, 3, seed=4)
+    alone = [est_volume_fraction(spec, window, 500, 3, seed=4),
+             *est_covariance(spec, window, [[1.0, 0.0, 0.0]], 500, 3, seed=4)]
+    assert shared == alone + alone[:1]
+
+
+def test_estimator_arguments_name_their_field():
+    spec = spec3_iso()
+    with pytest.raises(ArgumentError) as err:
+        prepare_covariance(spec, W3, [[5.0, 0.0, 0.0]], 100)
+    assert err.value.field == "lags"
+    with pytest.raises(ArgumentError) as err:
+        prepare_covariance(spec, W3, [[1.0, 0.0]], 100)
+    assert err.value.field == "lags"
+    with pytest.raises(ArgumentError) as err:
+        prepare_spherical_cdf(spec, W3, [], 100)
+    assert err.value.field == "radii"
+    with pytest.raises(ArgumentError) as err:
+        prepare_linear_cdf(spec, W3, Direction([1.0, 0.0, 0.0]), [25.0], 100)
+    assert err.value.field == "radii"
+    with pytest.raises(ArgumentError) as err:
+        prepare_linear_cdf(spec, W3, Direction([1.0, 0.0]), [1.0], 100)
+    assert err.value.field == "eta"
+    with pytest.raises(ArgumentError) as err:
+        prepare_covderiv(spec, W3, 6.0, 4, 100)
+    assert err.value.field == "step"
+    with pytest.raises(ArgumentError) as err:
+        prepare_linescan(spec, W3, 100, probe_length=30.0)
+    assert err.value.field == "probe_length"

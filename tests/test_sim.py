@@ -252,6 +252,20 @@ def test_component_entry_counting():
     assert covered_length(ids, tins, touts, 10.0) == pytest.approx(1.0 + 2.0 + 1.0 + 1.0)
 
 
+def test_interval_merge_does_not_depend_on_probe_index():
+    # per probe: a gap of 5e-12 (above the 1e-12 merge tolerance) keeps two
+    # components; an overlap within the tolerance merges into one
+    tins = np.array([1.0, 2.0 + 5e-12, 1.0, 2.0 + 5e-13])
+    touts = np.array([2.0, 3.0, 2.0, 3.0])
+    counts, lengths = [], []
+    for first in (0, 5000, 99_998):
+        ids = np.array([first, first, first + 1, first + 1])
+        counts.append(count_component_entries(ids, tins, touts, 10.0))
+        lengths.append(covered_length(ids, tins, touts, 10.0))
+    assert counts == [3, 3, 3]
+    assert lengths[0] == lengths[1] == lengths[2] == pytest.approx(4.0, abs=1e-11)
+
+
 def test_section_identity_covered_fraction():
     spec = spec3_iso()
     w = Window((0, 0, 0), (24, 24, 24))
