@@ -485,25 +485,14 @@ def _union_volume(spec: ProcessSpec, proj: np.ndarray) -> float:
         if shape is None:
             continue
         if isinstance(shape, Segment):
-            total += w * _union_length_intervals(proj[:, 0], shape.half_length)
+            a = shape.half_length
+            pieces = _union_intervals([(c - a, c + a) for c in proj[:, 0].tolist()])
+            total += w * sum(e - s for s, e in pieces)
         elif isinstance(shape, Disc):
             total += w * _union_area_discs(proj, shape.radius)
         else:
             total += w * _union_area_polygons([p - shape.vertices for p in proj])
     return total
-
-
-def _union_length_intervals(centers: np.ndarray, a: float) -> float:
-    order = np.sort(np.asarray(centers, dtype=float))
-    total, cur_lo, cur_hi = 0.0, order[0] - a, order[0] + a
-    for c in order[1:]:
-        lo, hi = c - a, c + a
-        if lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    return total + (cur_hi - cur_lo)
 
 
 def _union_area_discs(centers: np.ndarray, a: float) -> float:
@@ -541,41 +530,52 @@ def _union_area_discs(centers: np.ndarray, a: float) -> float:
     return total
 
 
+def _union_intervals(intervals, lo: float = -math.inf, hi: float = math.inf) -> list:
+    """Sorted union of intervals clipped to [lo, hi], as [start, end] pairs.
+
+    Pieces that overlap or lie within 1e-14 of each other are joined.  Pure
+    Python on purpose: the capacity sweeps call it on one or two intervals
+    at a time, where numpy's per-call overhead would dominate.
+    """
+    merged = []
+    for s, e in sorted(intervals):
+        if e <= lo or s >= hi:
+            continue
+        s, e = max(s, lo), min(e, hi)
+        if merged and s <= merged[-1][1] + 1e-14:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return merged
+
+
+def _uncovered(intervals, lo: float, hi: float) -> list:
+    """Pieces of [lo, hi] that the intervals leave uncovered, in order."""
+    gaps, cursor = [], lo
+    for s, e in _union_intervals(intervals, lo, hi):
+        if s > cursor + 1e-14:
+            gaps.append((cursor, s))
+        cursor = e
+    if cursor < hi - 1e-14:
+        gaps.append((cursor, hi))
+    return gaps
+
+
 def _complement_arcs(covered):
     """Arcs of the full circle not covered by the given angular intervals.
 
-    A gap that wraps past 2 pi is returned as two sub-arcs; the Green line
-    integral is additive over sub-arcs, so the split does not matter.
+    An interval that wraps past 2 pi is split in two, and so is a gap that
+    wraps; the Green line integral is additive over sub-arcs, so the split
+    does not matter.
     """
     two_pi = 2.0 * math.pi
-    if not covered:
-        return [(0.0, two_pi)]
     pieces = []
     for s, e in covered:
         span = e - s
         s %= two_pi
         e = s + span
-        if e <= two_pi:
-            pieces.append((s, e))
-        else:
-            pieces.append((s, two_pi))
-            pieces.append((0.0, e - two_pi))
-    pieces.sort()
-    merged = []
-    for s, e in pieces:
-        if merged and s <= merged[-1][1] + 1e-14:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    out = []
-    cursor = 0.0
-    for s, e in merged:
-        if s > cursor + 1e-14:
-            out.append((cursor, s))
-        cursor = max(cursor, e)
-    if cursor < two_pi - 1e-14:
-        out.append((cursor, two_pi))
-    return out
+        pieces += [(s, e)] if e <= two_pi else [(s, two_pi), (0.0, e - two_pi)]
+    return _uncovered(pieces, 0.0, two_pi)
 
 
 def _union_area_polygons(translates) -> float:
@@ -596,7 +596,7 @@ def _union_area_polygons(translates) -> float:
                 seg = _segment_inside_convex(a_pt, d_vec, Q)
                 if seg is not None:
                     covered.append(seg)
-            exposed = _complement_intervals(covered)
+            exposed = _uncovered(covered, 0.0, 1.0)
             cross = a_pt[0] * d_vec[1] - a_pt[1] * d_vec[0]
             total += 0.5 * cross * sum(t1 - t0 for t0, t1 in exposed)
     return total
@@ -622,21 +622,6 @@ def _segment_inside_convex(a_pt, d_vec, Q):
         if tlo >= thi:
             return None
     return (tlo, thi)
-
-
-def _complement_intervals(covered):
-    if not covered:
-        return [(0.0, 1.0)]
-    covered = sorted((max(0.0, s), min(1.0, e)) for s, e in covered if e > 0.0 and s < 1.0)
-    out = []
-    cursor = 0.0
-    for s, e in covered:
-        if s > cursor + 1e-14:
-            out.append((cursor, s))
-        cursor = max(cursor, e)
-    if cursor < 1.0 - 1e-14:
-        out.append((cursor, 1.0))
-    return out
 
 
 def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:

@@ -19,26 +19,13 @@ import numpy as np
 
 from . import analytic, estimate
 from .euclid import Direction
-from .model import ProcessSpec, spec_from_dict
+from .model import ConfigError, ProcessSpec, check_fields, spec_from_dict
 from .optimize import DesignProblem, solve_radius_law, solution_to_json, verify_solution
 from .sim import Window, export_realization_csv, sample_realization
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _check_keys(doc: dict, path: str, required: tuple, optional: tuple = ()):
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{path}: missing required field '{key}'")
-    for key in doc:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}: unknown field '{key}'")
 
 
 def _load_config(path: str) -> dict:
@@ -72,8 +59,8 @@ def _parse_spec(config: dict) -> ProcessSpec:
 def _parse_window(config: dict) -> Window:
     if "window" not in config:
         raise ConfigError("config: missing required field 'window'")
-    doc = dict(config["window"])
-    _check_keys(doc, "window", ("lo", "hi"))
+    doc = config["window"]
+    check_fields(doc, "window", ("lo", "hi"))
     try:
         return Window(tuple(doc["lo"]), tuple(doc["hi"]))
     except ValueError as exc:
@@ -94,8 +81,8 @@ _ANALYTIC_KEYS = ("lags", "spherical_radii", "linear_radii", "linear_eta", "pore
 
 def cmd_analytic(config: dict, args) -> int:
     spec = _parse_spec(config)
-    section = dict(config.get("analytic", {}))
-    _check_keys(section, "analytic", (), _ANALYTIC_KEYS)
+    section = config.get("analytic", {})
+    check_fields(section, "analytic", (), _ANALYTIC_KEYS)
     rows: list[tuple[str, float]] = []
     rows.append(("volume_fraction", analytic.volume_fraction(spec)))
     rows.append(("specific_surface", analytic.specific_surface(spec)))
@@ -180,8 +167,8 @@ def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
 def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
     spec = _parse_spec(config)
     window = _parse_window(config)
-    section = dict(config.get("estimate", {}))
-    _check_keys(section, "estimate", ("quantities",), _EST_KEYS)
+    section = config.get("estimate", {})
+    check_fields(section, "estimate", ("quantities",), _EST_KEYS)
     n_points = _count(section, "n_points", 100_000)
     n_reps = _count(section, "n_replicates", 50, minimum=2)
     estimators = [_prepare(q, section, spec, window, n_points) for q in section["quantities"]]
@@ -216,8 +203,7 @@ def cmd_compare(config: dict, args) -> int:
 def cmd_simulate(config: dict, args) -> int:
     spec = _parse_spec(config)
     window = _parse_window(config)
-    section = dict(config.get("simulate", {}))
-    _check_keys(section, "simulate", ())
+    check_fields(config.get("simulate", {}), "simulate")
     real = sample_realization(spec, window, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,8 +215,8 @@ def cmd_simulate(config: dict, args) -> int:
 def cmd_optimize(config: dict, args) -> int:
     if "optimize" not in config:
         raise ConfigError("config: missing required field 'optimize'")
-    section = dict(config["optimize"])
-    _check_keys(section, "optimize", ("lambda", "epsilon", "r_max"), ("n_verify",))
+    section = config["optimize"]
+    check_fields(section, "optimize", ("lambda", "epsilon", "r_max"), ("n_verify",))
     try:
         prob = DesignProblem(float(section["lambda"]), float(section["epsilon"]),
                              float(section["r_max"]))

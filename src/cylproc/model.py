@@ -29,6 +29,8 @@ from .euclid import (
 )
 
 __all__ = [
+    "ConfigError",
+    "check_fields",
     "RadiusLaw",
     "Isotropic",
     "FixedAxes",
@@ -439,28 +441,44 @@ def _shape_to_dict(shape) -> dict:
     raise TypeError(f"unknown shape {shape!r}")
 
 
-def _shape_from_dict(doc: dict, path: str):
-    kind = _take(doc, "type", path)
+class ConfigError(ValueError):
+    """A config field is missing, unknown or malformed; the message starts with its path."""
+
+
+def check_fields(doc, path: str, required=(), optional=()) -> None:
+    """Require a JSON object holding every required field and no field outside both lists."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{path}: missing required field '{key}'")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{path}: unknown field '{key}'")
+
+
+_ALPHA_FIELDS = {"isotropic": (), "fixed_axes": ("axes",), "girdle": ("axis", "delta")}
+_SHAPE_FIELDS = {"segment": ("half_length",), "disc": ("radius",), "polygon": ("vertices",)}
+_BASE_FIELDS = {**_SHAPE_FIELDS, "disc_radius_law": ("atoms",), "mixture": ("components",)}
+
+
+def _typed(doc, path: str, fields: dict, what: str) -> str:
+    """The "type" of a typed object whose other fields match that type's entry in ``fields``."""
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    # an unknown type is reported before the fields it would need
+    check_fields(doc, path, ("type", *fields.get(kind, ())), doc if kind not in fields else ())
+    if kind not in fields:
+        raise ConfigError(f"{path}.type: unknown {what} {kind!r}")
+    return kind
+
+
+def _shape_from_dict(doc, path: str):
+    kind = _typed(doc, path, _SHAPE_FIELDS, "shape type")
     if kind == "segment":
-        out = Segment(_take(doc, "half_length", path))
-    elif kind == "disc":
-        out = Disc(_take(doc, "radius", path))
-    elif kind == "polygon":
-        out = ConvexPolygon(_take(doc, "vertices", path))
-    else:
-        raise ValueError(f"{path}.type: unknown shape type {kind!r}")
-    _reject_unknown(doc, path)
-    return out
-
-
-def _take(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ValueError(f"{path}: missing required field '{key}'")
-    return doc.pop(key)
-
-def _reject_unknown(doc: dict, path: str):
-    if doc:
-        raise ValueError(f"{path}: unknown field '{sorted(doc)[0]}'")
+        return Segment(doc["half_length"])
+    if kind == "disc":
+        return Disc(doc["radius"])
+    return ConvexPolygon(doc["vertices"])
 
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
@@ -483,56 +501,34 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
 
 
 def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
-    """Parse a spec document, rejecting unknown fields with their paths."""
-    doc = dict(doc)
-    d = _take(doc, "d", path)
-    k = _take(doc, "k", path)
-    lam = _take(doc, "lambda", path)
-    alpha_doc = dict(_take(doc, "alpha", path))
-    base_doc = dict(_take(doc, "base", path))
-    _reject_unknown(doc, path)
+    """Parse a spec document, rejecting missing and unknown fields with their paths."""
+    check_fields(doc, path, ("d", "k", "lambda", "alpha", "base"))
 
-    akind = _take(alpha_doc, "type", f"{path}.alpha")
+    alpha_doc, apath = doc["alpha"], f"{path}.alpha"
+    akind = _typed(alpha_doc, apath, _ALPHA_FIELDS, "directional law")
     if akind == "isotropic":
         alpha = Isotropic()
     elif akind == "fixed_axes":
-        axes_doc = _take(alpha_doc, "axes", f"{path}.alpha")
         axes = []
-        for i, ax in enumerate(axes_doc):
-            ax = dict(ax)
-            axes.append((Direction(_take(ax, "direction", f"{path}.alpha.axes[{i}]")),
-                         _take(ax, "weight", f"{path}.alpha.axes[{i}]")))
-            _reject_unknown(ax, f"{path}.alpha.axes[{i}]")
+        for i, ax in enumerate(alpha_doc["axes"]):
+            check_fields(ax, f"{apath}.axes[{i}]", ("direction", "weight"))
+            axes.append((Direction(ax["direction"]), ax["weight"]))
         alpha = FixedAxes(axes)
-    elif akind == "girdle":
-        alpha = GirdleBand(Direction(_take(alpha_doc, "axis", f"{path}.alpha")),
-                           _take(alpha_doc, "delta", f"{path}.alpha"))
     else:
-        raise ValueError(f"{path}.alpha.type: unknown directional law {akind!r}")
-    _reject_unknown(alpha_doc, f"{path}.alpha")
+        alpha = GirdleBand(Direction(alpha_doc["axis"]), alpha_doc["delta"])
 
-    bkind = base_doc.get("type")
-    if bkind in ("segment", "disc", "polygon"):
-        base = DeterministicBase(_shape_from_dict(base_doc, f"{path}.base"))
-    elif bkind == "disc_radius_law":
-        base_doc.pop("type")
-        atoms = _take(base_doc, "atoms", f"{path}.base")
-        _reject_unknown(base_doc, f"{path}.base")
-        base = DiscRadiusLaw(RadiusLaw(tuple((float(r), float(q)) for r, q in atoms)))
+    base_doc, bpath = doc["base"], f"{path}.base"
+    bkind = _typed(base_doc, bpath, _BASE_FIELDS, "base law")
+    if bkind == "disc_radius_law":
+        base = DiscRadiusLaw(RadiusLaw(tuple((float(r), float(q)) for r, q in base_doc["atoms"])))
     elif bkind == "mixture":
-        base_doc.pop("type")
-        comp_doc = _take(base_doc, "components", f"{path}.base")
-        _reject_unknown(base_doc, f"{path}.base")
         comps = []
-        for i, comp in enumerate(comp_doc):
-            comp = dict(comp)
-            w = _take(comp, "weight", f"{path}.base.components[{i}]")
-            shape = _shape_from_dict(dict(_take(comp, "shape", f"{path}.base.components[{i}]")),
-                                     f"{path}.base.components[{i}].shape")
-            _reject_unknown(comp, f"{path}.base.components[{i}]")
-            comps.append((shape, w))
+        for i, comp in enumerate(base_doc["components"]):
+            cpath = f"{bpath}.components[{i}]"
+            check_fields(comp, cpath, ("weight", "shape"))
+            comps.append((_shape_from_dict(comp["shape"], f"{cpath}.shape"), comp["weight"]))
         base = MixtureBase(comps)
     else:
-        raise ValueError(f"{path}.base.type: unknown base law {bkind!r}")
-
-    return ProcessSpec(d=int(d), k=int(k), intensity=float(lam), alpha=alpha, base=base)
+        base = DeterministicBase(_shape_from_dict(base_doc, bpath))
+    return ProcessSpec(d=int(doc["d"]), k=int(doc["k"]), intensity=float(doc["lambda"]), alpha=alpha,
+                       base=base)

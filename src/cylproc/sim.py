@@ -252,50 +252,6 @@ def distance_to_union(real: Realization, x, cap: float | None = None) -> float:
 # ray queries
 # ---------------------------------------------------------------------------
 
-def _cylinder_ray_interval(cyl: PlacedCylinder, u0: np.ndarray, w: np.ndarray, length: float):
-    """Intersection of {u0 + t w, t in [0, length]} with the base, in frame coords."""
-    base = cyl.base
-    if isinstance(base, Segment):
-        a = base.half_length
-        w0, p0 = float(w[0]), float(u0[0])
-        if abs(w0) <= _TANGENT_TOL:
-            return (0.0, length) if abs(p0) <= a else None
-        t1, t2 = (-a - p0) / w0, (a - p0) / w0
-        lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
-    elif isinstance(base, Disc):
-        a = base.radius
-        ww = float(w @ w)
-        if ww <= _TANGENT_TOL**2:
-            return (0.0, length) if float(u0 @ u0) <= a * a else None
-        b = float(u0 @ w)
-        c = float(u0 @ u0) - a * a
-        disc = b * b - ww * c
-        if disc <= _TANGENT_TOL:
-            return None
-        root = math.sqrt(disc)
-        lo, hi = (-b - root) / ww, (-b + root) / ww
-    else:
-        lo, hi = -np.inf, np.inf
-        E = np.roll(base.vertices, -1, axis=0) - base.vertices
-        normals = np.column_stack([E[:, 1], -E[:, 0]])
-        for n_e, q in zip(normals, base.vertices):
-            denom = float(n_e @ w)
-            num = float(n_e @ (q - u0))
-            if abs(denom) < _TANGENT_TOL:
-                if num < -GEOM_TOL:
-                    return None
-                continue
-            t = num / denom
-            if denom > 0:
-                hi = min(hi, t)
-            else:
-                lo = max(lo, t)
-            if lo >= hi:
-                return None
-    lo, hi = max(lo, 0.0), min(hi, length)
-    return (lo, hi) if hi - lo > 0.0 else None
-
-
 def ray_intervals(real: Realization, origin, direction, length: float):
     """Sorted disjoint [t_in, t_out] intervals of the ray inside the union set.
 
@@ -311,20 +267,8 @@ def ray_intervals(real: Realization, origin, direction, length: float):
     inside = real.window.contains_points(np.stack([origin, endpoint]))
     if not bool(np.all(inside)):
         raise ValueError("the probe segment must stay inside the window")
-    raw = []
-    for cyl in real.cylinders:
-        frame = cyl.subspace.frame
-        seg = _cylinder_ray_interval(cyl, origin @ frame - cyl.offset, d_vec @ frame, length)
-        if seg is not None:
-            raw.append(seg)
-    raw.sort()
-    merged = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1] + _TANGENT_TOL:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    _, t_in, t_out = _probe_components(*ray_interval_bulk(real, origin[None, :], d_vec[None, :], length))
+    return list(zip(t_in.tolist(), t_out.tolist()))
 
 
 def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, length: float):
@@ -406,11 +350,12 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
 
 
 def _probe_components(ids, tins, touts):
-    """Intervals sorted by (probe, t_in), each with its probe's running exit maximum.
+    """Merged components of the union along each probe, as (probe id, t_in, t_out).
 
-    Returns the sorted entries, the running maxima and a flag for every
-    interval that opens a merged component.  The maximum is taken within
-    each probe (a segmented prefix scan over doubling offsets), so the merge
+    Intervals are sorted by (probe, t_in) and each takes its probe's running
+    exit maximum (a segmented prefix scan over doubling offsets); an interval
+    opens a new component when it starts more than the tangent tolerance
+    past that maximum.  The scan stays within each probe, so the merge
     tolerance is exact at every probe index.
     """
     order = np.lexsort((tins, ids))
@@ -425,7 +370,8 @@ def _probe_components(ids, tins, touts):
     prev = np.full(len(ids), -np.inf)
     same = ids[1:] == ids[:-1]
     prev[1:][same] = reach[:-1][same]
-    return tins, reach, tins > prev + _TANGENT_TOL
+    first = np.flatnonzero(tins > prev + _TANGENT_TOL)
+    return ids[first], tins[first], np.maximum.reduceat(reach, first)
 
 
 def count_component_entries(ids, tins, touts, length: float) -> int:
@@ -436,18 +382,13 @@ def count_component_entries(ids, tins, touts, length: float) -> int:
     entry endpoint; components straddling the probe start (t_in == 0) are
     dropped.
     """
-    tins, _, starts = _probe_components(ids, tins, touts)
-    return int(np.count_nonzero(starts & (tins > 1e-9)))
+    return int(np.count_nonzero(_probe_components(ids, tins, touts)[1] > 1e-9))
 
 
 def covered_length(ids, tins, touts, length: float) -> float:
     """Total length of the union of intervals across all probes."""
-    if len(ids) == 0:
-        return 0.0
-    tins, reach, starts = _probe_components(ids, tins, touts)
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:] - 1, len(tins) - 1)
-    return float(np.sum(reach[last] - tins[first]))
+    _, t_in, t_out = _probe_components(ids, tins, touts)
+    return float(np.sum(t_out - t_in))
 
 
 def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.ndarray, length: float):
