@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, estimate
-from .euclid import Direction
-from .model import ConfigError, ProcessSpec, check_fields, spec_from_dict
+from .euclid import ConvexPolygon, Direction
+from .model import ConfigError, ProcessSpec, check_fields, is_number, number_field, spec_from_dict
 from .optimize import DesignProblem, solve_radius_law, solution_to_json, verify_solution
 from .sim import Window, export_realization_csv, sample_realization
 
@@ -47,8 +47,10 @@ def _parse_spec(config: dict) -> ProcessSpec:
         raise ConfigError("config: missing required field 'spec'")
     try:
         spec = spec_from_dict(config["spec"])
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"spec: {exc}") from exc
     try:
         spec.require_positive_volume()
     except ValueError as exc:
@@ -56,15 +58,18 @@ def _parse_spec(config: dict) -> ProcessSpec:
     return spec
 
 
-def _parse_window(config: dict) -> Window:
+def _parse_window(config: dict, spec: ProcessSpec) -> Window:
     if "window" not in config:
         raise ConfigError("config: missing required field 'window'")
     doc = config["window"]
     check_fields(doc, "window", ("lo", "hi"))
     try:
-        return Window(tuple(doc["lo"]), tuple(doc["hi"]))
-    except ValueError as exc:
+        window = Window(tuple(doc["lo"]), tuple(doc["hi"]))
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"window: {exc}") from exc
+    if window.dim != spec.d:
+        raise ConfigError(f"window: a box in R^{window.dim} does not match the spec's R^{spec.d}")
+    return window
 
 
 def _write(path: Path, text: str):
@@ -79,27 +84,42 @@ def _write(path: Path, text: str):
 _ANALYTIC_KEYS = ("lags", "spherical_radii", "linear_radii", "linear_eta", "pore_moments")
 
 
+def _radii(section: dict, key: str) -> list[float]:
+    value = section.get(key, [])
+    if not (isinstance(value, list) and all(is_number(r) and r >= 0 for r in value)):
+        raise ConfigError(f"analytic.{key}: must be a list of numbers >= 0, got {value!r}")
+    return [float(r) for r in value]
+
+
 def cmd_analytic(config: dict, args) -> int:
     spec = _parse_spec(config)
     section = config.get("analytic", {})
     check_fields(section, "analytic", (), _ANALYTIC_KEYS)
-    rows: list[tuple[str, float]] = []
-    rows.append(("volume_fraction", analytic.volume_fraction(spec)))
-    rows.append(("specific_surface", analytic.specific_surface(spec)))
-    for h in section.get("lags", []):
-        rows.append((f"covariance[{','.join(_fmt(float(x)) for x in h)}]",
-                     analytic.covariance(spec, np.asarray(h, dtype=float))))
-    for r in section.get("spherical_radii", []):
-        rows.append((f"spherical_cdf[r={_fmt(float(r))}]", analytic.spherical_cdf(spec, float(r))))
-    if section.get("linear_radii"):
-        if "linear_eta" not in section:
-            raise ConfigError("analytic: 'linear_radii' requires 'linear_eta'")
-        eta = _direction(section["linear_eta"], "analytic.linear_eta")
-        for r in section["linear_radii"]:
-            rows.append((f"linear_cdf[r={_fmt(float(r))}]", analytic.linear_cdf(spec, eta, float(r))))
-    if section.get("pore_moments"):
-        if spec.d != 3 or spec.k != 1:
-            raise ConfigError("analytic.pore_moments: pore moments apply to axial cylinders in R^3")
+    # every field is checked before any closed form is evaluated
+    lags = section.get("lags", [])
+    if not (isinstance(lags, list) and all(isinstance(h, list) and len(h) == spec.d
+                                           and all(map(is_number, h)) for h in lags)):
+        raise ConfigError(f"analytic.lags: must be a list of vectors in R^{spec.d}, got {lags!r}")
+    spherical, linear = _radii(section, "spherical_radii"), _radii(section, "linear_radii")
+    eta = None
+    if "linear_eta" in section:
+        eta = _direction(section["linear_eta"], "analytic.linear_eta", spec.d)
+    elif linear:
+        raise ConfigError("analytic: 'linear_radii' requires 'linear_eta'")
+    if linear and any(isinstance(shape, ConvexPolygon) for shape, _ in spec.base.atoms()):
+        raise ConfigError("analytic.linear_radii: the linear contact distribution needs disc or "
+                          "segment cross sections")
+    pore = bool(section.get("pore_moments"))
+    if pore and (spec.d != 3 or spec.k != 1):
+        raise ConfigError("analytic.pore_moments: pore moments apply to axial cylinders in R^3")
+
+    rows = [("volume_fraction", analytic.volume_fraction(spec)),
+            ("specific_surface", analytic.specific_surface(spec))]
+    rows += [(f"covariance[{','.join(_fmt(float(x)) for x in h)}]",
+              analytic.covariance(spec, np.asarray(h, dtype=float))) for h in lags]
+    rows += [(f"spherical_cdf[r={_fmt(r)}]", analytic.spherical_cdf(spec, r)) for r in spherical]
+    rows += [(f"linear_cdf[r={_fmt(r)}]", analytic.linear_cdf(spec, eta, r)) for r in linear]
+    if pore:
         pm = analytic.pore_moments(spec.intensity, spec.base.mean_boundary)
         rows += [("pore_mean", pm.mean), ("pore_second_moment", pm.second_moment),
                  ("pore_variance", pm.variance)]
@@ -116,18 +136,17 @@ _EST_KEYS = ("quantities", "n_points", "n_replicates", "lags", "radii", "eta",
 
 
 def _count(section: dict, key: str, default: int, minimum: int = 1) -> int:
-    value = section.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < minimum):
-        raise ConfigError(f"estimate.{key}: must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    return number_field(section, "estimate", key, default, integer=True, minimum=minimum)
 
 
-def _direction(value, path: str) -> Direction:
+def _direction(value, path: str, d: int) -> Direction:
     try:
-        return Direction(value)
+        direction = Direction(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if direction.dim != d:
+        raise ConfigError(f"{path}: must be a direction in R^{d}")
+    return direction
 
 
 def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
@@ -146,7 +165,7 @@ def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
             return estimate.prepare_spherical_cdf(spec, window, section["radii"], n_points)
         if quantity == "linear_cdf":
             return estimate.prepare_linear_cdf(
-                spec, window, _direction(section["eta"], "estimate.eta"), section["radii"],
+                spec, window, _direction(section["eta"], "estimate.eta", spec.d), section["radii"],
                 _count(section, "n_rays", n_points))
         if quantity == "surface_linescan":
             return estimate.prepare_linescan(spec, window, _count(section, "n_lines", n_points),
@@ -166,12 +185,15 @@ def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
 
 def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
     spec = _parse_spec(config)
-    window = _parse_window(config)
+    window = _parse_window(config, spec)
     section = config.get("estimate", {})
     check_fields(section, "estimate", ("quantities",), _EST_KEYS)
+    quantities = section["quantities"]
+    if not (isinstance(quantities, list) and all(isinstance(q, str) for q in quantities)):
+        raise ConfigError(f"estimate.quantities: must be a list of quantity names, got {quantities!r}")
     n_points = _count(section, "n_points", 100_000)
     n_reps = _count(section, "n_replicates", 50, minimum=2)
-    estimators = [_prepare(q, section, spec, window, n_points) for q in section["quantities"]]
+    estimators = [_prepare(q, section, spec, window, n_points) for q in quantities]
     return estimate.run_estimators(spec, window, estimators, n_reps, args.seed, args.workers)
 
 
@@ -202,7 +224,7 @@ def cmd_compare(config: dict, args) -> int:
 
 def cmd_simulate(config: dict, args) -> int:
     spec = _parse_spec(config)
-    window = _parse_window(config)
+    window = _parse_window(config, spec)
     check_fields(config.get("simulate", {}), "simulate")
     real = sample_realization(spec, window, args.seed)
     out = Path(args.out)
@@ -217,13 +239,13 @@ def cmd_optimize(config: dict, args) -> int:
         raise ConfigError("config: missing required field 'optimize'")
     section = config["optimize"]
     check_fields(section, "optimize", ("lambda", "epsilon", "r_max"), ("n_verify",))
+    lam, eps, r_max = (number_field(section, "optimize", key) for key in ("lambda", "epsilon", "r_max"))
+    n_verify = number_field(section, "optimize", "n_verify", 0, integer=True, minimum=0)
     try:
-        prob = DesignProblem(float(section["lambda"]), float(section["epsilon"]),
-                             float(section["r_max"]))
+        prob = DesignProblem(lam, eps, r_max)
         sol = solve_radius_law(prob)
     except ValueError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
-    n_verify = int(section.get("n_verify", 0))
     certified = True
     if n_verify > 0:
         certified = verify_solution(prob, sol, n_verify, args.seed)

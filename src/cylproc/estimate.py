@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytic
 from .euclid import Direction, ball_constants
-from .model import ProcessSpec
+from .model import ProcessSpec, haar_vectors
 from .rng import philox_stream
 from .sim import (
     Realization,
@@ -282,16 +282,6 @@ def est_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii, n_r
 # specific surface
 # ---------------------------------------------------------------------------
 
-def _haar_directions(d: int, gen, n: int) -> np.ndarray:
-    if d == 2:
-        phi = gen.uniform(0.0, math.pi, n)
-        return np.column_stack([np.cos(phi), np.sin(phi)])
-    z = gen.uniform(-1.0, 1.0, n)
-    phi = gen.uniform(0.0, 2.0 * math.pi, n)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-
-
 def _crofton_factor(d: int) -> float:
     return d * ball_constants(d)[0] / ball_constants(d - 1)[0]
 
@@ -315,7 +305,7 @@ def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
     inner = window.erode(0.5 * length)
 
     def one(real, gen):
-        dirs = _haar_directions(spec.d, gen, n_lines)
+        dirs = haar_vectors(spec.d, gen, n_lines)
         mids = inner.uniform_points(gen, n_lines)
         origins = mids - 0.5 * length * dirs
         ids, tins, touts = ray_interval_bulk(real, origins, dirs, length)
@@ -347,7 +337,7 @@ def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int
         pts = inner.uniform_points(gen, n_points)
         base = covered_mask(real, pts)
         p0 = float(np.mean(base))
-        dirs = _haar_directions(spec.d, gen, n_dirs)
+        dirs = haar_vectors(spec.d, gen, n_dirs)
         acc = 0.0
         for xi in dirs:
             both = base & covered_mask(real, pts + step * xi)

@@ -31,6 +31,8 @@ from .euclid import (
 __all__ = [
     "ConfigError",
     "check_fields",
+    "number_field",
+    "haar_vectors",
     "RadiusLaw",
     "Isotropic",
     "FixedAxes",
@@ -106,21 +108,29 @@ def _canonicalize_rows(U: np.ndarray) -> np.ndarray:
     return U * sign[:, None]
 
 
+def haar_vectors(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-uniform unit vectors in R^d, not canonicalized.
+
+    In the plane the angle is drawn on [0, pi), in space (z, phi) on the
+    cylinder [-1, 1] x [0, 2 pi) (Archimedes).  Callers that need line
+    directions canonicalize the rows; callers that orient probes keep them.
+    """
+    if d == 2:
+        phi = rng.uniform(0.0, math.pi, n)
+        return np.column_stack([np.cos(phi), np.sin(phi)])
+    z = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
 class Isotropic:
     """Haar-uniform directional law."""
 
     kind = "isotropic"
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        if d == 2:
-            phi = rng.uniform(0.0, math.pi, n)
-            u = np.column_stack([np.cos(phi), np.sin(phi)])
-        else:
-            z = rng.uniform(-1.0, 1.0, n)
-            phi = rng.uniform(0.0, 2.0 * math.pi, n)
-            s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            u = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-        return _canonicalize_rows(u)
+        return _canonicalize_rows(haar_vectors(d, rng, n))
 
     def __eq__(self, other):
         return isinstance(other, Isotropic)
@@ -457,6 +467,22 @@ def check_fields(doc, path: str, required=(), optional=()) -> None:
             raise ConfigError(f"{path}: unknown field '{key}'")
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_field(doc: dict, path: str, key: str, default=None, integer: bool = False,
+                 minimum: float | None = None):
+    """The number at ``doc[key]`` (``default`` when absent), or a ConfigError naming path.key."""
+    value = doc.get(key, default)
+    if not (is_number(value) and (not integer or float(value).is_integer())
+            and (minimum is None or value >= minimum)):
+        what = ("an integer" if integer else "a number") + ("" if minimum is None else f" >= {minimum}")
+        raise ConfigError(f"{path}.{key}: must be {what}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 _ALPHA_FIELDS = {"isotropic": (), "fixed_axes": ("axes",), "girdle": ("axis", "delta")}
 _SHAPE_FIELDS = {"segment": ("half_length",), "disc": ("radius",), "polygon": ("vertices",)}
 _BASE_FIELDS = {**_SHAPE_FIELDS, "disc_radius_law": ("atoms",), "mixture": ("components",)}
@@ -501,8 +527,11 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
 
 
 def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
-    """Parse a spec document, rejecting missing and unknown fields with their paths."""
+    """Parse a spec document, rejecting missing, unknown and malformed fields with their paths."""
     check_fields(doc, path, ("d", "k", "lambda", "alpha", "base"))
+    d = number_field(doc, path, "d", integer=True)
+    k = number_field(doc, path, "k", integer=True)
+    lam = number_field(doc, path, "lambda")
 
     alpha_doc, apath = doc["alpha"], f"{path}.alpha"
     akind = _typed(alpha_doc, apath, _ALPHA_FIELDS, "directional law")
@@ -530,5 +559,4 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         base = MixtureBase(comps)
     else:
         base = DeterministicBase(_shape_from_dict(base_doc, bpath))
-    return ProcessSpec(d=int(doc["d"]), k=int(doc["k"]), intensity=float(doc["lambda"]), alpha=alpha,
-                       base=base)
+    return ProcessSpec(d=d, k=k, intensity=lam, alpha=alpha, base=base)

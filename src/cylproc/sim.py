@@ -6,6 +6,12 @@ interval) of radius R_W + r_max in the position space, which covers the
 hitting set of every shape in the base support, so the retained cylinders
 are an exact sample.  Membership anywhere in the window is therefore
 exact; distances are exact up to the erosion margin used by the callers.
+
+Each query has one vectorized kernel: :func:`covered_mask`,
+:func:`distance_mask` and :func:`ray_interval_bulk`.  The scalar queries
+:func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
+n = 1 views of them that add only the window checks, and probe intervals
+are merged in one place, :func:`_probe_components`.
 """
 
 from __future__ import annotations

@@ -213,3 +213,59 @@ def test_bad_seed_and_worker_count_exit_1(tmp_path, capsys, flag, value):
     cfg = write_config(tmp_path, {"spec": SPEC3})
     assert main(["analytic", "--config", cfg, flag, value, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lags", [[1.0, 0.0]]),
+    ("lags", 1.0),
+    ("spherical_radii", ["a"]),
+    ("spherical_radii", [-1.0]),
+    ("linear_radii", [-1.0]),
+    ("linear_eta", [1.0, 0.0]),
+])
+def test_analytic_field_errors_exit_1_before_any_closed_form(tmp_path, monkeypatch, capsys,
+                                                             field, value):
+    import cylproc.analytic
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("a closed form ran before the fields were checked")
+
+    monkeypatch.setattr(cylproc.analytic, "volume_fraction", closed_form)
+    section = {"linear_radii": [1.0], "linear_eta": [1.0, 0.0, 0.0], field: value}
+    cfg = write_config(tmp_path, {"spec": SPEC3, "analytic": section})
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: analytic.{field}: ")
+
+
+WINDOW3 = {"lo": [0, 0, 0], "hi": [8, 8, 8]}
+ESTIMATE = {"quantities": ["volume_fraction"], "n_points": 100, "n_replicates": 2}
+OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
+
+
+@pytest.mark.parametrize("command, config, path", [
+    ("simulate", {"spec": SPEC3, "window": {"lo": [0, 0], "hi": [8, 8]}}, "window"),
+    ("estimate", {"spec": SPEC3, "window": {"lo": [0, 0], "hi": [8, 8]}, "estimate": ESTIMATE},
+     "window"),
+    ("optimize", {"optimize": dict(OPTIMIZE, n_verify="x")}, "optimize.n_verify"),
+    ("estimate", {"spec": SPEC3, "window": WINDOW3,
+                  "estimate": dict(ESTIMATE, quantities="volume_fraction")}, "estimate.quantities"),
+    ("analytic", {"spec": dict(SPEC3, d="x")}, "spec.d"),
+    ("analytic", {"spec": dict(SPEC3, k="x")}, "spec.k"),
+    ("analytic", {"spec": dict(SPEC3, **{"lambda": "x"})}, "spec.lambda"),
+    ("simulate", {"spec": SPEC3, "window": [0, 8]}, "window"),
+    ("analytic", {"spec": SPEC3, "analytic": [1.0]}, "analytic"),
+    ("estimate", {"spec": SPEC3, "window": WINDOW3, "estimate": "volume_fraction"}, "estimate"),
+    ("simulate", {"spec": SPEC3, "window": WINDOW3, "simulate": 3}, "simulate"),
+    ("optimize", {"optimize": [0.1, 4.0, 2.0]}, "optimize"),
+    ("analytic", {"spec": dict(SPEC3, base="disc")}, "spec.base"),
+    ("analytic", {"spec": dict(SPEC3, base={"type": "polygon",
+                                            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}),
+                  "analytic": {"linear_radii": [1.0], "linear_eta": [1.0, 0.0, 0.0]}},
+     "analytic.linear_radii"),
+])
+def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, config, path):
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err and "unknown quantity" not in err

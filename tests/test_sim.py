@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylproc.analytic import capacity_finite, volume_fraction
 from cylproc.euclid import (
@@ -20,6 +21,7 @@ from cylproc.model import (
     Isotropic,
     ProcessSpec,
     RadiusLaw,
+    haar_vectors,
 )
 from cylproc.rng import philox_stream
 from cylproc.sim import (
@@ -236,10 +238,7 @@ def test_ray_bulk_matches_scalar():
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
             else:
                 merged.append((lo, hi))
-        assert len(merged) == len(scalar)
-        for (a1, b1), (a2, b2) in zip(merged, scalar):
-            assert a1 == pytest.approx(a2, abs=1e-10)
-            assert b1 == pytest.approx(b2, abs=1e-10)
+        assert merged == scalar
 
 
 def test_component_entry_counting():
@@ -309,3 +308,42 @@ def test_csv_round_trip(tmp_path):
         path2 = tmp_path / f"real_{i}_again.csv"
         export_realization_csv(sample_realization(spec, w, seed=1234 + i), path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+# shape family -> (d, k, base, intensity); each is tried with isotropic and fixed axes
+RAY_FAMILIES = {
+    "band2": (2, 1, Segment(0.4), 0.8),
+    "disc3": (3, 1, Disc(0.7), 0.2),
+    "square3": (3, 1, ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.3),
+    "slab3": (3, 2, Segment(0.3), 0.6),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(RAY_FAMILIES)), fixed=st.booleans(),
+       probe=st.sampled_from(["haar", "axis", "across"]), seed=st.integers(0, 2**32 - 1))
+def test_ray_intervals_are_disjoint_and_agree_with_membership(family, fixed, probe, seed):
+    d, k, shape, lam = RAY_FAMILIES[family]
+    axes = [[0.0, 1.0], [0.6, 0.8]] if d == 2 else [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]
+    alpha = FixedAxes([(Direction(a), 0.5) for a in axes]) if fixed else Isotropic()
+    spec = ProcessSpec(d=d, k=k, intensity=lam, alpha=alpha, base=DeterministicBase(shape))
+    window = Window((0.0,) * d, (8.0,) * d)
+    real = sample_realization(spec, window, seed)
+    gen = philox_stream(seed, 1)
+    length = 4.0
+    # along the first axis a line cylinder is parallel to the probe and a slab
+    # crosses it square on; across it the roles swap
+    fixed_dir = {"axis": np.array(axes[0]), "across": np.eye(d)[0]}
+    for _ in range(10):
+        v = fixed_dir[probe] if probe in fixed_dir else haar_vectors(d, gen, 1)[0]
+        origin = window.erode(0.5 * length).uniform_points(gen, 1)[0] - 0.5 * length * v
+        iv = ray_intervals(real, origin, v, length)
+        ends = [t for piece in iv for t in piece]
+        assert all(a < b for a, b in zip(ends, ends[1:]))  # sorted, disjoint, each nonempty
+        edges = [0.0, *ends, length]
+        assert edges == sorted(edges)
+        # the pieces alternate uncovered, covered, uncovered, ...
+        for j, (a, b) in enumerate(zip(edges, edges[1:])):
+            if b - a > 1e-6:
+                mid = origin + 0.5 * (a + b) * v
+                assert bool(covered_mask(real, mid[None, :])[0]) == (j % 2 == 1)
