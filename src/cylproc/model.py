@@ -31,6 +31,7 @@ from .euclid import (
 __all__ = [
     "ConfigError",
     "check_fields",
+    "is_number",
     "number_field",
     "haar_vectors",
     "RadiusLaw",

@@ -5,6 +5,8 @@ write for three seeds on four process families, so any change to the
 sampler's draw order, the query kernels, the interval merges or the
 closed forms shows here.  A refactor must leave every entry unchanged;
 an intended change of outputs re-pins them in a commit of its own.
+The capacity values are bit patterns of one platform (CPython 3.11,
+numpy 2 on x86-64); another interpreter or BLAS may round differently.
 """
 
 import hashlib
