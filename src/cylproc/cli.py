@@ -172,7 +172,7 @@ def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
                                              section.get("probe_length"))
         if quantity == "surface_covderiv":
             return estimate.prepare_covderiv(
-                spec, window, float(section.get("step", 0.02)), _count(section, "n_dirs", 32),
+                spec, window, section.get("step", 0.02), _count(section, "n_dirs", 32),
                 n_points, richardson=bool(section.get("richardson", False)))
     except ConfigError:
         raise

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,11 +71,17 @@ __all__ = [
 
 
 class ArgumentError(ValueError):
-    """An estimator argument is out of range; ``field`` names the argument."""
+    """An estimator argument is out of range or of the wrong type; ``field`` names the argument."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def _real(field: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ArgumentError(field, f"must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,10 @@ def prepare_volume_fraction(spec: ProcessSpec, window: Window, n_points: int) ->
 
 def prepare_covariance(spec: ProcessSpec, window: Window, lags, n_points: int) -> Estimator:
     """Two-point coverage frequency at each lag, on the lag-eroded window."""
-    lags = [np.asarray(h, dtype=float) for h in lags]
+    try:
+        lags = [np.asarray(h, dtype=float) for h in lags]
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError("lags", f"must be a list of vectors in R^{window.dim}, got {lags!r}") from exc
     cap = DEFAULT_LAG_FRACTION * window.min_side
     for h in lags:
         if h.shape != (window.dim,):
@@ -209,7 +219,10 @@ def _uncovered_points(real: Realization, gen, region: Window, n_points: int, p_h
 
 
 def _check_radii(radii) -> list[float]:
-    radii = [float(r) for r in radii]
+    try:
+        radii = [_real("radii", r) for r in radii]
+    except TypeError as exc:
+        raise ArgumentError("radii", f"must be a list of numbers, got {radii!r}") from exc
     if not radii:
         raise ArgumentError("radii", "at least one radius is required")
     if min(radii) < 0:
@@ -297,7 +310,7 @@ def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
     straddling the probe start are dropped, which by stationarity keeps the
     count unbiased for intensity * length.
     """
-    length = probe_length if probe_length is not None else 0.8 * window.min_side
+    length = _real("probe_length", probe_length) if probe_length is not None else 0.8 * window.min_side
     if not 0 < length < window.min_side:
         raise ArgumentError("probe_length",
                             "probe length must be positive and below the window min side")
@@ -328,6 +341,7 @@ def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int
     (2 D(h/2) - D(h)), trading a little variance for the O(step) term.
     """
     cap = DEFAULT_LAG_FRACTION * window.min_side
+    step = _real("step", step)
     if not 0 < step < cap:
         raise ArgumentError("step", f"step must be in (0, {cap:g})")
     factor = _crofton_factor(spec.d)

@@ -31,6 +31,28 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     raise ValueError("zero vector has no canonical sign")
 
 
+def canonical_directions(V) -> np.ndarray:
+    """The rows of V as :class:`Direction` stores them, bit for bit, in one pass.
+
+    A row is divided by its norm unless that is within 1e-12 of one, then
+    flipped so that its first coordinate of magnitude > 1e-12 is positive.
+    """
+    V = np.array(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] not in (2, 3):
+        raise ValueError(f"directions must be vectors in R^2 or R^3, got shape {V.shape}")
+    n = np.sqrt(np.vecdot(V, V))  # np.linalg.norm of each row
+    if np.any(n < NORM_TOL):
+        raise ValueError("cannot normalize a (near-)zero vector")
+    far = np.abs(n - 1.0) > NORM_TOL
+    V[far] = V[far] / n[far, None]
+    big = np.abs(V) > NORM_TOL
+    if not np.all(big.any(axis=1)):
+        raise ValueError("zero vector has no canonical sign")
+    lead = V[np.arange(len(V)), np.argmax(big, axis=1)]
+    V[lead < 0] = -V[lead < 0]
+    return V
+
+
 class Direction:
     """A unit vector in R^d (d in {2, 3}) with v and -v identified.
 
@@ -99,6 +121,44 @@ def _complement_frame(B: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def complement_frames(B: np.ndarray) -> np.ndarray:
+    """:func:`_complement_frame` of every matrix in a stack B of shape (N, d, m), bit for bit.
+
+    The same Gram-Schmidt runs on all N at once; a row whose residual for
+    a standard basis vector is too small skips that vector, as the scalar
+    loop does.  Every dot product goes through ``np.vecdot``, ``np.vecmat``
+    or ``np.matvec`` on C-contiguous stacks, which round like the scalar
+    ``@``; ``einsum`` or a plain sum would not.
+    """
+    B = np.ascontiguousarray(B, dtype=float)
+    N, d, m = B.shape
+    k = d - m
+    F = np.zeros((N, d, k))
+    count = np.zeros(N, dtype=np.intp)  # columns accepted so far, per row
+    for i in range(d):
+        todo = count < k
+        if not todo.any():
+            break
+        v = np.zeros((N, d))
+        v[:, i] = 1.0
+        for _ in range(2):
+            v = v - np.matvec(B, np.vecmat(v, B))
+            for j in range(k):
+                has = count > j
+                if not has.any():
+                    break
+                f = np.ascontiguousarray(F[:, :, j])
+                step = v - f * np.vecdot(f, v)[:, None]
+                v = step if has.all() else np.where(has[:, None], step, v)
+        n = np.sqrt(np.vecdot(v, v))
+        take = np.flatnonzero(todo & (n > _FRAME_TOL))
+        F[take, :, count[take]] = v[take] / n[take, None]
+        count[take] += 1
+    if np.any(count < k):
+        raise ValueError("failed to build a complement frame")
+    return F
+
+
 class Subspace:
     """An m-dimensional linear subspace of R^d, m in {1, 2}, m < d.
 
@@ -126,6 +186,14 @@ class Subspace:
         self.frame = F
 
     @classmethod
+    def unchecked(cls, basis: np.ndarray, frame: np.ndarray) -> "Subspace":
+        """A subspace from a basis and frame the caller built and froze; nothing is checked."""
+        sub = cls.__new__(cls)
+        sub.basis = basis
+        sub.frame = frame
+        return sub
+
+    @classmethod
     def line(cls, direction: Direction) -> "Subspace":
         return cls(direction.vec[:, None])
 
@@ -142,10 +210,6 @@ class Subspace:
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def codim(self) -> int:
-        return self.ambient_dim - self.dim
 
     def project_onto(self, x):
         x = np.asarray(x, dtype=float)
@@ -472,7 +536,7 @@ def covariogram_derivative_at_origin(shape, u=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# small convex helpers shared by the simulator
+# polygon helpers
 # ---------------------------------------------------------------------------
 
 def _polygon_area(V) -> float:
@@ -544,68 +608,3 @@ def _circumcentre(a, b, c):
     ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
     uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
     return np.array([ux, uy])
-
-
-def convex_hull_ccw(points) -> np.ndarray:
-    """Counterclockwise convex hull of planar points (Andrew monotone chain)."""
-    P = np.unique(np.asarray(points, dtype=float), axis=0)
-    P = P[np.lexsort((P[:, 1], P[:, 0]))]
-    if len(P) <= 2:
-        return P
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, q = out[-2], out[-1]
-                if (q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(P)
-    upper = half(P[::-1])
-    return np.asarray(lower[:-1] + upper[:-1])
-
-
-def convex_distance(hull_ccw: np.ndarray, p) -> float:
-    """Distance from a point to a convex polygon given as a ccw vertex array."""
-    p = np.asarray(p, dtype=float)
-    V = np.asarray(hull_ccw, dtype=float)
-    if len(V) == 1:
-        return float(np.linalg.norm(p - V[0]))
-    if len(V) == 2:
-        return _point_segment_distance(p, V[0], V[1])
-    edges = np.roll(V, -1, axis=0) - V
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-    inside = np.all(np.einsum("ij,ij->i", normals, p[None, :] - V) <= GEOM_TOL * np.linalg.norm(normals, axis=1))
-    if inside:
-        return 0.0
-    return min(_point_segment_distance(p, a, b) for a, b in zip(V, np.roll(V, -1, axis=0)))
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def convex_overlap(hull_a: np.ndarray, hull_b: np.ndarray, tol: float = GEOM_TOL) -> bool:
-    """Separating-axis test for two convex ccw polygons (closed sets)."""
-    for V in (hull_a, hull_b):
-        W = np.roll(V, -1, axis=0)
-        edges = W - V
-        axes = np.column_stack([edges[:, 1], -edges[:, 0]])
-        for ax in axes:
-            n = float(np.linalg.norm(ax))
-            if n == 0.0:
-                continue
-            ax = ax / n
-            pa = hull_a @ ax
-            pb = hull_b @ ax
-            if np.min(pb) > np.max(pa) + tol or np.min(pa) > np.max(pb) + tol:
-                return False
-    return True

@@ -26,6 +26,8 @@ from .euclid import (
     Segment,
     Subspace,
     _complement_frame,
+    canonical_directions,
+    complement_frames,
 )
 
 __all__ = [
@@ -96,19 +98,6 @@ class RadiusLaw:
 # directional distributions
 # ---------------------------------------------------------------------------
 
-def _canonicalize_rows(U: np.ndarray) -> np.ndarray:
-    """Antipodal canonicalization, vectorized over rows."""
-    sign = np.zeros(len(U))
-    undecided = np.ones(len(U), dtype=bool)
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        pick = undecided & (np.abs(col) > NORM_TOL)
-        sign[pick] = np.sign(col[pick])
-        undecided[pick] = False
-    sign[sign == 0.0] = 1.0
-    return U * sign[:, None]
-
-
 def haar_vectors(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-uniform unit vectors in R^d, not canonicalized.
 
@@ -131,7 +120,7 @@ class Isotropic:
     kind = "isotropic"
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        return _canonicalize_rows(haar_vectors(d, rng, n))
+        return canonical_directions(haar_vectors(d, rng, n))
 
     def __eq__(self, other):
         return isinstance(other, Isotropic)
@@ -211,7 +200,7 @@ class GirdleBand:
                 z[:, None] * self.axis.vec[None, :]
                 + rad[:, None] * (np.cos(phi)[:, None] * f[:, 0] + np.sin(phi)[:, None] * f[:, 1])
             )
-        return _canonicalize_rows(u)
+        return canonical_directions(u)
 
     def __repr__(self):
         return f"GirdleBand(axis={self.axis.vec.tolist()}, delta={self.delta})"
@@ -406,6 +395,14 @@ class ProcessSpec:
             return Subspace.line(direction)
         return Subspace.plane_with_normal(direction)
 
+    def subspace_frames(self, vecs) -> tuple[np.ndarray, np.ndarray]:
+        """Bases (N, d, k) and frames (N, d, d - k) of :meth:`subspace_for` on each row, bit for bit."""
+        v = canonical_directions(vecs)[:, :, None]
+        if self.k == 1:
+            return v, complement_frames(v)
+        basis = complement_frames(v)
+        return basis, complement_frames(basis)
+
     def require_positive_volume(self):
         """Enforce the standing assumption 0 < volume fraction < 1."""
         lam_a = self.intensity * self.base.mean_area
@@ -499,13 +496,21 @@ def _typed(doc, path: str, fields: dict, what: str) -> str:
     return kind
 
 
+def _built(path: str, make, *args):
+    """``make(*args)``, with its ValueError or TypeError re-raised as a ConfigError naming path."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _shape_from_dict(doc, path: str):
     kind = _typed(doc, path, _SHAPE_FIELDS, "shape type")
-    if kind == "segment":
-        return Segment(doc["half_length"])
-    if kind == "disc":
-        return Disc(doc["radius"])
-    return ConvexPolygon(doc["vertices"])
+    field = _SHAPE_FIELDS[kind][0]
+    make = {"segment": Segment, "disc": Disc, "polygon": ConvexPolygon}[kind]
+    return _built(f"{path}.{field}", make, doc[field])
 
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
@@ -540,24 +545,25 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         alpha = Isotropic()
     elif akind == "fixed_axes":
         axes = []
-        for i, ax in enumerate(alpha_doc["axes"]):
+        for i, ax in enumerate(_built(f"{apath}.axes", list, alpha_doc["axes"])):
             check_fields(ax, f"{apath}.axes[{i}]", ("direction", "weight"))
-            axes.append((Direction(ax["direction"]), ax["weight"]))
-        alpha = FixedAxes(axes)
+            axes.append((_built(f"{apath}.axes[{i}].direction", Direction, ax["direction"]), ax["weight"]))
+        alpha = _built(f"{apath}.axes", FixedAxes, axes)
     else:
-        alpha = GirdleBand(Direction(alpha_doc["axis"]), alpha_doc["delta"])
+        axis = _built(f"{apath}.axis", Direction, alpha_doc["axis"])
+        alpha = _built(f"{apath}.delta", GirdleBand, axis, number_field(alpha_doc, apath, "delta"))
 
     base_doc, bpath = doc["base"], f"{path}.base"
     bkind = _typed(base_doc, bpath, _BASE_FIELDS, "base law")
     if bkind == "disc_radius_law":
-        base = DiscRadiusLaw(RadiusLaw(tuple((float(r), float(q)) for r, q in base_doc["atoms"])))
+        base = DiscRadiusLaw(_built(f"{bpath}.atoms", RadiusLaw, base_doc["atoms"]))
     elif bkind == "mixture":
         comps = []
-        for i, comp in enumerate(base_doc["components"]):
+        for i, comp in enumerate(_built(f"{bpath}.components", list, base_doc["components"])):
             cpath = f"{bpath}.components[{i}]"
             check_fields(comp, cpath, ("weight", "shape"))
             comps.append((_shape_from_dict(comp["shape"], f"{cpath}.shape"), comp["weight"]))
-        base = MixtureBase(comps)
+        base = _built(f"{bpath}.components", MixtureBase, comps)
     else:
         base = DeterministicBase(_shape_from_dict(base_doc, bpath))
     return ProcessSpec(d=d, k=k, intensity=lam, alpha=alpha, base=base)

@@ -7,6 +7,14 @@ hitting set of every shape in the base support, so the retained cylinders
 are an exact sample.  Membership anywhere in the window is therefore
 exact; distances are exact up to the erosion margin used by the callers.
 
+The sampler handles all candidates of a realization in one array pass:
+their frames come from one batched Gram-Schmidt
+(:func:`~cylproc.euclid.complement_frames`, bit for bit the per-subspace
+frames), and one vectorized hit test per shape kind compares each base
+with the window's shadow, the zonotope spanned by the projected box
+edges.  The CSV reader parses every row first and builds all frames in
+the same batched call.
+
 Each query has one vectorized kernel: :func:`covered_mask`,
 :func:`distance_mask` and :func:`ray_interval_bulk`.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
@@ -29,9 +37,8 @@ from .euclid import (
     Disc,
     Segment,
     Subspace,
-    convex_distance,
-    convex_hull_ccw,
-    convex_overlap,
+    canonical_directions,
+    complement_frames,
 )
 from .model import ProcessSpec
 from .rng import philox_stream
@@ -153,7 +160,8 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     radius R_W + r_max in position space and keeps exactly those hitting
     the window.  Radius-zero atoms of the base law carry no volume and are
     dropped; distance-based queries reject such realizations (see
-    :func:`distance_to_union`).
+    :func:`distance_to_union`).  Frames, offsets and the hit test run on
+    all candidates at once.
     """
     if spec.d != window.dim:
         raise ValueError("spec and window dimensions differ")
@@ -166,7 +174,7 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     measure = 2.0 * rho if m == 1 else math.pi * rho * rho
     n = int(rng.poisson(spec.intensity * measure)) if spec.intensity > 0 else 0
 
-    cylinders = []
+    cylinders = ()
     if n > 0:
         dirs = spec.alpha.sample_vectors(spec.d, rng, n)
         shapes = spec.base.sample_shapes(rng, n)
@@ -176,29 +184,88 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
             rad = rho * np.sqrt(rng.uniform(0.0, 1.0, n))
             ang = rng.uniform(0.0, 2.0 * math.pi, n)
             offs = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        centre = window.center
-        corners = window.corners
-        for i in range(n):
-            shape = shapes[i]
-            if shape is None:
-                continue
-            L = spec.subspace_for(dirs[i])
-            off = L.complement_coords(centre) + offs[i]
-            if _hits_window(L, shape, off, corners):
-                cylinders.append(PlacedCylinder(L, shape, off))
-    return Realization(spec=spec, window=window, cylinders=tuple(cylinders), seed=seed, stream=stream)
+        live = [i for i, shape in enumerate(shapes) if shape is not None]
+        shapes = [shapes[i] for i in live]
+        basis, frame = spec.subspace_frames(dirs[live])
+        centre = np.vecmat(window.center, frame)  # the window centre in each frame
+        off = centre + offs[live]
+        hit = _hits_window(window, frame, centre, off, shapes)
+        cylinders = _placed(basis[hit], frame[hit], off[hit], [s for s, h in zip(shapes, hit) if h])
+    return Realization(spec=spec, window=window, cylinders=cylinders, seed=seed, stream=stream)
 
 
-def _hits_window(L: Subspace, shape, off: np.ndarray, corners: np.ndarray) -> bool:
-    proj = corners @ L.frame
-    if L.codim == 1:
-        lo, hi = float(np.min(proj)), float(np.max(proj))
-        a = shape.half_length
-        return off[0] + a >= lo - GEOM_TOL and off[0] - a <= hi + GEOM_TOL
-    shadow = convex_hull_ccw(proj)
-    if isinstance(shape, Disc):
-        return convex_distance(shadow, off) <= shape.radius + GEOM_TOL
-    return convex_overlap(shadow, shape.vertices + off)
+def _placed(basis, frame, offsets, shapes) -> tuple:
+    """PlacedCylinders over rows of batched bases, frames and offsets (the arrays are frozen)."""
+    basis.flags.writeable = False
+    frame.flags.writeable = False
+    return tuple(PlacedCylinder(Subspace.unchecked(b, f), shape, o)
+                 for b, f, o, shape in zip(basis, frame, offsets, shapes))
+
+
+def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.ndarray,
+                 shapes) -> np.ndarray:
+    """Which candidates' bases, placed at ``off``, meet the window's shadow within GEOM_TOL.
+
+    Along L the box projects to the zonotope with the window centre's
+    coordinates ``centre`` as its centre and the projected box edges
+    g_j = (hi - lo)_j * frame[j] as generators.  Segments overlap its
+    interval, discs lie within r of it, and polygons have no separating
+    axis among its edge normals (those of the g_j) and their own.
+    """
+    gens = np.subtract(window.hi, window.lo)[None, :, None] * frame  # (N, d, m)
+    if frame.shape[2] == 1:
+        half = 0.5 * np.sum(np.abs(gens[:, :, 0]), axis=1)
+        lo, hi = centre[:, 0] - half, centre[:, 0] + half
+        a = np.array([shape.half_length for shape in shapes])
+        return (off[:, 0] + a >= lo - GEOM_TOL) & (off[:, 0] - a <= hi + GEOM_TOL)
+    rel = off - centre
+    hit = np.zeros(len(shapes), dtype=bool)
+    discs = np.flatnonzero([isinstance(shape, Disc) for shape in shapes])
+    if len(discs):
+        radius = np.array([shapes[i].radius for i in discs])
+        hit[discs] = _zonogon_distance(gens[discs], rel[discs]) <= radius + GEOM_TOL
+    polys = {}
+    for i, shape in enumerate(shapes):
+        if isinstance(shape, ConvexPolygon):
+            polys.setdefault(id(shape), (shape, []))[1].append(i)
+    for shape, idx in polys.values():
+        hit[idx] = _zonogon_meets_polygon(gens[idx], rel[idx], shape)
+    return hit
+
+
+def _zonogon_distance(gens: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distance from each point p to the centred zonogon spanned by its three generators."""
+    # orient the generators into the upper half plane and sort them by angle;
+    # adding them in turn, then subtracting them, walks the boundary ccw
+    flip = (gens[..., 1] < 0) | ((gens[..., 1] == 0) & (gens[..., 0] < 0))
+    g = np.where(flip[..., None], -gens, gens)
+    order = np.argsort(np.arctan2(g[..., 1], g[..., 0]), axis=1)
+    g = np.take_along_axis(g, order[..., None], axis=1)
+    edges = np.concatenate([g, -g], axis=1)  # (N, 6, 2)
+    starts = np.cumsum(edges, axis=1) - edges - 0.5 * g.sum(axis=1)[:, None, :]
+    q = p[:, None, :] - starts
+    cross = edges[..., 0] * q[..., 1] - edges[..., 1] * q[..., 0]
+    inside = np.all(cross >= 0.0, axis=1)
+    ee = np.sum(edges * edges, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(ee > 0.0, np.clip(np.sum(q * edges, axis=2) / ee, 0.0, 1.0), 0.0)
+    gap = q - t[..., None] * edges
+    dist = np.sqrt(np.min(np.sum(gap * gap, axis=2), axis=1))
+    return np.where(inside, 0.0, dist)
+
+
+def _zonogon_meets_polygon(gens: np.ndarray, p: np.ndarray, shape: ConvexPolygon) -> np.ndarray:
+    """Separating-axis test of each centred zonogon against ``shape`` moved by p (closed sets)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero generator (an axis along a box edge) gives a NaN axis, which separates nothing
+        normals = np.stack([gens[..., 1], -gens[..., 0]], axis=-1)
+        normals = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+    axes = np.concatenate([normals, np.broadcast_to(shape._normals, (len(p), *shape._normals.shape))],
+                          axis=1)
+    half = 0.5 * np.sum(np.abs(np.matmul(axes, gens.transpose(0, 2, 1))), axis=2)
+    proj = np.matmul(axes, shape.vertices.T) + np.matmul(axes, p[:, :, None])
+    apart = (proj.min(axis=2) > half + GEOM_TOL) | (-half > proj.max(axis=2) + GEOM_TOL)
+    return ~np.any(apart, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +422,14 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     )
 
 
-def _probe_components(ids, tins, touts):
-    """Merged components of the union along each probe, as (probe id, t_in, t_out).
+def _component_starts(ids, tins, touts):
+    """Intervals sorted by (probe id, t_in), their running exit maxima, and where components start.
 
-    Intervals are sorted by (probe, t_in) and each takes its probe's running
-    exit maximum (a segmented prefix scan over doubling offsets); an interval
-    opens a new component when it starts more than the tangent tolerance
-    past that maximum.  The scan stays within each probe, so the merge
-    tolerance is exact at every probe index.
+    Each interval takes its probe's running exit maximum (a segmented
+    prefix scan over doubling offsets); an interval opens a new component
+    when it starts more than the tangent tolerance past the maximum before
+    it.  The scan stays within each probe, so the merge tolerance is exact
+    at every probe index.
     """
     order = np.lexsort((tins, ids))
     ids, tins, reach = ids[order], tins[order], touts[order]
@@ -376,7 +443,12 @@ def _probe_components(ids, tins, touts):
     prev = np.full(len(ids), -np.inf)
     same = ids[1:] == ids[:-1]
     prev[1:][same] = reach[:-1][same]
-    first = np.flatnonzero(tins > prev + _TANGENT_TOL)
+    return ids, tins, reach, np.flatnonzero(tins > prev + _TANGENT_TOL)
+
+
+def _probe_components(ids, tins, touts):
+    """Merged components of the union along each probe, as (probe id, t_in, t_out)."""
+    ids, tins, reach, first = _component_starts(ids, tins, touts)
     return ids[first], tins[first], np.maximum.reduceat(reach, first)
 
 
@@ -386,9 +458,10 @@ def count_component_entries(ids, tins, touts, length: float) -> int:
     Probes are independent segments [0, length] indexed by ``ids``.  Each
     connected component of the union along a probe is counted through its
     entry endpoint; components straddling the probe start (t_in == 0) are
-    dropped.
+    dropped.  Only entry times are read, so component exits are not formed.
     """
-    return int(np.count_nonzero(_probe_components(ids, tins, touts)[1] > 1e-9))
+    _, tins, _, first = _component_starts(ids, tins, touts)
+    return int(np.count_nonzero(tins[first] > 1e-9))
 
 
 def covered_length(ids, tins, touts, length: float) -> float:
@@ -410,6 +483,26 @@ def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.
 # ---------------------------------------------------------------------------
 # CSV export / import
 # ---------------------------------------------------------------------------
+
+def _shape_fields(shape) -> tuple:
+    """(tag, parameter strings) of a cross section as one CSV row writes them."""
+    if isinstance(shape, Segment):
+        return "segment", (f"{shape.half_length:.17g}",)
+    if isinstance(shape, Disc):
+        return "disc", (f"{shape.radius:.17g}",)
+    return "polygon", tuple(f"{x:.17g}" for x in shape.vertices.reshape(-1))
+
+
+def _shape_from_fields(tag: str, params: tuple):
+    values = [float(x) for x in params]
+    if tag == "segment":
+        return Segment(values[0])
+    if tag == "disc":
+        return Disc(values[0])
+    if tag == "polygon":
+        return ConvexPolygon(np.asarray(values).reshape(-1, 2))
+    raise ValueError(f"unknown shape tag {tag!r}")
+
 
 def export_realization_csv(real: Realization, path) -> None:
     """Write cylinders as CSV.
@@ -436,48 +529,45 @@ def export_realization_csv(real: Realization, path) -> None:
             offs = [f"{x:.17g}" for x in cyl.offset]
             if d == 3 and m == 1:
                 offs = offs + [""]
-            if isinstance(cyl.base, Segment):
-                tag, params = "segment", [f"{cyl.base.half_length:.17g}"]
-            elif isinstance(cyl.base, Disc):
-                tag, params = "disc", [f"{cyl.base.radius:.17g}"]
-            else:
-                tag = "polygon"
-                params = [f"{x:.17g}" for x in cyl.base.vertices.reshape(-1)]
-            params += [""] * (max_params - len(params))
-            writer.writerow([i, *axis, *offs, tag, *params])
+            tag, params = _shape_fields(cyl.base)
+            writer.writerow([i, *axis, *offs, tag, *params, *[""] * (max_params - len(params))])
 
 
 def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0, stream: int = 0) -> Realization:
-    """Rebuild a realization from :func:`export_realization_csv` output."""
-    cylinders = []
+    """Rebuild a realization from :func:`export_realization_csv` output.
+
+    All rows are parsed first and their frames built in one batched call.
+    The file stores the identifying vector of each direction space: the
+    axis of a line cylinder, whose frame is rebuilt from it, and the frame
+    of a slab, whose in-plane basis is rebuilt from it.  Re-exporting the
+    result therefore writes the same bytes.  Each distinct (tag,
+    parameters) gives one shared cross section; those written from a base
+    shape of ``spec`` are that very shape, so polygon vertices are not
+    recentred again.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        d = 3 if "axis_z" in header else 2
-        if d != spec.d:
-            raise ValueError("CSV dimension does not match the spec")
-        for row in reader:
-            vals = dict(zip(header, row))
-            axis = [float(vals["axis_x"]), float(vals["axis_y"])]
-            if d == 3:
-                axis.append(float(vals["axis_z"]))
-            offs = [float(vals["offset_u"])]
-            if d == 3 and vals.get("offset_v", ""):
-                offs.append(float(vals["offset_v"]))
-            params = []
-            for i in range(len(header)):
-                key = f"param{i}"
-                if key in vals and vals[key] != "":
-                    params.append(float(vals[key]))
-            tag = vals["shape"]
-            if tag == "segment":
-                base = Segment(params[0])
-            elif tag == "disc":
-                base = Disc(params[0])
-            elif tag == "polygon":
-                base = ConvexPolygon(np.asarray(params).reshape(-1, 2))
-            else:
-                raise ValueError(f"unknown shape tag {tag!r}")
-            L = spec.subspace_for(Direction(axis))
-            cylinders.append(PlacedCylinder(L, base, np.asarray(offs)))
-    return Realization(spec=spec, window=window, cylinders=tuple(cylinders), seed=seed, stream=stream)
+        rows = list(reader)
+    d = 3 if "axis_z" in header else 2
+    if d != spec.d:
+        raise ValueError("CSV dimension does not match the spec")
+    col = {name: j for j, name in enumerate(header)}
+    axis_at = [col[name] for name in ("axis_x", "axis_y", "axis_z")[:d]]
+    off_at = [col[name] for name in ("offset_u", "offset_v")[:d - spec.k]]
+    tag_at = col["shape"]
+    param_at = [j for j, name in enumerate(header) if name.startswith("param")]
+    shapes = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
+    bases = []
+    for row in rows:
+        key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = _shape_from_fields(*key)
+        bases.append(shape)
+    axes = np.array([[float(row[j]) for j in axis_at] for row in rows]).reshape(len(rows), d)
+    offsets = np.array([[float(row[j]) for j in off_at] for row in rows]).reshape(len(rows), len(off_at))
+    vec = canonical_directions(axes)[:, :, None]
+    basis, frame = (vec, complement_frames(vec)) if spec.k == 1 else (complement_frames(vec), vec)
+    cylinders = _placed(basis, frame, offsets, bases)
+    return Realization(spec=spec, window=window, cylinders=cylinders, seed=seed, stream=stream)

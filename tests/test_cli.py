@@ -201,6 +201,39 @@ def test_estimator_argument_errors_exit_1_before_sampling(tmp_path, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lags", 1.0),
+    ("probe_length", "x"),
+    ("step", "x"),
+    ("radii", "x"),
+])
+def test_wrongly_typed_estimator_arguments_exit_1_with_their_path(tmp_path, monkeypatch, capsys,
+                                                                  field, value):
+    calls = counting_sampler(monkeypatch)
+    cfg = write_config(tmp_path, {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [8, 8, 8]},
+                                  "estimate": dict(SMALL_ESTIMATE, **{field: value})})
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: estimate.{field}: ")
+    assert "quantities" not in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha, base, path", [
+    ({"type": "girdle", "axis": [0, 0, 1], "delta": 5}, None, "spec.alpha.delta"),
+    ({"type": "girdle", "axis": [0, 0, 0], "delta": 0.5}, None, "spec.alpha.axis"),
+    (None, {"type": "disc", "radius": -1.0}, "spec.base.radius"),
+    (None, {"type": "disc_radius_law", "atoms": [[1.0, 0.5]]}, "spec.base.atoms"),
+    (None, {"type": "mixture", "components": [{"weight": 1.0, "shape": {"type": "disc", "radius": 0}}]},
+     "spec.base.components[0].shape.radius"),
+])
+def test_spec_constructor_errors_name_their_field(tmp_path, capsys, alpha, base, path):
+    spec = dict(SPEC3, alpha=alpha or SPEC3["alpha"], base=base or SPEC3["base"])
+    cfg = write_config(tmp_path, {"spec": spec})
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_analytic_zero_linear_eta_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, {"spec": SPEC3, "analytic": {"linear_radii": [1.0],
                                                               "linear_eta": [0, 0, 0]}})

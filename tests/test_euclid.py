@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylproc.euclid import (
     ConvexPolygon,
@@ -9,13 +10,17 @@ from cylproc.euclid import (
     Disc,
     Segment,
     Subspace,
+    _complement_frame,
     ball_constants,
+    canonical_directions,
+    complement_frames,
     covariogram,
     covariogram_derivative_at_origin,
     grassmann_average_det,
     project_along,
     subspace_det,
 )
+from cylproc.model import DeterministicBase, GirdleBand, Isotropic, ProcessSpec, haar_vectors
 from cylproc.rng import philox_stream
 
 # frozen from a 1e7-dart run (z = 0.44 against the closed form)
@@ -206,3 +211,54 @@ def test_segment_and_disc_validation():
     disc = Disc(2.0)
     assert disc.area == pytest.approx(4 * math.pi)
     assert disc.boundary == pytest.approx(4 * math.pi)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def direction_batch(kind: str, d: int, seed: int, n: int = 48) -> np.ndarray:
+    """Raw direction vectors of one kind; their signs are not canonical."""
+    gen = philox_stream(seed, 0)
+    if kind == "haar":
+        return haar_vectors(d, gen, n)
+    if kind == "girdle":
+        return GirdleBand(np.eye(d)[-1], 0.2).sample_vectors(d, gen, n)
+    if kind == "axis":
+        # coordinate axes and the diagonals of coordinate planes, so frames hold exact zeros
+        pool = np.array([v for v in np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d)).reshape(d, -1).T
+                         if 0 < np.count_nonzero(v) <= 2])
+        pool = pool / np.linalg.norm(pool, axis=1, keepdims=True)
+        return pool[gen.integers(0, len(pool), n)]
+    # off unit length: far off, just past the 1e-12 renormalization threshold, and just inside it
+    scale = gen.choice([gen.uniform(0.1, 10.0), 1.0 + 1e-11, 1.0 + 1e-13], size=n)
+    return haar_vectors(d, gen, n) * scale[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["haar", "girdle", "axis", "off_unit"]), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_frames_match_the_scalar_subspaces_bit_for_bit(kind, d, seed):
+    vecs = direction_batch(kind, d, seed)
+    canon = canonical_directions(vecs)
+    frames = complement_frames(canon[:, :, None])
+    for v, c, f in zip(vecs, canon, frames):
+        assert same_bits(Direction(v).vec, c)
+        # the analytic quadrature builds its node frames with the scalar builder
+        assert same_bits(_complement_frame(c[:, None]), f)
+    for k in range(1, d):
+        spec = ProcessSpec(d=d, k=k, intensity=1.0, alpha=Isotropic(),
+                           base=DeterministicBase(Segment(1.0) if d - k == 1 else Disc(1.0)))
+        bases, frames = spec.subspace_frames(vecs)
+        for v, basis, frame in zip(vecs, bases, frames):
+            ref = Subspace.line(Direction(v)) if k == 1 else Subspace.plane_with_normal(Direction(v))
+            assert same_bits(ref.basis, basis) and same_bits(ref.frame, frame)
+
+
+def test_batched_frames_reject_what_direction_rejects():
+    with pytest.raises(ValueError, match="zero vector"):
+        canonical_directions(np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]]))
+    with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
+        canonical_directions(np.ones((2, 4)))
+    assert complement_frames(np.zeros((0, 3, 1))).shape == (0, 3, 2)

@@ -11,14 +11,15 @@ from cylproc.euclid import (
     Disc,
     Segment,
     _complement_frame,
-    convex_hull_ccw,
     gauss_legendre,
 )
 from cylproc.model import (
     DeterministicBase,
     DiscRadiusLaw,
     FixedAxes,
+    GirdleBand,
     Isotropic,
+    MixtureBase,
     ProcessSpec,
     RadiusLaw,
     haar_vectors,
@@ -26,6 +27,7 @@ from cylproc.model import (
 from cylproc.rng import philox_stream
 from cylproc.sim import (
     PlacedCylinder,
+    _hits_window,
     Realization,
     Window,
     contains,
@@ -40,6 +42,7 @@ from cylproc.sim import (
     ray_intervals,
     sample_realization,
 )
+from scalar_geometry import convex_distance, convex_hull_ccw, hits_window, sample_reference
 
 
 def spec3_iso(lam=0.1, a=1.0):
@@ -102,7 +105,6 @@ def test_every_stored_cylinder_hits_the_window():
         proj = corners @ cyl.subspace.frame
         hull = convex_hull_ccw(proj)
         # distance from the offset to the window shadow at most the base circumradius
-        from cylproc.euclid import convex_distance
         assert convex_distance(hull, cyl.offset) <= cyl.base.circumradius + 1e-9
 
 
@@ -347,3 +349,113 @@ def test_ray_intervals_are_disjoint_and_agree_with_membership(family, fixed, pro
             if b - a > 1e-6:
                 mid = origin + 0.5 * (a + b) * v
                 assert bool(covered_mask(real, mid[None, :])[0]) == (j % 2 == 1)
+
+
+SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+TRIANGLE = ConvexPolygon([[0, 0], [1.3, 0.2], [0.4, 0.9]])
+# shape family -> (d, k, base law, intensity)
+HIT_FAMILIES = {
+    "band2": (2, 1, DeterministicBase(Segment(0.4)), 1.0),
+    "slab3": (3, 2, DeterministicBase(Segment(0.3)), 1.0),
+    "disc3": (3, 1, DeterministicBase(Disc(0.7)), 0.2),
+    "square3": (3, 1, DeterministicBase(SQUARE), 0.3),
+    "triangle3": (3, 1, DeterministicBase(TRIANGLE), 0.3),
+    "zero_atom3": (3, 1, DiscRadiusLaw(RadiusLaw(((0.0, 0.3), (0.5, 0.3), (1.5, 0.4)))), 0.2),
+    "mixture3": (3, 1, MixtureBase([(Disc(0.6), 0.5), (SQUARE, 0.3), (TRIANGLE, 0.2)]), 0.25),
+}
+
+
+def hit_law(name: str, d: int):
+    if name == "isotropic":
+        return Isotropic()
+    if name == "girdle":
+        return GirdleBand(np.eye(d)[-1], 0.3)
+    # axis-parallel axes project box corners onto each other; (0.6, 0, 0.8)
+    # makes two projected box edges parallel
+    axes = [[0.0, 1.0], [1.0, 0.0], [0.6, 0.8]] if d == 2 else \
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [1.0, 1.0, 0.0]]
+    return FixedAxes([(Direction(a), 1.0 / len(axes)) for a in axes])
+
+
+def hit_spec(family: str, law: str) -> ProcessSpec:
+    d, k, base, lam = HIT_FAMILIES[family]
+    return ProcessSpec(d=d, k=k, intensity=lam, alpha=hit_law(law, d), base=base)
+
+
+def hit_window(d: int) -> Window:
+    return Window((1.0, -2.0, 3.0)[:d], (9.0, 5.0, 20.0)[:d])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("law", ["isotropic", "girdle", "fixed"])
+@pytest.mark.parametrize("family", sorted(HIT_FAMILIES))
+def test_batched_hit_test_keeps_what_the_scalar_test_keeps(family, law):
+    spec = hit_spec(family, law)
+    window = hit_window(spec.d)
+    gen = philox_stream(17, 0)
+    n = 1500
+    shapes = [s for s in spec.base.sample_shapes(gen, n) if s is not None]
+    _, frame = spec.subspace_frames(spec.alpha.sample_vectors(spec.d, gen, len(shapes)))
+    centre = np.vecmat(window.center, frame)
+    # offsets out to just past the covering radius, so many candidates sit near the shadow's edge
+    rho = 1.05 * (window.circumradius + spec.base.max_circumradius)
+    off = centre + gen.uniform(-rho, rho, (len(shapes), spec.d - spec.k))
+    got = _hits_window(window, frame, centre, off, shapes)
+    want = [hits_window(f, s, o, window.corners) for f, s, o in zip(frame, shapes, off)]
+    assert got.tolist() == want
+    assert 0 < got.sum() < len(got)
+
+
+@pytest.mark.parametrize("law", ["isotropic", "girdle", "fixed"])
+@pytest.mark.parametrize("family", sorted(HIT_FAMILIES))
+def test_sampler_matches_the_per_candidate_loop(family, law):
+    spec = hit_spec(family, law)
+    window = hit_window(spec.d)
+    for seed in (3, 4):
+        real = sample_realization(spec, window, seed, stream=1)
+        ref = sample_reference(spec, window, seed, stream=1)
+        assert len(real.cylinders) == len(ref) > 0
+        for cyl, (L, shape, off) in zip(real.cylinders, ref):
+            assert cyl.base is shape
+            assert same_bits(cyl.subspace.basis, L.basis)
+            assert same_bits(cyl.subspace.frame, L.frame)
+            assert same_bits(cyl.offset, off)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(HIT_FAMILIES)),
+       law=st.sampled_from(["isotropic", "girdle", "fixed"]), seed=st.integers(0, 2**32 - 1))
+def test_csv_round_trip_is_exact(tmp_path_factory, family, law, seed):
+    spec = hit_spec(family, law)
+    window = hit_window(spec.d)
+    real = sample_realization(spec, window, seed)
+    path = tmp_path_factory.mktemp("csv") / "real.csv"
+    export_realization_csv(real, path)
+    first = path.read_bytes()
+    back = import_realization_csv(path, spec, window)
+    export_realization_csv(back, path)
+    assert path.read_bytes() == first
+    assert back.n_cylinders() == real.n_cylinders()
+    for a, b in zip(real.cylinders, back.cylinders):
+        assert a.base == b.base
+        assert same_bits(a.subspace.frame, b.subspace.frame)
+        assert same_bits(a.offset, b.offset)
+        if spec.k == 1:
+            assert same_bits(a.subspace.basis, b.subspace.basis)
+        else:
+            # the file holds a slab's frame, not its sampled normal: the plane
+            # basis is rebuilt from the frame
+            assert same_bits(b.subspace.basis, _complement_frame(b.subspace.frame))
+
+
+def test_csv_round_trip_of_an_empty_realization(tmp_path):
+    for family in ("slab3", "disc3"):
+        spec = hit_spec(family, "isotropic")
+        empty = Realization(spec=spec, window=hit_window(3), cylinders=(), seed=0)
+        path = tmp_path / f"{family}.csv"
+        export_realization_csv(empty, path)
+        assert import_realization_csv(path, spec, empty.window).cylinders == ()
