@@ -12,7 +12,7 @@ their frames come from one batched Gram-Schmidt
 (:func:`~cylproc.euclid.complement_frames`, bit for bit the per-subspace
 frames), and one vectorized hit test per shape kind compares each base
 with the window's shadow, the zonotope spanned by the projected box
-edges.  The CSV reader parses every row first and builds all frames in
+edges.  The CSV reader parses every row and then builds all frames in
 the same batched call.
 
 Each query has one vectorized kernel: :func:`covered_mask`,
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -536,7 +538,8 @@ def export_realization_csv(real: Realization, path) -> None:
 def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0, stream: int = 0) -> Realization:
     """Rebuild a realization from :func:`export_realization_csv` output.
 
-    All rows are parsed first and their frames built in one batched call.
+    Rows are parsed as they are read; then all frames are built in one
+    batched call.
     The file stores the identifying vector of each direction space: the
     axis of a line cylinder, whose frame is rebuilt from it, and the frame
     of a slab, whose in-plane basis is rebuilt from it.  Re-exporting the
@@ -548,25 +551,26 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = list(reader)
-    d = 3 if "axis_z" in header else 2
-    if d != spec.d:
-        raise ValueError("CSV dimension does not match the spec")
-    col = {name: j for j, name in enumerate(header)}
-    axis_at = [col[name] for name in ("axis_x", "axis_y", "axis_z")[:d]]
-    off_at = [col[name] for name in ("offset_u", "offset_v")[:d - spec.k]]
-    tag_at = col["shape"]
-    param_at = [j for j, name in enumerate(header) if name.startswith("param")]
-    shapes = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
-    bases = []
-    for row in rows:
-        key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
-        shape = shapes.get(key)
-        if shape is None:
-            shape = shapes[key] = _shape_from_fields(*key)
-        bases.append(shape)
-    axes = np.array([[float(row[j]) for j in axis_at] for row in rows]).reshape(len(rows), d)
-    offsets = np.array([[float(row[j]) for j in off_at] for row in rows]).reshape(len(rows), len(off_at))
+        d = 3 if "axis_z" in header else 2
+        if d != spec.d:
+            raise ValueError("CSV dimension does not match the spec")
+        col = {name: j for j, name in enumerate(header)}
+        value_at = [col[name] for name in ("axis_x", "axis_y", "axis_z")[:d]]
+        value_at += [col[name] for name in ("offset_u", "offset_v")[:d - spec.k]]
+        pick = operator.itemgetter(*value_at)
+        tag_at = col["shape"]
+        param_at = [j for j, name in enumerate(header) if name.startswith("param")]
+        shapes = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
+        values, bases = array("d"), []
+        for row in reader:
+            key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _shape_from_fields(*key)
+            bases.append(shape)
+            values.extend(map(float, pick(row)))
+    table = np.frombuffer(values, dtype=float).reshape(len(bases), len(value_at))
+    axes, offsets = table[:, :d], table[:, d:]
     vec = canonical_directions(axes)[:, :, None]
     basis, frame = (vec, complement_frames(vec)) if spec.k == 1 else (complement_frames(vec), vec)
     cylinders = _placed(basis, frame, offsets, bases)
