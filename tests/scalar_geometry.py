@@ -1,11 +1,10 @@
 """Scalar window-hit oracle for the batched sampler.
 
-These are the per-candidate helpers the sampler used before its hit test
-was batched: the convex hull of the projected window corners, the
-point-to-hull distance and a separating-axis overlap test.  The tests
-compare the batched hit test with :func:`hits_window` candidate by
-candidate, and :func:`sample_reference` is the per-candidate sampler
-loop built on it.
+One candidate at a time and by a different route: the convex hull of
+the projected window corners, the point-to-hull distance and a
+separating-axis overlap test.  The tests compare the batched hit test
+with :func:`hits_window` candidate by candidate, and the sampler with
+:func:`sample_reference`, the per-candidate sampler loop built on it.
 """
 
 import math
