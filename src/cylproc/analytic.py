@@ -5,11 +5,17 @@ its directional derivative, linear and spherical contact distributions,
 specific surface area, and the pore-radius moments used by the design
 module.
 
-Expectations over continuous directional laws are evaluated with piecewise
-Gauss-Legendre rules whose pieces are split at the analytically known kink
-angles of the integrand (covariograms are only piecewise smooth), so the
-quadrature error is far below every statistical tolerance the estimators
-are compared at, and at machine precision for the isotropic worked cases.
+Expectations over continuous directional laws of segment and disc bases
+are evaluated with piecewise Gauss-Legendre rules whose pieces are split
+at the analytically known kink angles of the integrand (covariograms are
+only piecewise smooth); they reach machine precision on the isotropic
+worked cases.  Polygon bases, and capacities of three or more points in
+space, use product rules that are not split at kinks: 64 x 128 nodes on
+the hemisphere, 48 x 96 on a girdle band.  For the unit square these
+differ from rules twice as fine per axis by up to 1.7e-4 relative in the
+covariance and its derivative (on the girdle band) and 3.7e-5 in the
+three-point capacity; tests/test_quadrature.py holds those bounds.  The
+areas of unions of translates come from kernels batched over the nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .euclid import (
     Disc,
     Segment,
     ball_constants,
+    complement_frames,
     gauss_legendre,
     haar_mean_line_det,
     haar_mean_plane_det,
@@ -232,6 +239,18 @@ def _direction_nodes(spec: ProcessSpec):
     raise TypeError("discrete laws are summed exactly, not integrated")
 
 
+def _law_frames(spec: ProcessSpec):
+    """Complement frames (N, d, d - k) and their weights: the fixed axes, or the nodes in R^3.
+
+    A slab's frame is its quadrature node itself, the normal of its plane.
+    """
+    if isinstance(spec.alpha, FixedAxes):
+        axes = spec.alpha.axes
+        return np.stack([spec.subspace_for(v).frame for v, _ in axes]), np.array([w for _, w in axes])
+    dirs, ww = _direction_nodes(spec)
+    return complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None], ww
+
+
 def _expect_gamma(spec: ProcessSpec, h) -> float:
     """E over the shape law of the base covariogram at the projected lag."""
     h = np.asarray(h, dtype=float)
@@ -284,13 +303,7 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
                     sorted(dot_targets),
                 )
         if polys:
-            dirs, ww = _direction_nodes(spec)
-            acc = 0.0
-            for omega, w in zip(dirs, ww):
-                frame = _complement_frame(omega[:, None])
-                t = h @ frame
-                acc += w * sum(wp * poly.covariogram(t) for poly, wp in polys)
-            total += acc
+            total += _polygon_gamma_mean(spec, polys, h)
         return total
 
     # k = d-1: the position space is the normal line, |t| = |<h, normal>|
@@ -342,27 +355,38 @@ def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
     total = const * _expect_pr_norm(spec, unit_h) if const != 0.0 else 0.0
 
     if polys:
-        alpha = spec.alpha
-        if isinstance(alpha, FixedAxes):
-            for direction, w in alpha.axes:
-                L = spec.subspace_for(direction)
-                t = L.complement_coords(unit_h)
-                nt = float(np.linalg.norm(t))
-                if nt <= 1e-14:
-                    continue  # [h, L] vanishes together with the projection
-                total += w * nt * sum(wp * poly.covariogram_derivative(t / nt) for poly, wp in polys)
-        else:
-            dirs, ww = _direction_nodes(spec)
-            acc = 0.0
-            for omega, w in zip(dirs, ww):
-                frame = _complement_frame(omega[:, None])
-                t = unit_h @ frame
-                nt = float(np.linalg.norm(t))
-                if nt <= 1e-14:
-                    continue
-                acc += w * nt * sum(wp * poly.covariogram_derivative(t / nt) for poly, wp in polys)
-            total += acc
+        total += _polygon_slope_mean(spec, polys, unit_h)
     return total
+
+
+def _polygon_gamma_mean(spec: ProcessSpec, polys, h: np.ndarray) -> float:
+    """E over the directional law of the polygon atoms' covariograms at the projected lag.
+
+    gamma_K(t) = 2 A - |K u (K + t)|: the union kernel at two translates.
+    """
+    frames, ww = _law_frames(spec)
+    t = np.vecmat(h, frames)
+    C = np.stack([np.zeros_like(t), t], axis=1)
+    gam = sum(wp * (2.0 * poly.area - _polygon_union_areas(C, poly.vertices)) for poly, wp in polys)
+    return float(ww @ gam)
+
+
+def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
+    """E over the directional law of [h, L] gamma'_K(o, u) for the polygon atoms.
+
+    u is the unit projected direction, and -gamma'_K(o, u) is the width of
+    K's shadow on the line orthogonal to u.
+    """
+    frames, ww = _law_frames(spec)
+    t = np.vecmat(unit_h, frames)
+    nt = np.sqrt(np.vecdot(t, t))
+    ok = nt > 1e-14  # [h, L] vanishes together with the projection
+    perp = np.column_stack([-t[ok, 1], t[ok, 0]]) / nt[ok, None]
+    slope = 0.0
+    for poly, wp in polys:
+        shadow = perp @ poly.vertices.T
+        slope = slope - wp * (shadow.max(axis=1) - shadow.min(axis=1))
+    return float(ww[ok] @ (nt[ok] * slope))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +456,7 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
         vol = 2.0 * abar - _expect_gamma(spec, pts[1] - pts[0])
         return -math.expm1(-lam * vol)
 
-    alpha = spec.alpha
-    if isinstance(alpha, FixedAxes):
-        vol = 0.0
-        for direction, w in alpha.axes:
-            L = spec.subspace_for(direction)
-            vol += w * _union_volume(spec, pts @ L.frame)
-        return -math.expm1(-lam * vol)
-
-    if spec.d == 2:
+    if spec.d == 2 and not isinstance(spec.alpha, FixedAxes):
         # kinks occur where a projected pairwise gap matches an atom diameter
         _, targets = _radial_gamma(spec)
         diffs = [pts[i] - pts[j] for i in range(len(pts)) for j in range(i)]
@@ -453,11 +469,8 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
             brks_all.append((rr, psi))
 
         def f(phis):
-            out = np.empty_like(phis)
-            for i, phi in enumerate(np.atleast_1d(phis)):
-                nrm = np.array([-math.sin(phi), math.cos(phi)])
-                out[i] = _union_volume(spec, (pts @ nrm)[:, None])
-            return out
+            normals = np.column_stack([-np.sin(phis), np.cos(phis)])
+            return _union_volumes(spec, np.matvec(pts, normals)[:, :, None])
 
         total = 0.0
         for lo, hi, dens in _alpha_intervals_2d(spec):
@@ -466,162 +479,181 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
                 brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
             total += dens * _piecewise_gl(f, lo, hi, brk, n=32)
         return -math.expm1(-lam * total)
-
-    dirs, ww = _direction_nodes(spec)
-    vol = 0.0
-    for omega, w in zip(dirs, ww):
-        if spec.k == 1:
-            proj = pts @ _complement_frame(omega[:, None])
-        else:  # omega is the slab normal; positions live on the normal line
-            proj = (pts @ omega)[:, None]
-        vol += w * _union_volume(spec, proj)
-    return -math.expm1(-lam * vol)
+    return -math.expm1(-lam * _mean_union_volume(spec, pts))
 
 
-def _union_volume(spec: ProcessSpec, proj: np.ndarray) -> float:
-    """E over the base law of the volume of union_i (p_i - K)."""
-    total = 0.0
+def _mean_union_volume(spec: ProcessSpec, pts: np.ndarray) -> float:
+    """E over the directional and base laws of the volume of union_i (p_i - K), in R^3 or on fixed axes."""
+    frames, ww = _law_frames(spec)
+    return float(np.cumsum(ww * _union_volumes(spec, np.matmul(pts, frames)))[-1])  # in order, as a loop adds
+
+
+# ---------------------------------------------------------------------------
+# union of translates, batched over quadrature nodes
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 13     # elements per kernel temporary (64 KB); bounds the memory of a call
+_DEDUPE_TOL = 1e-12  # translates nearer than this times the circumradius coincide
+_JOIN_TOL = 1e-14    # covered pieces nearer than this are joined
+
+
+def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
+    """E over the base law of the volume of union_i (p_i - K) for each node; proj is (N, n, m)."""
+    total = np.zeros(len(proj))
     for shape, w in spec.base.atoms():
         if shape is None:
             continue
         if isinstance(shape, Segment):
-            a = shape.half_length
-            pieces = _union_intervals([(c - a, c + a) for c in proj[:, 0].tolist()])
-            total += w * sum(e - s for s, e in pieces)
+            total += w * _segment_union_lengths(proj[:, :, 0], shape.half_length)
         elif isinstance(shape, Disc):
-            total += w * _union_area_discs(proj, shape.radius)
+            total += w * _disc_union_areas(proj, shape.radius)
         else:
-            total += w * _union_area_polygons([p - shape.vertices for p in proj])
+            total += w * _polygon_union_areas(proj, -shape.vertices)
     return total
 
 
-def _union_area_discs(centers: np.ndarray, a: float) -> float:
-    """Exact area of a union of congruent discs by boundary-arc tracing.
+def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
+    """kernel over chunks of the rows of C whose temporaries stay under _CHUNK elements."""
+    step = max(1, _CHUNK // per_node)
+    return np.concatenate([kernel(C[a:a + step]) for a in range(0, len(C), step)])
+
+
+def _sweep(s, e, lo: float, hi: float):
+    """Sort pieces [s, e] along the last axis by start, after clipping them to [lo, hi].
+
+    Returns the sorted starts, the running maximum R of the ends before
+    each piece (from lo, with one more entry after the last piece), and
+    whether each piece starts a new covered run (s > R + _JOIN_TOL).
+    Pieces outside [lo, hi] become empty pieces at lo, which change nothing.
+    """
+    inside = (e > lo) & (s < hi)
+    s = np.where(inside, np.maximum(s, lo), lo)
+    e = np.where(inside, np.minimum(e, hi), lo)
+    order = np.argsort(s, axis=-1)
+    s, e = np.take_along_axis(s, order, -1), np.take_along_axis(e, order, -1)
+    R = np.maximum.accumulate(np.concatenate([np.full(s.shape[:-1] + (1,), lo), e], axis=-1), axis=-1)
+    return s, R, s > R[..., :-1] + _JOIN_TOL
+
+
+def _gaps(s, e, lo: float, hi: float):
+    """Pieces of [lo, hi] the pieces [s, e] leave uncovered, in order, as (start, end) arrays.
+
+    One slot before each sorted piece and one after the last; a slot
+    without a gap has start == end.
+    """
+    s, R, new = _sweep(s, e, lo, hi)
+    last = R[..., -1:]
+    return R, np.concatenate([np.where(new, s, R[..., :-1]), np.where(last < hi - _JOIN_TOL, hi, last)], axis=-1)
+
+
+def _segment_union_lengths(c: np.ndarray, a: float) -> np.ndarray:
+    """Length of union_i [c_i - a, c_i + a] for each row of c, summed run by run in order."""
+    s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
+    # a run ends at R where the next run starts (or after the last piece)
+    ends = np.where(np.concatenate([new[..., 1:], np.ones_like(new[..., :1])], axis=-1), R[..., 1:], math.inf)
+    ends = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    return np.cumsum(np.where(new, ends - s, 0.0), axis=-1)[..., -1]
+
+
+def _distinct(C: np.ndarray, tol: float) -> np.ndarray:
+    """keep[:, i]: centre i lies farther than tol from every earlier kept centre of its row."""
+    dv = C[:, :, None, :] - C[:, None, :, :]
+    near = np.sqrt(np.vecdot(dv, dv)) <= tol
+    keep = np.ones(C.shape[:2], dtype=bool)
+    for i in range(1, C.shape[1]):
+        keep[:, i] = ~np.any(near[:, i, :i] & keep[:, :i], axis=1)
+    return keep
+
+
+def _disc_union_areas(C: np.ndarray, a: float) -> np.ndarray:
+    """Area of union_i (c_i + aD) for each row of centres C (N, n, 2), by boundary-arc tracing.
 
     Each exposed arc, traversed counterclockwise on its own circle, has the
     union on its left, so summing the Green line integrals over exposed
-    arcs gives the area, holes included.
+    arcs gives the area, holes included.  Angles come from ``math``: numpy's
+    vectorized acos and atan2 may round differently from the C library.
     """
-    pts: list[np.ndarray] = []
-    for c in np.asarray(centers, dtype=float):
-        if all(np.linalg.norm(c - q) > 1e-12 for q in pts):
-            pts.append(c)
-    if len(pts) == 1:
-        return math.pi * a * a
-    total = 0.0
-    for i, ci in enumerate(pts):
-        covered = []
-        for j, cj in enumerate(pts):
-            if j == i:
-                continue
-            dv = cj - ci
-            dist = float(np.linalg.norm(dv))
-            if dist >= 2.0 * a:
-                continue
-            beta = math.acos(dist / (2.0 * a))
-            theta_c = math.atan2(dv[1], dv[0])
-            covered.append((theta_c - beta, theta_c + beta))
-        for t1, t2 in _complement_arcs(covered):
-            total += 0.5 * (
-                ci[0] * a * (math.sin(t2) - math.sin(t1))
-                - ci[1] * a * (math.cos(t2) - math.cos(t1))
-                + a * a * (t2 - t1)
-            )
-    return total
-
-
-def _union_intervals(intervals, lo: float = -math.inf, hi: float = math.inf) -> list:
-    """Sorted union of intervals clipped to [lo, hi], as [start, end] pairs.
-
-    Pieces that overlap or lie within 1e-14 of each other are joined.  Pure
-    Python on purpose: the capacity sweeps call it on one or two intervals
-    at a time, where numpy's per-call overhead would dominate.
-    """
-    merged = []
-    for s, e in sorted(intervals):
-        if e <= lo or s >= hi:
-            continue
-        s, e = max(s, lo), min(e, hi)
-        if merged and s <= merged[-1][1] + 1e-14:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    return merged
-
-
-def _uncovered(intervals, lo: float, hi: float) -> list:
-    """Pieces of [lo, hi] that the intervals leave uncovered, in order."""
-    gaps, cursor = [], lo
-    for s, e in _union_intervals(intervals, lo, hi):
-        if s > cursor + 1e-14:
-            gaps.append((cursor, s))
-        cursor = e
-    if cursor < hi - 1e-14:
-        gaps.append((cursor, hi))
-    return gaps
-
-
-def _complement_arcs(covered):
-    """Arcs of the full circle not covered by the given angular intervals.
-
-    An interval that wraps past 2 pi is split in two, and so is a gap that
-    wraps; the Green line integral is additive over sub-arcs, so the split
-    does not matter.
-    """
+    n = C.shape[1]
     two_pi = 2.0 * math.pi
-    pieces = []
-    for s, e in covered:
-        span = e - s
+    others = ~np.eye(n, dtype=bool)
+
+    def chunk(C):
+        keep = _distinct(C, _DEDUPE_TOL * a)
+        dv = C[:, None, :, :] - C[:, :, None, :]  # dv[:, i, j] = c_j - c_i
+        dist = np.sqrt(np.vecdot(dv, dv))
+        hit = keep[:, :, None] & keep[:, None, :] & others & (dist < 2.0 * a)
+        beta, theta = np.zeros(dist.shape), np.zeros(dist.shape)
+        beta[hit] = [math.acos(x) for x in (dist[hit] / (2.0 * a)).tolist()]
+        theta[hit] = [math.atan2(y, x) for x, y in dv[hit].tolist()]
+        s = theta - beta  # covered arc [s, s + span] of circle i
+        span = (theta + beta) - s
         s %= two_pi
         e = s + span
-        pieces += [(s, e)] if e <= two_pi else [(s, two_pi), (0.0, e - two_pi)]
-    return _uncovered(pieces, 0.0, two_pi)
+        wrap = hit & (e > two_pi)  # an arc past 2 pi is split in two
+        g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)], axis=-1),
+                       np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0),
+                                       np.where(wrap, e - two_pi, 0.0)], axis=-1), 0.0, two_pi)
+        cx, cy = C[:, :, 0, None], C[:, :, 1, None]
+        green = 0.5 * (cx * a * (np.sin(g1) - np.sin(g0)) - cy * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
+        green = np.where(keep[:, :, None], green, 0.0).reshape(len(C), -1)
+        total = np.cumsum(green, axis=-1)[:, -1]  # arc by arc, as a loop adds
+        return np.where(keep.sum(axis=1) == 1, math.pi * a * a, total)
+
+    return _chunked(chunk, C, 2 * n * n)
 
 
-def _union_area_polygons(translates) -> float:
-    """Exact area of a union of congruent convex polygons via exposed edges."""
-    polys: list[np.ndarray] = []
-    for V in translates:
-        if all(not np.allclose(V[0], Q[0], atol=1e-12) for Q in polys):
-            polys.append(np.asarray(V, dtype=float))
-    total = 0.0
-    for i, V in enumerate(polys):
-        W = np.roll(V, -1, axis=0)
-        for a_pt, b_pt in zip(V, W):
-            d_vec = b_pt - a_pt
-            covered = []
-            for j, Q in enumerate(polys):
-                if j == i:
-                    continue
-                seg = _segment_inside_convex(a_pt, d_vec, Q)
-                if seg is not None:
-                    covered.append(seg)
-            exposed = _uncovered(covered, 0.0, 1.0)
-            cross = a_pt[0] * d_vec[1] - a_pt[1] * d_vec[0]
-            total += 0.5 * cross * sum(t1 - t0 for t0, t1 in exposed)
-    return total
+def _polygon_union_areas(C: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Area of union_i (c_i + P) for each row of centres C (N, n, 2); P has ccw vertices W.
+
+    Exposed-edge tracing: Cyrus-Beck clips every edge of every translate
+    against every other translate, and the Green line integrals over the
+    parts no other translate covers sum to the area.  Where edges of two
+    translates overlap with the same orientation, the stretch is counted
+    once, on the lower-index translate; overlapping opposite edges lie
+    inside the union and are covered from both sides.
+    """
+    n, m = C.shape[1], len(W)
+    D = np.roll(W, -1, axis=0) - W
+    nrm = np.column_stack([D[:, 1], -D[:, 0]])  # outward, |nrm| = edge length
+    den = nrm @ D.T  # [f, k]: rate at which edge k crosses side f
+    gap = np.sum(nrm * W, axis=1)[:, None] - nrm @ W.T  # [f, k]: nrm_f . (W_f - W_k) >= 0
+    size = np.linalg.norm(nrm, axis=1)
+    par = np.abs(den) <= 1e-12 * np.outer(size, size)
+    radius = float(np.max(np.linalg.norm(W, axis=1)))
+    tol = (_DEDUPE_TOL * radius * size)[:, None]  # within tol of side f counts as on its line
+    # on the line of a parallel side, an edge is covered only from an earlier translate with the same orientation
+    # tables indexed [f, node, i, j, k]: sides lead, so reductions over them run over the first axis
+    tie = np.tri(n, k=-1, dtype=bool)[None, None, :, :, None] | ~(par & (nrm @ nrm.T > 0.0))[:, None, None, None]
+    enters, leaves, free, den, gap, tol = (x[:, None, None, None] for x in (
+        ~par & (den < 0.0), ~par & (den > 0.0), ~par, np.where(par, 1.0, den), gap, tol))
+    others = ~np.eye(n, dtype=bool)[:, :, None]
+
+    def chunk(C):
+        C = C - C[:, :1]  # the area is translation invariant; small coordinates keep Green's sum exact
+        keep = _distinct(C, _DEDUPE_TOL * radius)
+        delta = C[:, None, :, :] - C[:, :, None, :]  # delta[:, i, j] = c_j - c_i
+        num = np.moveaxis(delta @ nrm.T, -1, 0)[..., None] + gap  # edge k of i keeps side f of j while t den <= num
+        ratio = num / den
+        lo = np.maximum(np.max(np.where(enters, ratio, -np.inf), axis=0), 0.0)
+        hi = np.minimum(np.min(np.where(leaves, ratio, np.inf), axis=0), 1.0)
+        on_side = (num > tol) | ((num >= -tol) & tie)
+        cover = (np.all(on_side | free, axis=0) & (lo < hi) & others
+                 & keep[:, :, None, None] & keep[:, None, :, None])
+        g0, g1 = _gaps(np.where(cover, lo, 0.0).swapaxes(2, 3), np.where(cover, hi, 0.0).swapaxes(2, 3), 0.0, 1.0)
+        cross = (C[:, :, None, 0] + W[:, 0]) * D[:, 1] - (C[:, :, None, 1] + W[:, 1]) * D[:, 0]
+        return 0.5 * np.sum(np.where(keep[:, :, None], cross * np.sum(g1 - g0, axis=-1), 0.0), axis=(1, 2))
+
+    return _chunked(chunk, C, (n * m) ** 2)
 
 
-def _segment_inside_convex(a_pt, d_vec, Q):
-    """Parameter range of {a + t d, t in [0,1]} inside convex ccw polygon Q."""
-    E = np.roll(Q, -1, axis=0) - Q
-    normals = np.column_stack([E[:, 1], -E[:, 0]])  # outward
-    tlo, thi = 0.0, 1.0
-    for n_e, q in zip(normals, Q):
-        denom = float(n_e @ d_vec)
-        num = float(n_e @ (q - a_pt))
-        if abs(denom) < 1e-14:
-            if num < -1e-12:
-                return None
-            continue
-        t = num / denom
-        if denom > 0:
-            thi = min(thi, t)
-        else:
-            tlo = max(tlo, t)
-        if tlo >= thi:
-            return None
-    return (tlo, thi)
+def _union_area_discs(centers, a: float) -> float:
+    """Exact area of a union of discs of radius a: the batched kernel at one node."""
+    return float(_disc_union_areas(np.asarray(centers, dtype=float)[None], a)[0])
+
+
+def _union_area_polygons(vertices, centers) -> float:
+    """Exact area of union_i (c_i + P), P convex with ccw vertices: the batched kernel at one node."""
+    return float(_polygon_union_areas(np.asarray(centers, dtype=float)[None], np.asarray(vertices, dtype=float))[0])
 
 
 def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:

@@ -1,17 +1,21 @@
-"""Scalar window-hit oracle for the batched sampler.
+"""Scalar oracles for the batched sampler and the batched analytic quadrature.
 
-One candidate at a time and by a different route: the convex hull of
-the projected window corners, the point-to-hull distance and a
-separating-axis overlap test.  The tests compare the batched hit test
-with :func:`hits_window` candidate by candidate, and the sampler with
-:func:`sample_reference`, the per-candidate sampler loop built on it.
+The window-hit oracle works one candidate at a time and by a different
+route: the convex hull of the projected window corners, the
+point-to-hull distance and a separating-axis overlap test.  The tests
+compare the batched hit test with :func:`hits_window` candidate by
+candidate, and the sampler with :func:`sample_reference`, the
+per-candidate sampler loop built on it.  The quadrature oracle, at the
+end, is the node-by-node loop the analytic module used to run.
 """
 
 import math
 
 import numpy as np
 
-from cylproc.euclid import GEOM_TOL, Disc
+from cylproc import analytic
+from cylproc.euclid import GEOM_TOL, Disc, Segment, _complement_frame
+from cylproc.model import FixedAxes
 from cylproc.rng import philox_stream
 
 
@@ -119,3 +123,173 @@ def convex_overlap(hull_a: np.ndarray, hull_b: np.ndarray, tol: float = GEOM_TOL
             if np.min(pb) > np.max(pa) + tol or np.min(pa) > np.max(pb) + tol:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# scalar quadrature loops: one node, one translate and one edge at a time
+# ---------------------------------------------------------------------------
+#
+# The per-node loops ``cylproc.analytic`` ran before its quadrature was
+# batched, kept as the oracle for the batched kernels.  Frames come from
+# the scalar ``_complement_frame`` and covariograms from the shape
+# methods.  The polygon union drops a stretch shared by same-orientation
+# collinear edges twice, and merges translates up to about 1e-5 times
+# their coordinates apart, so compare only point sets with no collinear
+# or near-coincident configuration.
+
+def polygon_gamma_mean(spec, polys, h) -> float:
+    """E over the directional law of sum_p w_p gamma_p(projected h), node by node."""
+    dirs, ww = analytic._direction_nodes(spec)
+    acc = 0.0
+    for omega, w in zip(dirs, ww):
+        t = h @ _complement_frame(omega[:, None])
+        acc += w * sum(wp * poly.covariogram(t) for poly, wp in polys)
+    return acc
+
+
+def polygon_slope_mean(spec, polys, unit_h) -> float:
+    """E over the directional law of [h, L] sum_p w_p gamma_p'(o, u), axis by axis or node by node."""
+    if isinstance(spec.alpha, FixedAxes):
+        frames = [(spec.subspace_for(direction).frame, w) for direction, w in spec.alpha.axes]
+    else:
+        frames = [(_complement_frame(omega[:, None]), w) for omega, w in zip(*analytic._direction_nodes(spec))]
+    acc = 0.0
+    for frame, w in frames:
+        t = unit_h @ frame
+        nt = float(np.linalg.norm(t))
+        if nt <= 1e-14:
+            continue
+        acc += w * nt * sum(wp * poly.covariogram_derivative(t / nt) for poly, wp in polys)
+    return acc
+
+
+def mean_union_volume(spec, pts) -> float:
+    """E over the directional and base laws of the volume of union_i (p_i - K), node by node."""
+    if isinstance(spec.alpha, FixedAxes):
+        vol = 0.0
+        for direction, w in spec.alpha.axes:
+            vol += w * union_volume(spec, pts @ spec.subspace_for(direction).frame)
+        return vol
+    dirs, ww = analytic._direction_nodes(spec)
+    vol = 0.0
+    for omega, w in zip(dirs, ww):
+        proj = pts @ _complement_frame(omega[:, None]) if spec.k == 1 else (pts @ omega)[:, None]
+        vol += w * union_volume(spec, proj)
+    return vol
+
+
+def union_volume(spec, proj) -> float:
+    """E over the base law of the volume of union_i (p_i - K) for one node's projections."""
+    total = 0.0
+    for shape, w in spec.base.atoms():
+        if shape is None:
+            continue
+        if isinstance(shape, Segment):
+            a = shape.half_length
+            total += w * sum(e - s for s, e in union_intervals([(c - a, c + a) for c in proj[:, 0].tolist()]))
+        elif isinstance(shape, Disc):
+            total += w * union_area_discs(proj, shape.radius)
+        else:
+            total += w * union_area_polygons([p - shape.vertices for p in proj])
+    return total
+
+
+def union_area_discs(centers, a: float) -> float:
+    """Area of a union of discs of radius a, by tracing exposed arcs circle by circle."""
+    pts = []
+    for c in np.asarray(centers, dtype=float):
+        if all(np.linalg.norm(c - q) > 1e-12 for q in pts):
+            pts.append(c)
+    if len(pts) == 1:
+        return math.pi * a * a
+    total = 0.0
+    for i, ci in enumerate(pts):
+        covered = []
+        for j, cj in enumerate(pts):
+            dv = cj - ci
+            dist = float(np.linalg.norm(dv))
+            if j == i or dist >= 2.0 * a:
+                continue
+            beta = math.acos(dist / (2.0 * a))
+            theta_c = math.atan2(dv[1], dv[0])
+            covered.append((theta_c - beta, theta_c + beta))
+        for t1, t2 in complement_arcs(covered):
+            total += 0.5 * (ci[0] * a * (math.sin(t2) - math.sin(t1))
+                            - ci[1] * a * (math.cos(t2) - math.cos(t1)) + a * a * (t2 - t1))
+    return total
+
+
+def union_intervals(intervals, lo: float = -math.inf, hi: float = math.inf) -> list:
+    """Sorted union of intervals clipped to [lo, hi]; pieces within 1e-14 are joined."""
+    merged = []
+    for s, e in sorted(intervals):
+        if e <= lo or s >= hi:
+            continue
+        s, e = max(s, lo), min(e, hi)
+        if merged and s <= merged[-1][1] + 1e-14:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return merged
+
+
+def uncovered(intervals, lo: float, hi: float) -> list:
+    """Pieces of [lo, hi] that the intervals leave uncovered, in order."""
+    gaps, cursor = [], lo
+    for s, e in union_intervals(intervals, lo, hi):
+        if s > cursor + 1e-14:
+            gaps.append((cursor, s))
+        cursor = e
+    if cursor < hi - 1e-14:
+        gaps.append((cursor, hi))
+    return gaps
+
+
+def complement_arcs(covered) -> list:
+    """Arcs of [0, 2 pi) not covered by the angular intervals; wrapping pieces are split."""
+    two_pi = 2.0 * math.pi
+    pieces = []
+    for s, e in covered:
+        span = e - s
+        s %= two_pi
+        e = s + span
+        pieces += [(s, e)] if e <= two_pi else [(s, two_pi), (0.0, e - two_pi)]
+    return uncovered(pieces, 0.0, two_pi)
+
+
+def union_area_polygons(translates) -> float:
+    """Area of a union of translates of one convex polygon, edge by edge."""
+    polys = []
+    for V in translates:
+        if all(not np.allclose(V[0], Q[0], atol=1e-12) for Q in polys):
+            polys.append(np.asarray(V, dtype=float))
+    total = 0.0
+    for i, V in enumerate(polys):
+        for a_pt, b_pt in zip(V, np.roll(V, -1, axis=0)):
+            d_vec = b_pt - a_pt
+            covered = [seg for j, Q in enumerate(polys) if j != i
+                       for seg in [segment_inside_convex(a_pt, d_vec, Q)] if seg is not None]
+            cross = a_pt[0] * d_vec[1] - a_pt[1] * d_vec[0]
+            total += 0.5 * cross * sum(t1 - t0 for t0, t1 in uncovered(covered, 0.0, 1.0))
+    return total
+
+
+def segment_inside_convex(a_pt, d_vec, Q):
+    """Parameter range of {a + t d, t in [0, 1]} inside the convex ccw polygon Q, or None."""
+    E = np.roll(Q, -1, axis=0) - Q
+    tlo, thi = 0.0, 1.0
+    for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), Q):
+        denom = float(n_e @ d_vec)
+        num = float(n_e @ (q - a_pt))
+        if abs(denom) < 1e-14:
+            if num < -1e-12:
+                return None
+            continue
+        t = num / denom
+        if denom > 0:
+            thi = min(thi, t)
+        else:
+            tlo = max(tlo, t)
+        if tlo >= thi:
+            return None
+    return (tlo, thi)

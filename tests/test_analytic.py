@@ -135,7 +135,7 @@ def test_union_identities_for_pairs():
         2 * math.pi - d.covariogram(t), abs=1e-12)
     sq = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     s = np.array([0.3, 0.4])
-    assert _union_area_polygons([sq.vertices, sq.vertices + s]) == pytest.approx(
+    assert _union_area_polygons(sq.vertices, [[0.0, 0.0], s]) == pytest.approx(
         2.0 - sq.covariogram(s), abs=1e-12)
     # coincident translates deduplicate
     assert _union_area_discs(np.array([[0.2, 0.1], [0.2, 0.1]]), 1.0) == pytest.approx(math.pi)
