@@ -621,8 +621,8 @@ def _polygon_union_areas(C: np.ndarray, W: np.ndarray) -> np.ndarray:
     par = np.abs(den) <= 1e-12 * np.outer(size, size)
     radius = float(np.max(np.linalg.norm(W, axis=1)))
     tol = (_DEDUPE_TOL * radius * size)[:, None]  # within tol of side f counts as on its line
-    # on the line of a parallel side, an edge is covered only from an earlier translate with the same orientation
-    # tables indexed [f, node, i, j, k]: sides lead, so reductions over them run over the first axis
+    # tables indexed [f, node, i, j, k], sides first so that reductions over them run along the
+    # leading axis; tie: an edge on the line of a same-orientation side of j is covered only if j < i
     tie = np.tri(n, k=-1, dtype=bool)[None, None, :, :, None] | ~(par & (nrm @ nrm.T > 0.0))[:, None, None, None]
     enters, leaves, free, den, gap, tol = (x[:, None, None, None] for x in (
         ~par & (den < 0.0), ~par & (den > 0.0), ~par, np.where(par, 1.0, den), gap, tol))

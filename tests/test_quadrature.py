@@ -22,7 +22,7 @@ from cylproc.analytic import (
     covariance_derivative,
     volume_fraction,
 )
-from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
+from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment, _clip_convex, _polygon_area
 from cylproc.model import (
     DeterministicBase,
     DiscRadiusLaw,
@@ -114,6 +114,27 @@ def test_polygon_union_matches_the_scalar_loop_on_generic_centres():
                 centres = rng.uniform(-1.5, 1.5, size=(n, 2))
                 want = scalar.union_area_polygons([c + poly.vertices for c in centres])
                 assert _union_area_polygons(poly.vertices, centres) == pytest.approx(want, rel=1e-12)
+
+
+def intersection_area(poly, shifts) -> float:
+    """Area of the intersection of the translates poly + s, s in shifts, by convex clipping."""
+    V = poly.vertices + shifts[0]
+    for s in shifts[1:]:
+        V = _clip_convex(V, poly._normals, poly._offsets + poly._normals @ s)
+    return _polygon_area(V)
+
+
+# multiples of 1/4: edges of translates of the square meet, overlap and coincide
+quarters = st.integers(-6, 6).map(lambda i: 0.25 * i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=st.sampled_from([SQUARE, TRIANGLE]), centres=st.lists(st.tuples(quarters, quarters), min_size=3, max_size=3))
+def test_polygon_union_of_three_is_inclusion_exclusion(poly, centres):
+    c = np.array(centres)
+    pairs = sum(intersection_area(poly, c[[i, j]]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    want = 3.0 * poly.area - pairs + intersection_area(poly, c)
+    assert _union_area_polygons(poly.vertices, c) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
