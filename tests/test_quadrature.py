@@ -237,28 +237,37 @@ def test_quadrature_error_of_the_default_rules(monkeypatch, family):
 # properties of capacity and covariance
 # ---------------------------------------------------------------------------
 
-PROPERTY_SPECS = {f"{base}_{law}": spec3(LAWS[law], DeterministicBase(shape))
-                  for base, shape in (("square", SQUARE), ("disc", Disc(0.8)))
-                  for law in ("iso", "girdle", "fixed")}
+LAWS_2D = {"iso": ISO, "girdle": GirdleBand(Direction([0.0, 1.0]), 0.4),
+           "fixed": FixedAxes([(Direction([1.0, 0.0]), 0.5), (Direction([0.6, 0.8]), 0.5)])}
+PROPERTY_SPECS = {
+    **{f"{base}_{law}": spec3(LAWS[law], DeterministicBase(shape))
+       for base, shape in (("square", SQUARE), ("disc", Disc(0.8))) for law in LAWS},
+    **OTHER_SPECS,
+    **{f"slab_{law}": ProcessSpec(d=3, k=2, intensity=0.3, alpha=LAWS[law], base=DeterministicBase(Segment(0.5)))
+       for law in LAWS},
+    **{f"band_{law}": ProcessSpec(d=2, k=1, intensity=0.4, alpha=LAWS_2D[law], base=DeterministicBase(Segment(0.5)))
+       for law in LAWS},
+}
 coords = st.floats(-1.5, 1.5, allow_subnormal=False)
 points = st.tuples(coords, coords, coords)
 
 
-@settings(max_examples=12, deadline=None)
-@given(name=st.sampled_from(sorted(PROPERTY_SPECS)), pts=st.lists(points, min_size=3, max_size=3),
-       extra=points, which=st.integers(0, 2))
-def test_capacity_grows_with_the_point_set(name, pts, extra, which):
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(PROPERTY_SPECS)), pts=st.lists(points, min_size=4, max_size=4),
+       which=st.integers(0, 2))
+def test_capacity_grows_with_the_point_set(name, pts, which):
     spec = PROPERTY_SPECS[name]
-    base = capacity_finite(spec, pts)
+    pts = np.array(pts)[:, :spec.d]  # the last point is the one added
+    base = capacity_finite(spec, pts[:3])
     p = volume_fraction(spec)
     assert p - 1e-12 <= base <= 1.0
-    assert capacity_finite(spec, pts + [extra]) >= base - 1e-12
-    assert capacity_finite(spec, pts + [pts[which]]) == pytest.approx(base, rel=1e-12, abs=1e-15)
+    assert capacity_finite(spec, pts) >= base - 1e-12
+    assert capacity_finite(spec, pts[[0, 1, 2, which]]) == pytest.approx(base, rel=1e-12, abs=1e-15)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(sorted(PROPERTY_SPECS)), h=points)
 def test_covariance_lies_between_p_squared_and_p(name, h):
     spec = PROPERTY_SPECS[name]
     p = volume_fraction(spec)
-    assert p * p - 1e-12 <= covariance(spec, np.array(h)) <= p + 1e-12
+    assert p * p - 1e-12 <= covariance(spec, np.array(h)[:spec.d]) <= p + 1e-12
