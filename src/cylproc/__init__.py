@@ -53,7 +53,6 @@ from .model import (
     RadiusLaw,
     mean_base_area,
     mean_base_perimeter,
-    sample_shape,
     spec_from_dict,
     spec_to_dict,
 )
@@ -66,7 +65,6 @@ from .optimize import (
 )
 from .rng import philox_stream
 from .sim import (
-    PlacedCylinder,
     Realization,
     Window,
     contains,

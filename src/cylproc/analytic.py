@@ -36,7 +36,6 @@ from .euclid import (
     gauss_legendre,
     haar_mean_line_det,
     haar_mean_plane_det,
-    _complement_frame,
 )
 from .model import FixedAxes, GirdleBand, Isotropic, ProcessSpec
 
@@ -180,7 +179,7 @@ def _girdle_expect_3d(alpha: GirdleBand, h: np.ndarray, f_of_dot, dot_targets,
     """Band average of f(<h, omega>) with piecewise handling of dot kinks."""
     axis = alpha.axis.vec
     s = math.sin(alpha.delta)
-    frame = _complement_frame(axis[:, None])
+    frame = complement_frames(axis[None, :, None])[0]
     c0 = float(h @ axis)
     cp = math.hypot(float(h @ frame[:, 0]), float(h @ frame[:, 1]))
     z_nodes, z_weights = gauss_legendre(nz, -s, s)
@@ -216,7 +215,7 @@ def _hemisphere_nodes(nz: int = 64, nphi: int = 128):
 def _band_nodes(alpha: GirdleBand, nz: int = 48, nphi: int = 96):
     s = math.sin(alpha.delta)
     axis = alpha.axis.vec
-    frame = _complement_frame(axis[:, None])
+    frame = complement_frames(axis[None, :, None])[0]
     z, wz = gauss_legendre(nz, -s, s)
     phi, wphi = gauss_legendre(nphi, 0.0, 2.0 * math.pi)
     zz, pp = np.meshgrid(z, phi, indexing="ij")
@@ -381,12 +380,17 @@ def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
     t = np.vecmat(unit_h, frames)
     nt = np.sqrt(np.vecdot(t, t))
     ok = nt > 1e-14  # [h, L] vanishes together with the projection
-    perp = np.column_stack([-t[ok, 1], t[ok, 0]]) / nt[ok, None]
+    u = t[ok] / nt[ok, None]
     slope = 0.0
     for poly, wp in polys:
-        shadow = perp @ poly.vertices.T
-        slope = slope - wp * (shadow.max(axis=1) - shadow.min(axis=1))
+        slope = slope - wp * _shadow_widths(poly, u)
     return float(ww[ok] @ (nt[ok] * slope))
+
+
+def _shadow_widths(poly: ConvexPolygon, u: np.ndarray) -> np.ndarray:
+    """Width of the polygon's shadow on the line orthogonal to each unit row of u: -gamma'_K(o, u)."""
+    shadow = np.column_stack([-u[:, 1], u[:, 0]]) @ poly.vertices.T
+    return shadow.max(axis=1) - shadow.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -740,13 +744,10 @@ def specific_surface(spec: ProcessSpec, method: str = "quadrature") -> float:
                 phi0 = math.atan2(-n_e[0], n_e[1]) % (2.0 * math.pi)
                 brk += [phi0, (phi0 + math.pi) % (2.0 * math.pi)]
 
-            def width_mean(phis, _poly=poly):
-                out = np.empty_like(phis)
-                for i, p in enumerate(np.atleast_1d(phis)):
-                    out[i] = _poly.covariogram_derivative(np.array([math.cos(p), math.sin(p)]))
-                return out
+            def slope(phis, _poly=poly):
+                return -_shadow_widths(_poly, np.column_stack([np.cos(phis), np.sin(phis)]))
 
-            core += wp * haar * _piecewise_gl(width_mean, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
+            core += wp * haar * _piecewise_gl(slope, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
     return -lam * factor * expfac * core
 
 

@@ -94,41 +94,17 @@ class Direction:
         return f"Direction({self._v.tolist()})"
 
 
-def _complement_frame(B: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement of span(B).
-
-    Gram-Schmidt over the standard basis in index order; a candidate is
-    accepted when its residual is comfortably nonzero.  The result depends
-    only on span(B) numerically, never on run order, which keeps complement
-    coordinates reproducible across runs.
-    """
-    d, m = B.shape
-    cols: list[np.ndarray] = []
-    for i in range(d):
-        v = np.zeros(d)
-        v[i] = 1.0
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            v = v - B @ (B.T @ v)
-            for f in cols:
-                v = v - f * float(f @ v)
-        n = float(np.linalg.norm(v))
-        if n > _FRAME_TOL:
-            cols.append(v / n)
-        if len(cols) == d - m:
-            break
-    if len(cols) != d - m:
-        raise ValueError("failed to build a complement frame")
-    return np.column_stack(cols)
-
-
 def complement_frames(B: np.ndarray) -> np.ndarray:
-    """:func:`_complement_frame` of every matrix in a stack B of shape (N, d, m), bit for bit.
+    """Deterministic orthonormal bases of the orthogonal complements of span(B[i]) for a stack B (N, d, m).
 
-    The same Gram-Schmidt runs on all N at once; a row whose residual for
-    a standard basis vector is too small skips that vector, as the scalar
-    loop does.  Every dot product goes through ``np.vecdot``, ``np.vecmat``
-    or ``np.matvec`` on C-contiguous stacks, which round like the scalar
-    ``@``; ``einsum`` or a plain sum would not.
+    Gram-Schmidt over the standard basis in index order, two passes per
+    candidate (the second restores orthogonality lost to rounding); a
+    candidate is accepted when its residual is comfortably nonzero.  The
+    result depends only on span(B[i]) numerically, never on run order or
+    on the other rows, which keeps complement coordinates reproducible.
+    Every dot product goes through ``np.vecdot``, ``np.vecmat`` or
+    ``np.matvec`` on C-contiguous stacks, which round like the scalar
+    ``@`` of a one-subspace loop; ``einsum`` or a plain sum would not.
     """
     B = np.ascontiguousarray(B, dtype=float)
     N, d, m = B.shape
@@ -181,17 +157,9 @@ class Subspace:
         B = B.copy()
         B.flags.writeable = False
         self.basis = B
-        F = _complement_frame(B)
+        F = complement_frames(B[None])[0]
         F.flags.writeable = False
         self.frame = F
-
-    @classmethod
-    def unchecked(cls, basis: np.ndarray, frame: np.ndarray) -> "Subspace":
-        """A subspace from a basis and frame the caller built and froze; nothing is checked."""
-        sub = cls.__new__(cls)
-        sub.basis = basis
-        sub.frame = frame
-        return sub
 
     @classmethod
     def line(cls, direction: Direction) -> "Subspace":
@@ -201,7 +169,7 @@ class Subspace:
     def plane_with_normal(cls, normal: Direction) -> "Subspace":
         if normal.dim != 3:
             raise ValueError("planes exist only in R^3")
-        return cls(_complement_frame(normal.vec[:, None]))
+        return cls(complement_frames(normal.vec[None, :, None])[0])
 
     @property
     def dim(self) -> int:
@@ -486,12 +454,12 @@ class ConvexPolygon:
         inside = self.contains(pts)
         V = self.vertices
         W = np.roll(V, -1, axis=0)
-        best = np.full(len(pts), np.inf)
+        best = np.full(pts.shape[:-1], np.inf)
         for a, b in zip(V, W):
             ab = b - a
             tt = np.clip((pts - a) @ ab / float(ab @ ab), 0.0, 1.0)
-            proj = a + tt[:, None] * ab
-            best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
+            proj = a + tt[..., None] * ab
+            best = np.minimum(best, np.linalg.norm(pts - proj, axis=-1))
         out = np.where(inside, 0.0, best)
         return float(out[0]) if single else out
 

@@ -25,7 +25,6 @@ from .euclid import (
     Disc,
     Segment,
     Subspace,
-    _complement_frame,
     canonical_directions,
     complement_frames,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DiscRadiusLaw",
     "MixtureBase",
     "ProcessSpec",
-    "sample_shape",
     "mean_base_area",
     "mean_base_perimeter",
     "spec_to_dict",
@@ -194,7 +192,7 @@ class GirdleBand:
             s = math.sin(self.delta)
             z = rng.uniform(-s, s, n)
             phi = rng.uniform(0.0, 2.0 * math.pi, n)
-            f = _complement_frame(self.axis.vec[:, None])  # 3 x 2 frame of the girdle plane
+            f = complement_frames(self.axis.vec[None, :, None])[0]  # 3 x 2 frame of the girdle plane
             rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             u = (
                 z[:, None] * self.axis.vec[None, :]
@@ -422,17 +420,6 @@ def mean_base_perimeter(spec: ProcessSpec) -> float:
     bases it is the two-endpoint counting measure, i.e. exactly 2.
     """
     return spec.base.mean_boundary
-
-
-def sample_shape(spec: ProcessSpec, rng: np.random.Generator):
-    """Draw one (direction space, cross section) pair from the shape law.
-
-    The cross section is None when the base law puts mass on radius zero
-    and that atom is drawn.
-    """
-    vec = spec.alpha.sample_vectors(spec.d, rng, 1)[0]
-    shape = spec.base.sample_shapes(rng, 1)[0]
-    return spec.subspace_for(vec), shape
 
 
 # ---------------------------------------------------------------------------

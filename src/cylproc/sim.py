@@ -7,19 +7,24 @@ hitting set of every shape in the base support, so the retained cylinders
 are an exact sample.  Membership anywhere in the window is therefore
 exact; distances are exact up to the erosion margin used by the callers.
 
-The sampler handles all candidates of a realization in one array pass:
-their frames come from one batched Gram-Schmidt
+A :class:`Realization` is a set of read-only arrays: per cylinder its
+identifying vector, complement frame, offset and an index into a table of
+the distinct cross sections.  The sampler fills them in one array pass:
+the frames come from one batched Gram-Schmidt
 (:func:`~cylproc.euclid.complement_frames`, bit for bit the per-subspace
-frames), and one vectorized hit test per shape kind compares each base
-with the window's shadow, the zonotope spanned by the projected box
-edges.  The CSV reader parses every row and then builds all frames in
-the same batched call.
+frames), and one vectorized hit test per distinct shape compares each
+base with the window's shadow, the zonotope spanned by the projected box
+edges.  The CSV reader fills the same arrays row by row and builds all
+frames in the same batched call.
 
-Each query has one vectorized kernel: :func:`covered_mask`,
-:func:`distance_mask` and :func:`ray_interval_bulk`.  The scalar queries
-:func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
-n = 1 views of them that add only the window checks, and probe intervals
-are merged in one place, :func:`_probe_components`.
+Each query has one kernel, :func:`covered_mask`, :func:`distance_mask`
+and :func:`ray_interval_bulk`.  It loops over the shape table, projects
+that shape's cylinders in stacks of at most ``_CHUNK`` point-cylinder
+pairs with one ``matmul``, and runs the shape's own test on the stack.
+The scalar queries :func:`contains`, :func:`distance_to_union` and
+:func:`ray_intervals` are n = 1 views of them that add only the window
+checks, and probe intervals are merged in one place,
+:func:`_probe_components`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .euclid import (
     Direction,
     Disc,
     Segment,
-    Subspace,
     canonical_directions,
     complement_frames,
 )
@@ -89,12 +93,6 @@ class Window:
     def volume(self) -> float:
         return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
-    @property
-    def corners(self) -> np.ndarray:
-        axes = [(l, h) for l, h in zip(self.lo, self.hi)]
-        pts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(self.dim, -1).T
-        return pts
-
     def erode(self, margin) -> "Window":
         m = np.broadcast_to(np.asarray(margin, dtype=float), (self.dim,))
         lo = tuple(l + x for l, x in zip(self.lo, m))
@@ -117,42 +115,39 @@ class Window:
 
 
 # ---------------------------------------------------------------------------
-# placed cylinders and realizations
+# realizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlacedCylinder:
-    """One cylinder: {y : Pr_L(y) in K + offset}, offset in the frame of L-perp."""
-
-    subspace: Subspace
-    base: object
-    offset: np.ndarray
-
-    def __post_init__(self):
-        off = np.asarray(self.offset, dtype=float).copy()
-        off.flags.writeable = False
-        object.__setattr__(self, "offset", off)
-
-    @property
-    def axis_vector(self) -> np.ndarray:
-        """Identifying direction: axis for line cylinders, normal for slabs."""
-        if self.subspace.dim == 1:
-            return self.subspace.basis[:, 0]
-        return self.subspace.frame[:, 0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
-    """All cylinders of one sample hitting the window; immutable, query-safe."""
+    """All cylinders of one sample hitting the window, as read-only arrays.
+
+    Cylinder i is {y : y . frames[i] in shapes[shape_index[i]] + offsets[i]}:
+    ``frames`` (N, d, m) holds the canonical frame of each complement,
+    ``offsets`` (N, m) the base position in it, and ``axes`` (N, d) the
+    identifying vector (the axis of a line, the normal of a slab).
+    ``shapes`` holds the distinct cross sections.
+    """
 
     spec: ProcessSpec
     window: Window
-    cylinders: tuple
+    axes: np.ndarray
+    frames: np.ndarray
+    offsets: np.ndarray
+    shapes: tuple
+    shape_index: np.ndarray
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name, dtype in (("axes", float), ("frames", float), ("offsets", float), ("shape_index", np.intp)):
+            a = np.array(getattr(self, name), dtype=dtype)  # a private copy, so no caller can change it
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "shapes", tuple(self.shapes))
+
     def n_cylinders(self) -> int:
-        return len(self.cylinders)
+        return len(self.shape_index)
 
 
 def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int = 0) -> Realization:
@@ -171,42 +166,37 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     if not math.isfinite(r_max):
         raise ValueError("base law must have bounded circumradius")
     rng = philox_stream(seed, stream)
-    m = spec.d - spec.k
+    d, m = spec.d, spec.d - spec.k
     rho = window.circumradius + r_max
     measure = 2.0 * rho if m == 1 else math.pi * rho * rho
     n = int(rng.poisson(spec.intensity * measure)) if spec.intensity > 0 else 0
 
-    cylinders = ()
+    atoms = [shape for shape, _ in spec.base.atoms()]
+    axes, frames, offsets, shapes, index = np.empty((0, d)), np.empty((0, d, m)), np.empty((0, m)), (), ()
     if n > 0:
-        dirs = spec.alpha.sample_vectors(spec.d, rng, n)
-        shapes = spec.base.sample_shapes(rng, n)
+        dirs = spec.alpha.sample_vectors(d, rng, n)
+        slot = {id(shape): j for j, shape in enumerate(atoms)}
+        drawn = np.array([slot[id(shape)] for shape in spec.base.sample_shapes(rng, n)], dtype=np.intp)
         if m == 1:
             offs = rng.uniform(-rho, rho, n)[:, None]
         else:
             rad = rho * np.sqrt(rng.uniform(0.0, 1.0, n))
             ang = rng.uniform(0.0, 2.0 * math.pi, n)
             offs = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        live = [i for i, shape in enumerate(shapes) if shape is not None]
-        shapes = [shapes[i] for i in live]
+        live = np.flatnonzero(np.array([shape is not None for shape in atoms])[drawn])
         basis, frame = spec.subspace_frames(dirs[live])
         centre = np.vecmat(window.center, frame)  # the window centre in each frame
         off = centre + offs[live]
-        hit = _hits_window(window, frame, centre, off, shapes)
-        cylinders = _placed(basis[hit], frame[hit], off[hit], [s for s, h in zip(shapes, hit) if h])
-    return Realization(spec=spec, window=window, cylinders=cylinders, seed=seed, stream=stream)
-
-
-def _placed(basis, frame, offsets, shapes) -> tuple:
-    """PlacedCylinders over rows of batched bases, frames and offsets (the arrays are frozen)."""
-    basis.flags.writeable = False
-    frame.flags.writeable = False
-    return tuple(PlacedCylinder(Subspace.unchecked(b, f), shape, o)
-                 for b, f, o, shape in zip(basis, frame, offsets, shapes))
+        hit = _hits_window(window, frame, centre, off, atoms, drawn[live])
+        used, index = np.unique(drawn[live][hit], return_inverse=True)
+        shapes = tuple(atoms[j] for j in used)
+        axes, frames, offsets = (basis if spec.k == 1 else frame)[hit, :, 0], frame[hit], off[hit]
+    return Realization(spec, window, axes, frames, offsets, shapes, index, seed, stream)
 
 
 def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.ndarray,
-                 shapes) -> np.ndarray:
-    """Which candidates' bases, placed at ``off``, meet the window's shadow within GEOM_TOL.
+                 shapes, index: np.ndarray) -> np.ndarray:
+    """Which candidates' bases ``shapes[index]``, placed at ``off``, meet the window's shadow within GEOM_TOL.
 
     Along L the box projects to the zonotope with the window centre's
     coordinates ``centre`` as its centre and the projected box edges
@@ -215,23 +205,20 @@ def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.
     axis among its edge normals (those of the g_j) and their own.
     """
     gens = np.subtract(window.hi, window.lo)[None, :, None] * frame  # (N, d, m)
-    if frame.shape[2] == 1:
-        half = 0.5 * np.sum(np.abs(gens[:, :, 0]), axis=1)
-        lo, hi = centre[:, 0] - half, centre[:, 0] + half
-        a = np.array([shape.half_length for shape in shapes])
-        return (off[:, 0] + a >= lo - GEOM_TOL) & (off[:, 0] - a <= hi + GEOM_TOL)
     rel = off - centre
-    hit = np.zeros(len(shapes), dtype=bool)
-    discs = np.flatnonzero([isinstance(shape, Disc) for shape in shapes])
-    if len(discs):
-        radius = np.array([shapes[i].radius for i in discs])
-        hit[discs] = _zonogon_distance(gens[discs], rel[discs]) <= radius + GEOM_TOL
-    polys = {}
-    for i, shape in enumerate(shapes):
-        if isinstance(shape, ConvexPolygon):
-            polys.setdefault(id(shape), (shape, []))[1].append(i)
-    for shape, idx in polys.values():
-        hit[idx] = _zonogon_meets_polygon(gens[idx], rel[idx], shape)
+    hit = np.zeros(len(index), dtype=bool)
+    for j, shape in enumerate(shapes):
+        sel = np.flatnonzero(index == j)
+        if not len(sel):
+            continue
+        if isinstance(shape, Segment):
+            half = 0.5 * np.sum(np.abs(gens[sel, :, 0]), axis=1)
+            lo, hi, a = centre[sel, 0] - half, centre[sel, 0] + half, shape.half_length
+            hit[sel] = (off[sel, 0] + a >= lo - GEOM_TOL) & (off[sel, 0] - a <= hi + GEOM_TOL)
+        elif isinstance(shape, Disc):
+            hit[sel] = _zonogon_distance(gens[sel], rel[sel]) <= shape.radius + GEOM_TOL
+        else:
+            hit[sel] = _zonogon_meets_polygon(gens[sel], rel[sel], shape)
     return hit
 
 
@@ -274,13 +261,35 @@ def _zonogon_meets_polygon(gens: np.ndarray, p: np.ndarray, shape: ConvexPolygon
 # point queries
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 14  # point-cylinder pairs per stacked projection; bounds every kernel temporary
+
+
+def _chunks(real: Realization, n: int):
+    """(shape, cylinder indices) per distinct shape, at most _CHUNK // n cylinders at a time."""
+    step = max(1, _CHUNK // max(n, 1))
+    for j, shape in enumerate(real.shapes):
+        idx = np.flatnonzero(real.shape_index == j)
+        for a in range(0, len(idx), step):
+            yield shape, idx[a:a + step]
+
+
+def _project(frames: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Coordinates (c, n, m) of the points in each of the frames (c, d, m), stored coordinate-major.
+
+    One product F^T P^T per stack; its transposed view keeps each
+    coordinate contiguous over the points, so the shape tests that follow
+    run on contiguous rows.  Every entry rounds as ``pts @ frame`` does.
+    """
+    return np.matmul(frames.transpose(0, 2, 1), pts.T).transpose(0, 2, 1)
+
+
 def covered_mask(real: Realization, points: np.ndarray) -> np.ndarray:
     """Membership of each point in the union set (no window check; bulk path)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(len(pts), dtype=bool)
-    for cyl in real.cylinders:
-        u = pts @ cyl.subspace.frame - cyl.offset
-        out |= cyl.base.contains(u)
+    for shape, sel in _chunks(real, len(pts)):
+        u = _project(real.frames[sel], pts) - real.offsets[sel, None]
+        out |= shape.contains(u).any(axis=0)
     return out
 
 
@@ -296,9 +305,9 @@ def distance_mask(real: Realization, points: np.ndarray) -> np.ndarray:
     """Distance from each point to the stored union (inf when empty; bulk path)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), np.inf)
-    for cyl in real.cylinders:
-        u = pts @ cyl.subspace.frame - cyl.offset
-        out = np.minimum(out, cyl.base.distance(u))
+    for shape, sel in _chunks(real, len(pts)):
+        u = _project(real.frames[sel], pts) - real.offsets[sel, None]
+        out = np.minimum(out, shape.distance(u).min(axis=0))
     return out
 
 
@@ -349,79 +358,79 @@ def ray_intervals(real: Realization, origin, direction, length: float):
 def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, length: float):
     """Per-cylinder clipped intervals for many probe segments at once.
 
-    Returns flat arrays (ray_id, t_in, t_out) with t clipped to [0, length];
-    an interval whose unclipped entry lies before 0 is reported with
-    t_in == 0, which marks a component straddling the segment start.
+    Returns flat arrays (ray_id, t_in, t_out) with t clipped to [0, length],
+    grouped by shape and then by cylinder; an interval whose unclipped
+    entry lies before 0 is reported with t_in == 0, which marks a
+    component straddling the segment start.
     """
-    ids_all, tin_all, tout_all = [], [], []
-    n = len(origins)
-    for cyl in real.cylinders:
-        frame = cyl.subspace.frame
-        u0 = origins @ frame - cyl.offset
-        w = dirs @ frame
-        base = cyl.base
-        if isinstance(base, Segment):
-            a = base.half_length
-            w0, p0 = w[:, 0], u0[:, 0]
-            par = np.abs(w0) <= _TANGENT_TOL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (-a - p0) / w0
-                t2 = (a - p0) / w0
-            lo = np.minimum(t1, t2)
-            hi = np.maximum(t1, t2)
-            lo[par] = 0.0
-            hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
-        elif isinstance(base, Disc):
-            a = base.radius
-            ww = np.einsum("ij,ij->i", w, w)
-            b = np.einsum("ij,ij->i", u0, w)
-            c = np.einsum("ij,ij->i", u0, u0) - a * a
-            par = ww <= _TANGENT_TOL**2
-            disc = b * b - ww * c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = np.sqrt(np.maximum(disc, 0.0))
-                lo = (-b - root) / ww
-                hi = (-b + root) / ww
-            miss = disc <= _TANGENT_TOL
-            lo[miss] = 0.0
-            hi[miss] = -1.0
-            lo[par] = 0.0
-            hi[par] = np.where(c[par] <= 0.0, length, -1.0)
-        else:
-            E = np.roll(base.vertices, -1, axis=0) - base.vertices
-            normals = np.column_stack([E[:, 1], -E[:, 0]])
-            lo = np.full(n, -np.inf)
-            hi = np.full(n, np.inf)
-            ok = np.ones(n, dtype=bool)
-            for n_e, q in zip(normals, base.vertices):
-                denom = w @ n_e
-                num = (q - u0) @ n_e
-                par = np.abs(denom) < _TANGENT_TOL
-                ok &= ~par | (num >= -GEOM_TOL)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = num / denom
-                upper = denom > 0
-                lower = (~par) & (~upper)
-                hi = np.where(upper, np.minimum(hi, t), hi)
-                lo = np.where(lower, np.maximum(lo, t), lo)
-            bad = ~ok
-            lo[bad] = 0.0
-            hi[bad] = -1.0
+    origins, dirs = np.asarray(origins, dtype=float), np.asarray(dirs, dtype=float)
+    ids_all, tin_all, tout_all = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+    for shape, sel in _chunks(real, len(origins)):
+        frames = real.frames[sel]
+        u0 = _project(frames, origins) - real.offsets[sel, None]
+        lo, hi = _entry_exit(shape, u0, _project(frames, dirs), length)
         lo = np.maximum(lo, 0.0)
         hi = np.minimum(hi, length)
         keep = hi - lo > 0.0
-        if np.any(keep):
-            ids_all.append(np.nonzero(keep)[0])
-            tin_all.append(lo[keep])
-            tout_all.append(hi[keep])
-    if not ids_all:
-        empty = np.empty(0)
-        return np.empty(0, dtype=np.int64), empty, empty
-    return (
-        np.concatenate(ids_all).astype(np.int64),
-        np.concatenate(tin_all),
-        np.concatenate(tout_all),
-    )
+        ids_all.append(np.nonzero(keep)[1])
+        tin_all.append(lo[keep])
+        tout_all.append(hi[keep])
+    return np.concatenate(ids_all).astype(np.int64), np.concatenate(tin_all), np.concatenate(tout_all)
+
+
+def _entry_exit(shape, u0: np.ndarray, w: np.ndarray, length: float):
+    """Unclipped entry and exit times (c, n) of the lines u0 + t w through one base shape.
+
+    A line that misses gets an empty interval (lo > hi); one parallel to a
+    segment or disc and inside it gets [0, length].
+    """
+    if isinstance(shape, Segment):
+        a = shape.half_length
+        w0, p0 = w[..., 0], u0[..., 0]
+        par = np.abs(w0) <= _TANGENT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-a - p0) / w0
+            t2 = (a - p0) / w0
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        lo[par] = 0.0
+        hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
+        return lo, hi
+    if isinstance(shape, Disc):
+        a = shape.radius
+        ww = np.einsum("...j,...j->...", w, w)
+        b = np.einsum("...j,...j->...", u0, w)
+        c = np.einsum("...j,...j->...", u0, u0) - a * a
+        par = ww <= _TANGENT_TOL**2
+        disc = b * b - ww * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(disc, 0.0))
+            lo = (-b - root) / ww
+            hi = (-b + root) / ww
+        miss = disc <= _TANGENT_TOL
+        lo[miss] = 0.0
+        hi[miss] = -1.0
+        lo[par] = 0.0
+        hi[par] = np.where(c[par] <= 0.0, length, -1.0)
+        return lo, hi
+    E = np.roll(shape.vertices, -1, axis=0) - shape.vertices
+    lo = np.full(u0.shape[:-1], -np.inf)
+    hi = np.full(u0.shape[:-1], np.inf)
+    ok = np.ones(u0.shape[:-1], dtype=bool)
+    for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), shape.vertices):
+        denom = w @ n_e
+        num = (q - u0) @ n_e
+        par = np.abs(denom) < _TANGENT_TOL
+        ok &= ~par | (num >= -GEOM_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = num / denom
+        upper = denom > 0
+        lower = (~par) & (~upper)
+        hi = np.where(upper, np.minimum(hi, t), hi)
+        lo = np.where(lower, np.maximum(lo, t), lo)
+    lo[~ok] = 0.0
+    hi[~ok] = -1.0
+    return lo, hi
 
 
 def _component_starts(ids, tins, touts):
@@ -512,42 +521,37 @@ def export_realization_csv(real: Realization, path) -> None:
     Header: cyl_id, axis components, offset coordinates in the canonical
     complement frame, shape tag, then shape parameters (half-length or
     radius, or the flattened polygon vertex list).  2-D realizations drop
-    the z and v columns.
+    the z and v columns.  Each distinct shape's fields are formatted once,
+    and each row with one ``%`` format.
     """
     d = real.spec.d
     m = d - real.spec.k
-    axis_cols = ["axis_x", "axis_y"] + (["axis_z"] if d == 3 else [])
-    off_cols = ["offset_u"] + (["offset_v"] if d == 3 else [])
-    max_params = 1
-    for cyl in real.cylinders:
-        if isinstance(cyl.base, ConvexPolygon):
-            max_params = max(max_params, 2 * len(cyl.base.vertices))
-    header = ["cyl_id", *axis_cols, *off_cols, "shape"] + [f"param{i}" for i in range(max_params)]
+    fields = [_shape_fields(shape) for shape in real.shapes]
+    width = max([1] + [len(fields[j][1]) for j in np.unique(real.shape_index).tolist()])
+    tails = [",".join([tag, *params] + [""] * (width - len(params))) for tag, params in fields]
+    header = ["cyl_id", *("axis_x", "axis_y", "axis_z")[:d], *("offset_u", "offset_v")[:d - 1], "shape",
+              *[f"param{i}" for i in range(width)]]
+    row = ",".join(["%d"] + ["%.17g"] * (d + m) + [""] * (d - 1 - m) + ["%s"]) + "\r\n"
+    values = zip(np.column_stack([real.axes, real.offsets]).tolist(), real.shape_index.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, cyl in enumerate(real.cylinders):
-            axis = [f"{x:.17g}" for x in cyl.axis_vector]
-            offs = [f"{x:.17g}" for x in cyl.offset]
-            if d == 3 and m == 1:
-                offs = offs + [""]
-            tag, params = _shape_fields(cyl.base)
-            writer.writerow([i, *axis, *offs, tag, *params, *[""] * (max_params - len(params))])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % (i, *v, tails[j]) for i, (v, j) in enumerate(values))
 
 
 def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0, stream: int = 0) -> Realization:
     """Rebuild a realization from :func:`export_realization_csv` output.
 
-    Rows are parsed as they are read; then all frames are built in one
-    batched call.
-    The file stores the identifying vector of each direction space: the
-    axis of a line cylinder, whose frame is rebuilt from it, and the frame
-    of a slab, whose in-plane basis is rebuilt from it.  Re-exporting the
-    result therefore writes the same bytes.  Each distinct (tag,
-    parameters) gives one shared cross section; those written from a base
-    shape of ``spec`` are that very shape, so polygon vertices are not
-    recentred again.
+    Rows are parsed into the arrays as they are read; then all frames are
+    built in one batched call.  The file stores the identifying vector of
+    each direction space: the axis of a line cylinder, whose frame is
+    rebuilt from it, and the normal of a slab, which is its frame.
+    Re-exporting the result therefore writes the same bytes.  Each
+    distinct (tag, parameters) gives one entry of the shape table; those
+    written from a base shape of ``spec`` are that very shape, so polygon
+    vertices are not recentred again.  A row whose shape or ``offset_v``
+    does not fit d - k raises a ValueError naming its line.
     """
+    m = spec.d - spec.k
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -555,23 +559,31 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
         if d != spec.d:
             raise ValueError("CSV dimension does not match the spec")
         col = {name: j for j, name in enumerate(header)}
-        value_at = [col[name] for name in ("axis_x", "axis_y", "axis_z")[:d]]
-        value_at += [col[name] for name in ("offset_u", "offset_v")[:d - spec.k]]
-        pick = operator.itemgetter(*value_at)
+        names = ("axis_x", "axis_y", "axis_z")[:d] + ("offset_u", "offset_v")[:m]
+        pick = operator.itemgetter(*[col[name] for name in names])
+        v_at = col.get("offset_v")  # empty exactly when the complement is a line
         tag_at = col["shape"]
         param_at = [j for j, name in enumerate(header) if name.startswith("param")]
-        shapes = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
-        values, bases = array("d"), []
+        atoms = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
+        slots, shapes = {}, []
+        values, index = array("d"), array("q")
         for row in reader:
+            if v_at is not None and (row[v_at] == "") != (m == 1):
+                raise ValueError(f"CSV line {reader.line_num}: offset_v must be "
+                                 f"{'empty' if m == 1 else 'given'} when d - k = {m}")
             key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _shape_from_fields(*key)
-            bases.append(shape)
+            slot = slots.get(key)
+            if slot is None:
+                shape = atoms[key] if key in atoms else _shape_from_fields(*key)
+                if shape.dim != m:
+                    raise ValueError(f"CSV line {reader.line_num}: a {key[0]} base has dimension "
+                                     f"{shape.dim}, not d - k = {m}")
+                slot = slots[key] = len(shapes)
+                shapes.append(shape)
+            index.append(slot)
             values.extend(map(float, pick(row)))
-    table = np.frombuffer(values, dtype=float).reshape(len(bases), len(value_at))
-    axes, offsets = table[:, :d], table[:, d:]
-    vec = canonical_directions(axes)[:, :, None]
-    basis, frame = (vec, complement_frames(vec)) if spec.k == 1 else (complement_frames(vec), vec)
-    cylinders = _placed(basis, frame, offsets, bases)
-    return Realization(spec=spec, window=window, cylinders=cylinders, seed=seed, stream=stream)
+    table = np.frombuffer(values, dtype=float).reshape(len(index), d + m)
+    axes = canonical_directions(table[:, :d])
+    frames = complement_frames(axes[:, :, None]) if spec.k == 1 else axes[:, :, None]
+    return Realization(spec, window, axes, frames, table[:, d:], shapes, np.frombuffer(index, dtype=np.int64),
+                       seed, stream)

@@ -1,12 +1,16 @@
-"""Scalar oracles for the batched sampler and the batched analytic quadrature.
+"""Scalar oracles for the batched sampler, queries and analytic quadrature.
 
 The window-hit oracle works one candidate at a time and by a different
 route: the convex hull of the projected window corners, the
 point-to-hull distance and a separating-axis overlap test.  The tests
 compare the batched hit test with :func:`hits_window` candidate by
 candidate, and the sampler with :func:`sample_reference`, the
-per-candidate sampler loop built on it.  The quadrature oracle, at the
-end, is the node-by-node loop the analytic module used to run.
+per-candidate sampler loop built on it.  Frames come from
+:func:`complement_frame`, the one-subspace Gram-Schmidt loop that
+``euclid.complement_frames`` batches.  The query oracles are the
+per-cylinder loops the simulation module used to run.  The quadrature
+oracle, at the end, is the node-by-node loop the analytic module used to
+run.
 """
 
 import math
@@ -14,9 +18,41 @@ import math
 import numpy as np
 
 from cylproc import analytic
-from cylproc.euclid import GEOM_TOL, Disc, Segment, _complement_frame
+from cylproc.euclid import _FRAME_TOL, GEOM_TOL, Disc, Segment
 from cylproc.model import FixedAxes
 from cylproc.rng import philox_stream
+from cylproc.sim import _TANGENT_TOL
+
+
+def complement_frame(B: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the orthogonal complement of span(B), one subspace at a time.
+
+    Gram-Schmidt over the standard basis in index order; a candidate is
+    accepted when its residual is comfortably nonzero.
+    """
+    d, m = B.shape
+    cols: list[np.ndarray] = []
+    for i in range(d):
+        v = np.zeros(d)
+        v[i] = 1.0
+        for _ in range(2):  # second pass restores orthogonality lost to rounding
+            v = v - B @ (B.T @ v)
+            for f in cols:
+                v = v - f * float(f @ v)
+        n = float(np.linalg.norm(v))
+        if n > _FRAME_TOL:
+            cols.append(v / n)
+        if len(cols) == d - m:
+            break
+    if len(cols) != d - m:
+        raise ValueError("failed to build a complement frame")
+    return np.column_stack(cols)
+
+
+def corners(window) -> np.ndarray:
+    """The 2^d corner points of a window box."""
+    axes = [(l, h) for l, h in zip(window.lo, window.hi)]
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(window.dim, -1).T
 
 
 def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
@@ -42,7 +78,7 @@ def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
             continue
         L = spec.subspace_for(vec)
         off = L.complement_coords(window.center) + o
-        if hits_window(L.frame, shape, off, window.corners):
+        if hits_window(L.frame, shape, off, corners(window)):
             kept.append((L, shape, off))
     return kept
 
@@ -126,12 +162,97 @@ def convex_overlap(hull_a: np.ndarray, hull_b: np.ndarray, tol: float = GEOM_TOL
 
 
 # ---------------------------------------------------------------------------
+# per-cylinder query loops
+# ---------------------------------------------------------------------------
+
+def cylinders(real):
+    """(frame, offset, base) of each cylinder of a realization, in order."""
+    return [(f, o, real.shapes[j]) for f, o, j in zip(real.frames, real.offsets, real.shape_index)]
+
+
+def covered_mask(real, pts) -> np.ndarray:
+    out = np.zeros(len(pts), dtype=bool)
+    for frame, off, base in cylinders(real):
+        out |= base.contains(pts @ frame - off)
+    return out
+
+
+def distance_mask(real, pts) -> np.ndarray:
+    out = np.full(len(pts), np.inf)
+    for frame, off, base in cylinders(real):
+        out = np.minimum(out, base.distance(pts @ frame - off))
+    return out
+
+
+def ray_interval_bulk(real, origins, dirs, length: float):
+    """(ray id, t_in, t_out) of every cylinder's clipped interval, cylinder by cylinder."""
+    ids_all, tin_all, tout_all = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
+    n = len(origins)
+    for frame, off, base in cylinders(real):
+        u0 = origins @ frame - off
+        w = dirs @ frame
+        if isinstance(base, Segment):
+            a = base.half_length
+            w0, p0 = w[:, 0], u0[:, 0]
+            par = np.abs(w0) <= _TANGENT_TOL
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-a - p0) / w0
+                t2 = (a - p0) / w0
+            lo = np.minimum(t1, t2)
+            hi = np.maximum(t1, t2)
+            lo[par] = 0.0
+            hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
+        elif isinstance(base, Disc):
+            a = base.radius
+            ww = np.einsum("ij,ij->i", w, w)
+            b = np.einsum("ij,ij->i", u0, w)
+            c = np.einsum("ij,ij->i", u0, u0) - a * a
+            par = ww <= _TANGENT_TOL**2
+            disc = b * b - ww * c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.sqrt(np.maximum(disc, 0.0))
+                lo = (-b - root) / ww
+                hi = (-b + root) / ww
+            miss = disc <= _TANGENT_TOL
+            lo[miss] = 0.0
+            hi[miss] = -1.0
+            lo[par] = 0.0
+            hi[par] = np.where(c[par] <= 0.0, length, -1.0)
+        else:
+            E = np.roll(base.vertices, -1, axis=0) - base.vertices
+            normals = np.column_stack([E[:, 1], -E[:, 0]])
+            lo = np.full(n, -np.inf)
+            hi = np.full(n, np.inf)
+            ok = np.ones(n, dtype=bool)
+            for n_e, q in zip(normals, base.vertices):
+                denom = w @ n_e
+                num = (q - u0) @ n_e
+                par = np.abs(denom) < _TANGENT_TOL
+                ok &= ~par | (num >= -GEOM_TOL)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = num / denom
+                upper = denom > 0
+                lower = (~par) & (~upper)
+                hi = np.where(upper, np.minimum(hi, t), hi)
+                lo = np.where(lower, np.maximum(lo, t), lo)
+            lo[~ok] = 0.0
+            hi[~ok] = -1.0
+        lo = np.maximum(lo, 0.0)
+        hi = np.minimum(hi, length)
+        keep = hi - lo > 0.0
+        ids_all.append(np.nonzero(keep)[0])
+        tin_all.append(lo[keep])
+        tout_all.append(hi[keep])
+    return np.concatenate(ids_all).astype(np.int64), np.concatenate(tin_all), np.concatenate(tout_all)
+
+
+# ---------------------------------------------------------------------------
 # scalar quadrature loops: one node, one translate and one edge at a time
 # ---------------------------------------------------------------------------
 #
 # The per-node loops ``cylproc.analytic`` ran before its quadrature was
 # batched, kept as the oracle for the batched kernels.  Frames come from
-# the scalar ``_complement_frame`` and covariograms from the shape
+# the scalar :func:`complement_frame` and covariograms from the shape
 # methods.  The polygon union drops a stretch shared by same-orientation
 # collinear edges twice, and merges translates up to about 1e-5 times
 # their coordinates apart, so compare only point sets with no collinear
@@ -142,7 +263,7 @@ def polygon_gamma_mean(spec, polys, h) -> float:
     dirs, ww = analytic._direction_nodes(spec)
     acc = 0.0
     for omega, w in zip(dirs, ww):
-        t = h @ _complement_frame(omega[:, None])
+        t = h @ complement_frame(omega[:, None])
         acc += w * sum(wp * poly.covariogram(t) for poly, wp in polys)
     return acc
 
@@ -152,7 +273,7 @@ def polygon_slope_mean(spec, polys, unit_h) -> float:
     if isinstance(spec.alpha, FixedAxes):
         frames = [(spec.subspace_for(direction).frame, w) for direction, w in spec.alpha.axes]
     else:
-        frames = [(_complement_frame(omega[:, None]), w) for omega, w in zip(*analytic._direction_nodes(spec))]
+        frames = [(complement_frame(omega[:, None]), w) for omega, w in zip(*analytic._direction_nodes(spec))]
     acc = 0.0
     for frame, w in frames:
         t = unit_h @ frame
@@ -173,7 +294,7 @@ def mean_union_volume(spec, pts) -> float:
     dirs, ww = analytic._direction_nodes(spec)
     vol = 0.0
     for omega, w in zip(dirs, ww):
-        proj = pts @ _complement_frame(omega[:, None]) if spec.k == 1 else (pts @ omega)[:, None]
+        proj = pts @ complement_frame(omega[:, None]) if spec.k == 1 else (pts @ omega)[:, None]
         vol += w * union_volume(spec, proj)
     return vol
 

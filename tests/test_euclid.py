@@ -10,7 +10,6 @@ from cylproc.euclid import (
     Disc,
     Segment,
     Subspace,
-    _complement_frame,
     ball_constants,
     canonical_directions,
     complement_frames,
@@ -22,6 +21,7 @@ from cylproc.euclid import (
 )
 from cylproc.model import DeterministicBase, GirdleBand, Isotropic, ProcessSpec, haar_vectors
 from cylproc.rng import philox_stream
+from scalar_geometry import complement_frame
 
 # frozen from a 1e7-dart run (z = 0.44 against the closed form)
 LENS_AREA_UNIT_DISCS_AT_1 = 1.2283696986087567
@@ -245,8 +245,8 @@ def test_batched_frames_match_the_scalar_subspaces_bit_for_bit(kind, d, seed):
     frames = complement_frames(canon[:, :, None])
     for v, c, f in zip(vecs, canon, frames):
         assert same_bits(Direction(v).vec, c)
-        # the analytic quadrature builds its node frames with the scalar builder
-        assert same_bits(_complement_frame(c[:, None]), f)
+        # the batched Gram-Schmidt is the scalar one-subspace loop, bit for bit
+        assert same_bits(complement_frame(c[:, None]), f)
     for k in range(1, d):
         spec = ProcessSpec(d=d, k=k, intensity=1.0, alpha=Isotropic(),
                            base=DeterministicBase(Segment(1.0) if d - k == 1 else Disc(1.0)))

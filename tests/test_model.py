@@ -15,7 +15,6 @@ from cylproc.model import (
     RadiusLaw,
     mean_base_area,
     mean_base_perimeter,
-    sample_shape,
     spec_from_dict,
     spec_to_dict,
 )
@@ -58,8 +57,9 @@ def test_fixed_axes_and_deterministic_base_are_constant():
                        base=DeterministicBase(Disc(1.0)))
     rng = philox_stream(12, 0)
     for _ in range(50):
-        L, K = sample_shape(spec, rng)
-        assert np.allclose(L.basis[:, 0], [0, 0, 1])
+        vec = spec.alpha.sample_vectors(spec.d, rng, 1)[0]
+        (K,) = spec.base.sample_shapes(rng, 1)
+        assert np.allclose(spec.subspace_for(vec).basis[:, 0], [0, 0, 1])
         assert K == Disc(1.0)
 
 
@@ -129,10 +129,9 @@ def test_spec_validation():
 
 def test_sampling_reproducibility():
     spec = iso_disc_spec()
-    a = [sample_shape(spec, philox_stream(99, 0)) for _ in range(1)]
-    b = [sample_shape(spec, philox_stream(99, 0)) for _ in range(1)]
-    assert np.array_equal(a[0][0].basis, b[0][0].basis)
-    assert a[0][1] == b[0][1]
+    a, b = philox_stream(99, 0), philox_stream(99, 0)
+    assert np.array_equal(spec.alpha.sample_vectors(3, a, 5), spec.alpha.sample_vectors(3, b, 5))
+    assert spec.base.sample_shapes(a, 5) == spec.base.sample_shapes(b, 5)
 
 
 def test_spec_json_round_trip():

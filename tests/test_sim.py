@@ -10,7 +10,6 @@ from cylproc.euclid import (
     Direction,
     Disc,
     Segment,
-    _complement_frame,
     gauss_legendre,
 )
 from cylproc.model import (
@@ -25,8 +24,8 @@ from cylproc.model import (
     haar_vectors,
 )
 from cylproc.rng import philox_stream
+from cylproc import sim
 from cylproc.sim import (
-    PlacedCylinder,
     _hits_window,
     Realization,
     Window,
@@ -42,21 +41,34 @@ from cylproc.sim import (
     ray_intervals,
     sample_realization,
 )
-from scalar_geometry import convex_distance, convex_hull_ccw, hits_window, sample_reference
+import scalar_geometry as oracle
+from scalar_geometry import (
+    complement_frame,
+    convex_distance,
+    convex_hull_ccw,
+    corners,
+    hits_window,
+    sample_reference,
+)
 
 
 def spec3_iso(lam=0.1, a=1.0):
     return ProcessSpec(d=3, k=1, intensity=lam, alpha=Isotropic(), base=DeterministicBase(Disc(a)))
 
 
-def single_cylinder_realization():
+def z_axis_discs(offsets):
+    """Unit-disc cylinders along the z axis at the given offsets, in a side-20 window."""
     spec = ProcessSpec(d=3, k=1, intensity=0.1,
                        alpha=FixedAxes([(Direction([0, 0, 1.0]), 1.0)]),
                        base=DeterministicBase(Disc(1.0)))
     L = spec.subspace_for(Direction([0, 0, 1.0]))
-    window = Window((-10, -10, -10), (10, 10, 10))
-    cyl = PlacedCylinder(L, Disc(1.0), np.zeros(2))
-    return Realization(spec=spec, window=window, cylinders=(cyl,), seed=0)
+    n = len(offsets)
+    return Realization(spec, Window((-10, -10, -10), (10, 10, 10)), np.tile(L.basis[:, 0], (n, 1)),
+                       np.tile(L.frame, (n, 1, 1)), offsets, (Disc(1.0),), np.zeros(n, dtype=int), seed=0)
+
+
+def single_cylinder_realization():
+    return z_axis_discs([[0.0, 0.0]])
 
 
 def test_window_validation_and_geometry():
@@ -87,38 +99,34 @@ def test_same_seed_reproduces_identical_realizations():
     r1 = sample_realization(spec, w, seed=42)
     r2 = sample_realization(spec, w, seed=42)
     assert r1.n_cylinders() == r2.n_cylinders() > 0
-    for a, b in zip(r1.cylinders, r2.cylinders):
-        assert np.array_equal(a.offset, b.offset)
-        assert np.array_equal(a.subspace.basis, b.subspace.basis)
-        assert a.base == b.base
+    for name in ("axes", "frames", "offsets", "shape_index"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name))
+    assert r1.shapes == r2.shapes
     r3 = sample_realization(spec, w, seed=43)
-    assert r3.n_cylinders() != r1.n_cylinders() or not all(
-        np.array_equal(a.offset, b.offset) for a, b in zip(r3.cylinders, r1.cylinders))
+    assert r3.n_cylinders() != r1.n_cylinders() or not np.array_equal(r3.offsets, r1.offsets)
 
 
 def test_every_stored_cylinder_hits_the_window():
     spec = spec3_iso()
     w = Window((0, 0, 0), (12, 12, 12))
     real = sample_realization(spec, w, seed=5)
-    corners = w.corners
-    for cyl in real.cylinders:
-        proj = corners @ cyl.subspace.frame
-        hull = convex_hull_ccw(proj)
+    for frame, offset, j in zip(real.frames, real.offsets, real.shape_index):
+        hull = convex_hull_ccw(corners(w) @ frame)
         # distance from the offset to the window shadow at most the base circumradius
-        assert convex_distance(hull, cyl.offset) <= cyl.base.circumradius + 1e-9
+        assert convex_distance(hull, offset) <= real.shapes[j].circumradius + 1e-9
 
 
 def hit_measure_oracle(spec, window, a):
     # lam * E over directions of area(shadow + disc of radius a), via the Steiner formula
     z_nodes, z_w = gauss_legendre(48, 0.0, 1.0)
     p_nodes, p_w = gauss_legendre(96, 0.0, 2 * math.pi)
-    corners = window.corners
+    box = corners(window)
     total = 0.0
     for zi, wzi in zip(z_nodes, z_w):
         s = math.sqrt(max(0.0, 1 - zi * zi))
         for pj, wpj in zip(p_nodes, p_w):
             omega = np.array([s * math.cos(pj), s * math.sin(pj), zi])
-            hull = convex_hull_ccw(corners @ _complement_frame(omega[:, None]))
+            hull = convex_hull_ccw(box @ complement_frame(omega[:, None]))
             x, y = hull[:, 0], hull[:, 1]
             area = 0.5 * abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
             perim = float(np.sum(np.linalg.norm(np.roll(hull, -1, axis=0) - hull, axis=1)))
@@ -206,14 +214,7 @@ def test_ray_examples():
 
 
 def test_ray_intervals_merge_overlaps():
-    spec = ProcessSpec(d=3, k=1, intensity=0.1,
-                       alpha=FixedAxes([(Direction([0, 0, 1.0]), 1.0)]),
-                       base=DeterministicBase(Disc(1.0)))
-    L = spec.subspace_for(Direction([0, 0, 1.0]))
-    window = Window((-10, -10, -10), (10, 10, 10))
-    cyls = (PlacedCylinder(L, Disc(1.0), np.zeros(2)),
-            PlacedCylinder(L, Disc(1.0), np.array([1.0, 0.0])))
-    real = Realization(spec=spec, window=window, cylinders=cyls, seed=0)
+    real = z_axis_discs([[0.0, 0.0], [1.0, 0.0]])
     iv = ray_intervals(real, [-5, 0, 0], np.array([1.0, 0, 0]), 10.0)
     assert iv == [(4.0, 7.0)]
 
@@ -398,14 +399,15 @@ def test_batched_hit_test_keeps_what_the_scalar_test_keeps(family, law):
     window = hit_window(spec.d)
     gen = philox_stream(17, 0)
     n = 1500
+    table = [s for s, _ in spec.base.atoms()]
     shapes = [s for s in spec.base.sample_shapes(gen, n) if s is not None]
     _, frame = spec.subspace_frames(spec.alpha.sample_vectors(spec.d, gen, len(shapes)))
     centre = np.vecmat(window.center, frame)
     # offsets out to just past the covering radius, so many candidates sit near the shadow's edge
     rho = 1.05 * (window.circumradius + spec.base.max_circumradius)
     off = centre + gen.uniform(-rho, rho, (len(shapes), spec.d - spec.k))
-    got = _hits_window(window, frame, centre, off, shapes)
-    want = [hits_window(f, s, o, window.corners) for f, s, o in zip(frame, shapes, off)]
+    got = _hits_window(window, frame, centre, off, table, np.array([table.index(s) for s in shapes]))
+    want = [hits_window(f, s, o, corners(window)) for f, s, o in zip(frame, shapes, off)]
     assert got.tolist() == want
     assert 0 < got.sum() < len(got)
 
@@ -418,12 +420,12 @@ def test_sampler_matches_the_per_candidate_loop(family, law):
     for seed in (3, 4):
         real = sample_realization(spec, window, seed, stream=1)
         ref = sample_reference(spec, window, seed, stream=1)
-        assert len(real.cylinders) == len(ref) > 0
-        for cyl, (L, shape, off) in zip(real.cylinders, ref):
-            assert cyl.base is shape
-            assert same_bits(cyl.subspace.basis, L.basis)
-            assert same_bits(cyl.subspace.frame, L.frame)
-            assert same_bits(cyl.offset, off)
+        assert real.n_cylinders() == len(ref) > 0
+        for i, (L, shape, off) in enumerate(ref):
+            assert real.shapes[real.shape_index[i]] is shape
+            assert same_bits(real.axes[i], L.basis[:, 0] if spec.k == 1 else L.frame[:, 0])
+            assert same_bits(real.frames[i], L.frame)
+            assert same_bits(real.offsets[i], off)
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,22 +442,99 @@ def test_csv_round_trip_is_exact(tmp_path_factory, family, law, seed):
     export_realization_csv(back, path)
     assert path.read_bytes() == first
     assert back.n_cylinders() == real.n_cylinders()
-    for a, b in zip(real.cylinders, back.cylinders):
-        assert a.base == b.base
-        assert same_bits(a.subspace.frame, b.subspace.frame)
-        assert same_bits(a.offset, b.offset)
-        if spec.k == 1:
-            assert same_bits(a.subspace.basis, b.subspace.basis)
-        else:
-            # the file holds a slab's frame, not its sampled normal: the plane
-            # basis is rebuilt from the frame
-            assert same_bits(b.subspace.basis, _complement_frame(b.subspace.frame))
+    assert [real.shapes[j] for j in real.shape_index] == [back.shapes[j] for j in back.shape_index]
+    for name in ("axes", "frames", "offsets"):
+        assert same_bits(getattr(real, name), getattr(back, name))
 
 
 def test_csv_round_trip_of_an_empty_realization(tmp_path):
     for family in ("slab3", "disc3"):
         spec = hit_spec(family, "isotropic")
-        empty = Realization(spec=spec, window=hit_window(3), cylinders=(), seed=0)
+        empty = empty_realization(spec, hit_window(3))
         path = tmp_path / f"{family}.csv"
         export_realization_csv(empty, path)
-        assert import_realization_csv(path, spec, empty.window).cylinders == ()
+        back = import_realization_csv(path, spec, empty.window)
+        assert back.n_cylinders() == 0 and back.frames.shape == (0, 3, 3 - spec.k)
+
+
+def empty_realization(spec, window):
+    d, m = spec.d, spec.d - spec.k
+    return Realization(spec, window, np.empty((0, d)), np.empty((0, d, m)), np.empty((0, m)), (),
+                       np.empty(0, dtype=int), seed=0)
+
+
+@pytest.mark.parametrize("written, read", [("disc3", "slab3"), ("slab3", "disc3")])
+def test_csv_reader_rejects_a_file_of_the_wrong_cylinder_dimension(tmp_path, written, read):
+    real = sample_realization(hit_spec(written, "isotropic"), hit_window(3), seed=2)
+    assert real.n_cylinders() > 0
+    path = tmp_path / "real.csv"
+    export_realization_csv(real, path)
+    with pytest.raises(ValueError, match="CSV line 2: "):
+        import_realization_csv(path, hit_spec(read, "isotropic"), hit_window(3))
+
+
+def test_csv_reader_rejects_a_shape_that_does_not_fit_the_complement(tmp_path):
+    # a disc row under a slab spec with an empty offset_v: only the shape is wrong
+    path = tmp_path / "real.csv"
+    path.write_text("cyl_id,axis_x,axis_y,axis_z,offset_u,offset_v,shape,param0\r\n"
+                    "0,0,0,1,0.5,,segment,0.3\r\n"
+                    "1,0,0,1,0.5,,disc,0.3\r\n")
+    with pytest.raises(ValueError, match="CSV line 3: a disc base has dimension 2, not d - k = 1"):
+        import_realization_csv(path, hit_spec("slab3", "isotropic"), hit_window(3))
+
+
+# the per-shape kernels against the per-cylinder loops of the oracle: the
+# HIT_FAMILIES under every law, plus a mixture of two polygons with different
+# vertex counts
+PARITY_CASES = [(family, law) for family in sorted(HIT_FAMILIES) for law in ("isotropic", "girdle", "fixed")]
+PARITY_CASES += [("polygons3", law) for law in ("isotropic", "fixed")]
+
+
+def parity_spec(family: str, law: str) -> ProcessSpec:
+    if family == "polygons3":
+        return ProcessSpec(d=3, k=1, intensity=0.3, alpha=hit_law(law, 3),
+                           base=MixtureBase([(SQUARE, 0.6), (TRIANGLE, 0.4)]))
+    return hit_spec(family, law)
+
+
+def probes(window, gen, n: int, length: float):
+    dirs = haar_vectors(window.dim, gen, n)
+    return window.erode(0.5 * length).uniform_points(gen, n) - 0.5 * length * dirs, dirs
+
+
+def assert_kernels_match_the_oracle(real, n_points: int, seed: int):
+    gen = philox_stream(seed, 7)
+    pts = real.window.uniform_points(gen, n_points)
+    assert np.array_equal(covered_mask(real, pts), oracle.covered_mask(real, pts))
+    assert np.array_equal(distance_mask(real, pts), oracle.distance_mask(real, pts))
+    origins, dirs = probes(real.window, gen, n_points, 3.0)
+    # Haar directions, and one direction for every probe as first_entry_times passes it
+    for dirs in (dirs, np.broadcast_to(dirs[0], dirs.shape)):
+        runs = ray_interval_bulk(real, origins, dirs, 3.0), oracle.ray_interval_bulk(real, origins, dirs, 3.0)
+        # the kernel groups intervals by shape, the loop by cylinder: compare in (id, t_in, t_out) order
+        got, want = ([a[np.lexsort(x[::-1])] for a in x] for x in runs)
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("family, law", PARITY_CASES)
+def test_query_kernels_match_the_per_cylinder_loops(family, law):
+    spec = parity_spec(family, law)
+    real = sample_realization(spec, hit_window(spec.d), seed=11)
+    assert real.n_cylinders() > 0
+    assert_kernels_match_the_oracle(real, 300, seed=11)
+
+
+def test_query_kernels_match_the_per_cylinder_loops_across_chunks():
+    spec = parity_spec("mixture3", "isotropic")
+    real = sample_realization(spec, hit_window(3), seed=12)
+    n_points = 4000
+    assert np.bincount(real.shape_index).min() > sim._CHUNK // n_points  # every shape spans chunks
+    assert_kernels_match_the_oracle(real, n_points, seed=12)
+
+
+def test_query_kernels_on_an_empty_realization():
+    real = empty_realization(parity_spec("mixture3", "isotropic"), hit_window(3))
+    assert_kernels_match_the_oracle(real, 50, seed=13)
+    assert not covered_mask(real, np.ones((4, 3))).any()
+    assert np.all(distance_mask(real, np.ones((4, 3))) == np.inf)
