@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylproc import sim
 from cylproc.analytic import capacity_finite, volume_fraction
 from cylproc.euclid import (
     ConvexPolygon,
@@ -24,7 +25,6 @@ from cylproc.model import (
     haar_vectors,
 )
 from cylproc.rng import philox_stream
-from cylproc import sim
 from cylproc.sim import (
     _hits_window,
     Realization,
@@ -110,8 +110,9 @@ def test_every_stored_cylinder_hits_the_window():
     spec = spec3_iso()
     w = Window((0, 0, 0), (12, 12, 12))
     real = sample_realization(spec, w, seed=5)
+    box = corners(w)
     for frame, offset, j in zip(real.frames, real.offsets, real.shape_index):
-        hull = convex_hull_ccw(corners(w) @ frame)
+        hull = convex_hull_ccw(box @ frame)
         # distance from the offset to the window shadow at most the base circumradius
         assert convex_distance(hull, offset) <= real.shapes[j].circumradius + 1e-9
 
@@ -508,8 +509,9 @@ def assert_kernels_match_the_oracle(real, n_points: int, seed: int):
     assert np.array_equal(covered_mask(real, pts), oracle.covered_mask(real, pts))
     assert np.array_equal(distance_mask(real, pts), oracle.distance_mask(real, pts))
     origins, dirs = probes(real.window, gen, n_points, 3.0)
-    # Haar directions, and one direction for every probe as first_entry_times passes it
-    for dirs in (dirs, np.broadcast_to(dirs[0], dirs.shape)):
+    # Haar directions, and one direction for every probe as first_entry_times passes it: the
+    # first coordinate axis, parallel to some cylinders under the fixed-axes law
+    for dirs in (dirs, np.broadcast_to(np.eye(real.window.dim)[0], dirs.shape)):
         runs = ray_interval_bulk(real, origins, dirs, 3.0), oracle.ray_interval_bulk(real, origins, dirs, 3.0)
         # the kernel groups intervals by shape, the loop by cylinder: compare in (id, t_in, t_out) order
         got, want = ([a[np.lexsort(x[::-1])] for a in x] for x in runs)
