@@ -172,26 +172,24 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     n = int(rng.poisson(spec.intensity * measure)) if spec.intensity > 0 else 0
 
     atoms = [shape for shape, _ in spec.base.atoms()]
-    axes, frames, offsets, shapes, index = np.empty((0, d)), np.empty((0, d, m)), np.empty((0, m)), (), ()
-    if n > 0:
-        dirs = spec.alpha.sample_vectors(d, rng, n)
-        slot = {id(shape): j for j, shape in enumerate(atoms)}
-        drawn = np.array([slot[id(shape)] for shape in spec.base.sample_shapes(rng, n)], dtype=np.intp)
-        if m == 1:
-            offs = rng.uniform(-rho, rho, n)[:, None]
-        else:
-            rad = rho * np.sqrt(rng.uniform(0.0, 1.0, n))
-            ang = rng.uniform(0.0, 2.0 * math.pi, n)
-            offs = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-        live = np.flatnonzero(np.array([shape is not None for shape in atoms])[drawn])
-        basis, frame = spec.subspace_frames(dirs[live])
-        centre = np.vecmat(window.center, frame)  # the window centre in each frame
-        off = centre + offs[live]
-        hit = _hits_window(window, frame, centre, off, atoms, drawn[live])
-        used, index = np.unique(drawn[live][hit], return_inverse=True)
-        shapes = tuple(atoms[j] for j in used)
-        axes, frames, offsets = (basis if spec.k == 1 else frame)[hit, :, 0], frame[hit], off[hit]
-    return Realization(spec, window, axes, frames, offsets, shapes, index, seed, stream)
+    slot = {id(shape): j for j, shape in enumerate(atoms)}
+    dirs = spec.alpha.sample_vectors(d, rng, n)
+    drawn = np.array([slot[id(shape)] for shape in spec.base.sample_shapes(rng, n)], dtype=np.intp)
+    if m == 1:
+        offs = rng.uniform(-rho, rho, n)[:, None]
+    else:
+        rad = rho * np.sqrt(rng.uniform(0.0, 1.0, n))
+        ang = rng.uniform(0.0, 2.0 * math.pi, n)
+        offs = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    live = np.flatnonzero(np.array([shape is not None for shape in atoms])[drawn])
+    basis, frame = spec.subspace_frames(dirs[live])
+    centre = np.vecmat(window.center, frame)  # the window centre in each frame
+    off = centre + offs[live]
+    hit = _hits_window(window, frame, centre, off, atoms, drawn[live])
+    used, index = np.unique(drawn[live][hit], return_inverse=True)
+    shapes = tuple(atoms[j] for j in used)
+    axes = (basis if spec.k == 1 else frame)[hit, :, 0]
+    return Realization(spec, window, axes, frame[hit], off[hit], shapes, index, seed, stream)
 
 
 def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.ndarray,
