@@ -15,7 +15,8 @@ the hemisphere, 48 x 96 on a girdle band.  For the unit square these
 differ from rules twice as fine per axis by up to 1.7e-4 relative in the
 covariance and its derivative (on the girdle band) and 3.7e-5 in the
 three-point capacity; tests/test_quadrature.py holds those bounds.  The
-areas of unions of translates come from kernels batched over the nodes.
+areas of unions of translates come from each shape's
+:meth:`~cylproc.euclid.Segment.union_areas`, batched over the nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .euclid import (
     Segment,
     ball_constants,
     complement_frames,
+    crofton_factor,
     gauss_legendre,
     haar_mean_line_det,
     haar_mean_plane_det,
@@ -174,8 +176,7 @@ def _expect_over_alpha_2d(spec: ProcessSpec, f_of_angle, targets, r: float, psi:
     return total
 
 
-def _girdle_expect_3d(alpha: GirdleBand, h: np.ndarray, f_of_dot, dot_targets,
-                      nz: int = 96, nphi: int = 32) -> float:
+def _girdle_expect_3d(alpha: GirdleBand, h: np.ndarray, f_of_dot, dot_targets, nz: int = 96) -> float:
     """Band average of f(<h, omega>) with piecewise handling of dot kinks."""
     axis = alpha.axis.vec
     s = math.sin(alpha.delta)
@@ -337,13 +338,11 @@ def _expect_pr_norm(spec: ProcessSpec, unit_h: np.ndarray) -> float:
 
     if spec.k == 1:
         if isinstance(alpha, Isotropic):
-            x, w = gauss_legendre(64, 0.0, 0.5 * math.pi)
-            return float(np.sum(np.sin(x) ** 2 * w))
+            return haar_mean_line_det(3)
         return _girdle_expect_3d(alpha, unit_h, lambda dot: np.sqrt(np.maximum(0.0, 1.0 - dot**2)),
                                  (-1.0, 1.0))
     if isinstance(alpha, Isotropic):
-        x, w = gauss_legendre(64, 0.0, 0.5 * math.pi)
-        return float(np.sum(np.cos(x) * np.sin(x) * w))
+        return haar_mean_plane_det()
     return _girdle_expect_3d(alpha, unit_h, lambda dot: np.abs(dot), (0.0,))
 
 
@@ -361,12 +360,13 @@ def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
 def _polygon_gamma_mean(spec: ProcessSpec, polys, h: np.ndarray) -> float:
     """E over the directional law of the polygon atoms' covariograms at the projected lag.
 
-    gamma_K(t) = 2 A - |K u (K + t)|: the union kernel at two translates.
+    gamma_K(t) = 2 A - |K u (K + t)|: the union kernel at two translates,
+    here at the points 0 and -t, whose union of 0 - K and -t - K mirrors it.
     """
     frames, ww = _law_frames(spec)
     t = np.vecmat(h, frames)
-    C = np.stack([np.zeros_like(t), t], axis=1)
-    gam = sum(wp * (2.0 * poly.area - _polygon_union_areas(C, poly.vertices)) for poly, wp in polys)
+    C = np.stack([np.zeros_like(t), -t], axis=1)
+    gam = sum(wp * (2.0 * poly.area - poly.union_areas(C)) for poly, wp in polys)
     return float(ww @ gam)
 
 
@@ -492,172 +492,13 @@ def _mean_union_volume(spec: ProcessSpec, pts: np.ndarray) -> float:
     return float(np.cumsum(ww * _union_volumes(spec, np.matmul(pts, frames)))[-1])  # in order, as a loop adds
 
 
-# ---------------------------------------------------------------------------
-# union of translates, batched over quadrature nodes
-# ---------------------------------------------------------------------------
-
-_CHUNK = 1 << 13     # elements per kernel temporary (64 KB); bounds the memory of a call
-_DEDUPE_TOL = 1e-12  # translates nearer than this times the circumradius coincide
-_JOIN_TOL = 1e-14    # covered pieces nearer than this are joined
-
-
 def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
     """E over the base law of the volume of union_i (p_i - K) for each node; proj is (N, n, m)."""
     total = np.zeros(len(proj))
     for shape, w in spec.base.atoms():
-        if shape is None:
-            continue
-        if isinstance(shape, Segment):
-            total += w * _segment_union_lengths(proj[:, :, 0], shape.half_length)
-        elif isinstance(shape, Disc):
-            total += w * _disc_union_areas(proj, shape.radius)
-        else:
-            total += w * _polygon_union_areas(proj, -shape.vertices)
+        if shape is not None:
+            total += w * shape.union_areas(proj)
     return total
-
-
-def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
-    """kernel over chunks of the rows of C whose temporaries stay under _CHUNK elements."""
-    step = max(1, _CHUNK // per_node)
-    return np.concatenate([kernel(C[a:a + step]) for a in range(0, len(C), step)])
-
-
-def _sweep(s, e, lo: float, hi: float):
-    """Sort pieces [s, e] along the last axis by start, after clipping them to [lo, hi].
-
-    Returns the sorted starts, the running maximum R of the ends before
-    each piece (from lo, with one more entry after the last piece), and
-    whether each piece starts a new covered run (s > R + _JOIN_TOL).
-    Pieces outside [lo, hi] become empty pieces at lo, which change nothing.
-    """
-    inside = (e > lo) & (s < hi)
-    s = np.where(inside, np.maximum(s, lo), lo)
-    e = np.where(inside, np.minimum(e, hi), lo)
-    order = np.argsort(s, axis=-1)
-    s, e = np.take_along_axis(s, order, -1), np.take_along_axis(e, order, -1)
-    R = np.maximum.accumulate(np.concatenate([np.full(s.shape[:-1] + (1,), lo), e], axis=-1), axis=-1)
-    return s, R, s > R[..., :-1] + _JOIN_TOL
-
-
-def _gaps(s, e, lo: float, hi: float):
-    """Pieces of [lo, hi] the pieces [s, e] leave uncovered, in order, as (start, end) arrays.
-
-    One slot before each sorted piece and one after the last; a slot
-    without a gap has start == end.
-    """
-    s, R, new = _sweep(s, e, lo, hi)
-    last = R[..., -1:]
-    return R, np.concatenate([np.where(new, s, R[..., :-1]), np.where(last < hi - _JOIN_TOL, hi, last)], axis=-1)
-
-
-def _segment_union_lengths(c: np.ndarray, a: float) -> np.ndarray:
-    """Length of union_i [c_i - a, c_i + a] for each row of c, summed run by run in order."""
-    s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
-    # a run ends at R where the next run starts (or after the last piece)
-    ends = np.where(np.concatenate([new[..., 1:], np.ones_like(new[..., :1])], axis=-1), R[..., 1:], math.inf)
-    ends = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
-    return np.cumsum(np.where(new, ends - s, 0.0), axis=-1)[..., -1]
-
-
-def _distinct(C: np.ndarray, tol: float) -> np.ndarray:
-    """keep[:, i]: centre i lies farther than tol from every earlier kept centre of its row."""
-    dv = C[:, :, None, :] - C[:, None, :, :]
-    near = np.sqrt(np.vecdot(dv, dv)) <= tol
-    keep = np.ones(C.shape[:2], dtype=bool)
-    for i in range(1, C.shape[1]):
-        keep[:, i] = ~np.any(near[:, i, :i] & keep[:, :i], axis=1)
-    return keep
-
-
-def _disc_union_areas(C: np.ndarray, a: float) -> np.ndarray:
-    """Area of union_i (c_i + aD) for each row of centres C (N, n, 2), by boundary-arc tracing.
-
-    Each exposed arc, traversed counterclockwise on its own circle, has the
-    union on its left, so summing the Green line integrals over exposed
-    arcs gives the area, holes included.  Angles come from ``math``: numpy's
-    vectorized acos and atan2 may round differently from the C library.
-    """
-    n = C.shape[1]
-    two_pi = 2.0 * math.pi
-    others = ~np.eye(n, dtype=bool)
-
-    def chunk(C):
-        keep = _distinct(C, _DEDUPE_TOL * a)
-        dv = C[:, None, :, :] - C[:, :, None, :]  # dv[:, i, j] = c_j - c_i
-        dist = np.sqrt(np.vecdot(dv, dv))
-        hit = keep[:, :, None] & keep[:, None, :] & others & (dist < 2.0 * a)
-        beta, theta = np.zeros(dist.shape), np.zeros(dist.shape)
-        beta[hit] = [math.acos(x) for x in (dist[hit] / (2.0 * a)).tolist()]
-        theta[hit] = [math.atan2(y, x) for x, y in dv[hit].tolist()]
-        s = theta - beta  # covered arc [s, s + span] of circle i
-        span = (theta + beta) - s
-        s %= two_pi
-        e = s + span
-        wrap = hit & (e > two_pi)  # an arc past 2 pi is split in two
-        g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)], axis=-1),
-                       np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0),
-                                       np.where(wrap, e - two_pi, 0.0)], axis=-1), 0.0, two_pi)
-        cx, cy = C[:, :, 0, None], C[:, :, 1, None]
-        green = 0.5 * (cx * a * (np.sin(g1) - np.sin(g0)) - cy * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
-        green = np.where(keep[:, :, None], green, 0.0).reshape(len(C), -1)
-        total = np.cumsum(green, axis=-1)[:, -1]  # arc by arc, as a loop adds
-        return np.where(keep.sum(axis=1) == 1, math.pi * a * a, total)
-
-    return _chunked(chunk, C, 2 * n * n)
-
-
-def _polygon_union_areas(C: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Area of union_i (c_i + P) for each row of centres C (N, n, 2); P has ccw vertices W.
-
-    Exposed-edge tracing: Cyrus-Beck clips every edge of every translate
-    against every other translate, and the Green line integrals over the
-    parts no other translate covers sum to the area.  Where edges of two
-    translates overlap with the same orientation, the stretch is counted
-    once, on the lower-index translate; overlapping opposite edges lie
-    inside the union and are covered from both sides.
-    """
-    n, m = C.shape[1], len(W)
-    D = np.roll(W, -1, axis=0) - W
-    nrm = np.column_stack([D[:, 1], -D[:, 0]])  # outward, |nrm| = edge length
-    den = nrm @ D.T  # [f, k]: rate at which edge k crosses side f
-    gap = np.sum(nrm * W, axis=1)[:, None] - nrm @ W.T  # [f, k]: nrm_f . (W_f - W_k) >= 0
-    size = np.linalg.norm(nrm, axis=1)
-    par = np.abs(den) <= 1e-12 * np.outer(size, size)
-    radius = float(np.max(np.linalg.norm(W, axis=1)))
-    tol = (_DEDUPE_TOL * radius * size)[:, None]  # within tol of side f counts as on its line
-    # tables indexed [f, node, i, j, k], sides first so that reductions over them run along the
-    # leading axis; tie: an edge on the line of a same-orientation side of j is covered only if j < i
-    tie = np.tri(n, k=-1, dtype=bool)[None, None, :, :, None] | ~(par & (nrm @ nrm.T > 0.0))[:, None, None, None]
-    enters, leaves, free, den, gap, tol = (x[:, None, None, None] for x in (
-        ~par & (den < 0.0), ~par & (den > 0.0), ~par, np.where(par, 1.0, den), gap, tol))
-    others = ~np.eye(n, dtype=bool)[:, :, None]
-
-    def chunk(C):
-        C = C - C[:, :1]  # the area is translation invariant; small coordinates keep Green's sum exact
-        keep = _distinct(C, _DEDUPE_TOL * radius)
-        delta = C[:, None, :, :] - C[:, :, None, :]  # delta[:, i, j] = c_j - c_i
-        num = np.moveaxis(delta @ nrm.T, -1, 0)[..., None] + gap  # edge k of i keeps side f of j while t den <= num
-        ratio = num / den
-        lo = np.maximum(np.max(np.where(enters, ratio, -np.inf), axis=0), 0.0)
-        hi = np.minimum(np.min(np.where(leaves, ratio, np.inf), axis=0), 1.0)
-        on_side = (num > tol) | ((num >= -tol) & tie)
-        cover = (np.all(on_side | free, axis=0) & (lo < hi) & others
-                 & keep[:, :, None, None] & keep[:, None, :, None])
-        g0, g1 = _gaps(np.where(cover, lo, 0.0).swapaxes(2, 3), np.where(cover, hi, 0.0).swapaxes(2, 3), 0.0, 1.0)
-        cross = (C[:, :, None, 0] + W[:, 0]) * D[:, 1] - (C[:, :, None, 1] + W[:, 1]) * D[:, 0]
-        return 0.5 * np.sum(np.where(keep[:, :, None], cross * np.sum(g1 - g0, axis=-1), 0.0), axis=(1, 2))
-
-    return _chunked(chunk, C, (n * m) ** 2)
-
-
-def _union_area_discs(centers, a: float) -> float:
-    """Exact area of a union of discs of radius a: the batched kernel at one node."""
-    return float(_disc_union_areas(np.asarray(centers, dtype=float)[None], a)[0])
-
-
-def _union_area_polygons(vertices, centers) -> float:
-    """Exact area of union_i (c_i + P), P convex with ccw vertices: the batched kernel at one node."""
-    return float(_polygon_union_areas(np.asarray(centers, dtype=float)[None], np.asarray(vertices, dtype=float))[0])
 
 
 def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:
@@ -699,35 +540,20 @@ def spherical_cdf(spec: ProcessSpec, r: float) -> float:
     return -math.expm1(-spec.intensity * (r * spec.base.mean_boundary + math.pi * r * r))
 
 
-def specific_surface(spec: ProcessSpec, method: str = "quadrature") -> float:
+def specific_surface(spec: ProcessSpec) -> float:
     """Mean boundary measure of the union set per unit volume.
 
-    The quadrature path integrates the covariance derivative over Haar
-    lines; by Fubini and rotation invariance the line average reduces to a
-    one-dimensional integral evaluated in a frame aligned with the
-    direction space, at machine precision.  ``method="closed_form"`` uses
-    the special cases: 2 lambda exp(-lambda E[2a]) for one-dimensional
-    complements, and 2 pi lambda E[R] exp(-lambda pi E[R^2]) for disc bases.
+    Integrates the covariance derivative over Haar lines; by Fubini and
+    rotation invariance the line average reduces to a one-dimensional
+    integral evaluated in a frame aligned with the direction space, at
+    machine precision.
     """
     lam = spec.intensity
     if lam == 0.0:
         return 0.0
     segs, discs, polys = _split_atoms(spec)
-    abar = spec.base.mean_area
-    expfac = math.exp(-lam * abar)
-
-    if method == "closed_form":
-        if spec.d - spec.k == 1:
-            return 2.0 * lam * expfac
-        if not polys:
-            mean_r = spec.base.mean_boundary / (2.0 * math.pi)
-            return 2.0 * math.pi * lam * mean_r * expfac
-        raise ValueError("no closed form for polygon bases; use the quadrature path")
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-
+    expfac = math.exp(-lam * spec.base.mean_area)
     d, k = spec.d, spec.k
-    factor = d * ball_constants(d)[0] / ball_constants(d - 1)[0]
     haar = haar_mean_line_det(d) if k == 1 else haar_mean_plane_det()
     const = -sum(w for _, w in segs) - sum(2.0 * a * w for a, w in discs)
     core = const * haar
@@ -748,7 +574,7 @@ def specific_surface(spec: ProcessSpec, method: str = "quadrature") -> float:
                 return -_shadow_widths(_poly, np.column_stack([np.cos(phis), np.sin(phis)]))
 
             core += wp * haar * _piecewise_gl(slope, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
-    return -lam * factor * expfac * core
+    return -lam * crofton_factor(d) * expfac * core
 
 
 @dataclass(frozen=True)

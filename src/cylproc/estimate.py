@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .euclid import Direction, ball_constants
+from .euclid import Direction, crofton_factor
 from .model import ProcessSpec, haar_vectors
 from .rng import philox_stream
 from .sim import (
@@ -295,10 +295,6 @@ def est_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii, n_r
 # specific surface
 # ---------------------------------------------------------------------------
 
-def _crofton_factor(d: int) -> float:
-    return d * ball_constants(d)[0] / ball_constants(d - 1)[0]
-
-
 def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
                      probe_length: float | None = None) -> Estimator:
     """Line-intercept estimator of the specific surface area.
@@ -314,7 +310,7 @@ def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
     if not 0 < length < window.min_side:
         raise ArgumentError("probe_length",
                             "probe length must be positive and below the window min side")
-    factor = _crofton_factor(spec.d)
+    factor = crofton_factor(spec.d)
     inner = window.erode(0.5 * length)
 
     def one(real, gen):
@@ -344,7 +340,7 @@ def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int
     step = _real("step", step)
     if not 0 < step < cap:
         raise ArgumentError("step", f"step must be in (0, {cap:g})")
-    factor = _crofton_factor(spec.d)
+    factor = crofton_factor(spec.d)
     inner = window.erode(step)
 
     def one(real, gen):

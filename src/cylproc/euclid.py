@@ -1,10 +1,16 @@
-"""Low-dimensional Euclidean primitives.
+"""Low-dimensional Euclidean primitives and the per-shape kernels.
 
 Exact geometry in R^2 / R^3: directions with antipodal identification,
 linear subspaces with deterministic orthonormal frames for their
-complements, cross-section shapes (segment, disc, convex polygon) with
-exact covariograms, and unit-ball constants.  Everything is immutable
-after construction and safe to share between workers.
+complements, and unit-ball constants.  The cross sections (segment, disc,
+convex polygon) are the only code that knows a base's kind: each has its
+area, boundary, exact covariogram, membership and distance tests, the
+entry and exit times of lines, the hit test against a window's shadow,
+the batched area of a union of translates, and the tag and parameter it
+is written under.  The union kernels share one interval-union routine,
+:func:`_sweep`, which the simulation's probe merge uses too; every
+absolute tolerance is defined here.  Everything is immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -14,9 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-NORM_TOL = 1e-12   # unit-norm and orthonormality checks
-GEOM_TOL = 1e-9    # geometric predicates: membership, clipping
-_FRAME_TOL = 1e-7  # Gram-Schmidt residual acceptance threshold
+NORM_TOL = 1e-12      # unit-norm and orthonormality checks
+GEOM_TOL = 1e-9       # geometric predicates: membership, clipping
+_TANGENT_TOL = 1e-12  # quadratic discriminants below this give no interval; probe intervals join within it
+_FRAME_TOL = 1e-7     # Gram-Schmidt residual acceptance threshold
+_DEDUPE_TOL = 1e-12   # translates nearer than this times the circumradius coincide
+_JOIN_TOL = 1e-14     # covered pieces of a union of translates nearer than this are joined
+_CHUNK = 1 << 13      # elements per union-kernel temporary (64 KB); bounds the memory of a call
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +247,11 @@ def ball_constants(m: int) -> tuple[float, float]:
     return kappa, omega
 
 
+def crofton_factor(d: int) -> float:
+    """d kappa_d / kappa_{d-1}: specific surface per mean entry into a set per unit length of Haar lines."""
+    return d * ball_constants(d)[0] / ball_constants(d - 1)[0]
+
+
 @lru_cache(maxsize=None)
 def _gl_base(n: int):
     return np.polynomial.legendre.leggauss(n)
@@ -282,7 +297,23 @@ def haar_mean_plane_det() -> float:
 # cross sections
 # ---------------------------------------------------------------------------
 
-class Segment:
+class CrossSection:
+    """A base set in the canonical complement frame: a :class:`Segment`, :class:`Disc` or :class:`ConvexPolygon`.
+
+    A kind is written, in CSV and JSON alike, under its ``tag`` with one
+    parameter: the attribute named ``field``, which the constructor takes
+    back.  ``param_shape`` arranges a flat list of numbers into it.
+    """
+
+    __slots__ = ()
+
+    @property
+    def param(self):
+        """The parameter as a number or nested lists of numbers."""
+        return np.asarray(getattr(self, self.field)).tolist()
+
+
+class Segment(CrossSection):
     """Symmetric interval [-a, a]: the base of a band (one-dimensional complement).
 
     Its "area" is the 1-D length 2a.  The boundary measure counts the two
@@ -290,6 +321,7 @@ class Segment:
     """
 
     dim = 1
+    tag, field, param_shape = "segment", "half_length", ()
     __slots__ = ("half_length",)
 
     def __init__(self, half_length: float):
@@ -329,6 +361,36 @@ class Segment:
         # gamma(t) = 2a - |t| near the origin, in either direction
         return -1.0
 
+    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 1) through the segment.
+
+        A line that misses gets an empty interval (lo > hi); one parallel
+        to the segment and inside it gets [0, length].
+        """
+        a = self.half_length
+        w0, p0 = w[..., 0], u0[..., 0]
+        par = np.abs(w0) <= _TANGENT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-a - p0) / w0
+            t2 = (a - p0) / w0
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        lo[par] = 0.0
+        hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
+        return lo, hi
+
+    def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Whether the segment at each ``off`` overlaps the interval ``centre`` +- half the sum of |gens| (N, d, 1)."""
+        half = 0.5 * np.sum(np.abs(gens[:, :, 0]), axis=1)
+        lo, hi, a = centre[:, 0] - half, centre[:, 0] + half, self.half_length
+        return (off[:, 0] + a >= lo - GEOM_TOL) & (off[:, 0] - a <= hi + GEOM_TOL)
+
+    def union_areas(self, C: np.ndarray) -> np.ndarray:
+        """Length of union_i (c_i - K) for each row of points C (N, n, 1), summed run by run in order."""
+        c, a = C[:, :, 0], self.half_length
+        s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
+        return np.cumsum(np.where(new, _run_ends(new, R) - s, 0.0), axis=-1)[..., -1]
+
     def __repr__(self):
         return f"Segment(half_length={self.half_length})"
 
@@ -339,10 +401,11 @@ class Segment:
         return hash(("Segment", self.half_length))
 
 
-class Disc:
+class Disc(CrossSection):
     """Disc of radius a centred at the origin of the complement frame."""
 
     dim = 2
+    tag, field, param_shape = "disc", "radius", ()
     __slots__ = ("radius",)
 
     def __init__(self, radius: float):
@@ -385,6 +448,70 @@ class Disc:
     def covariogram_derivative(self, u=None) -> float:
         return -2.0 * self.radius
 
+    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the disc.
+
+        A line that misses or grazes gets an empty interval (lo > hi); one
+        parallel to the axis and inside the disc gets [0, length].
+        """
+        a = self.radius
+        ww = np.einsum("...j,...j->...", w, w)
+        b = np.einsum("...j,...j->...", u0, w)
+        c = np.einsum("...j,...j->...", u0, u0) - a * a
+        par = ww <= _TANGENT_TOL**2
+        disc = b * b - ww * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(np.maximum(disc, 0.0))
+            lo = (-b - root) / ww
+            hi = (-b + root) / ww
+        miss = disc <= _TANGENT_TOL
+        lo[miss] = 0.0
+        hi[miss] = -1.0
+        lo[par] = 0.0
+        hi[par] = np.where(c[par] <= 0.0, length, -1.0)
+        return lo, hi
+
+    def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Whether the disc at each ``off`` lies within r of the zonogon at ``centre`` spanned by gens (N, 3, 2)."""
+        return _zonogon_distance(gens, off - centre) <= self.radius + GEOM_TOL
+
+    def union_areas(self, C: np.ndarray) -> np.ndarray:
+        """Area of union_i (c_i - K) for each row of points C (N, n, 2), by boundary-arc tracing.
+
+        Each exposed arc, traversed counterclockwise on its own circle, has the
+        union on its left, so summing the Green line integrals over exposed
+        arcs gives the area, holes included.  Angles come from ``math``: numpy's
+        vectorized acos and atan2 may round differently from the C library.
+        """
+        a = self.radius
+        n = C.shape[1]
+        two_pi = 2.0 * math.pi
+        others = ~np.eye(n, dtype=bool)
+
+        def chunk(C):
+            keep = _distinct(C, _DEDUPE_TOL * a)
+            dv = C[:, None, :, :] - C[:, :, None, :]  # dv[:, i, j] = c_j - c_i
+            dist = np.sqrt(np.vecdot(dv, dv))
+            hit = keep[:, :, None] & keep[:, None, :] & others & (dist < 2.0 * a)
+            beta, theta = np.zeros(dist.shape), np.zeros(dist.shape)
+            beta[hit] = [math.acos(x) for x in (dist[hit] / (2.0 * a)).tolist()]
+            theta[hit] = [math.atan2(y, x) for x, y in dv[hit].tolist()]
+            s = theta - beta  # covered arc [s, s + span] of circle i
+            span = (theta + beta) - s
+            s %= two_pi
+            e = s + span
+            wrap = hit & (e > two_pi)  # an arc past 2 pi is split in two
+            g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)], axis=-1),
+                           np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0),
+                                           np.where(wrap, e - two_pi, 0.0)], axis=-1), 0.0, two_pi)
+            cx, cy = C[:, :, 0, None], C[:, :, 1, None]
+            green = 0.5 * (cx * a * (np.sin(g1) - np.sin(g0)) - cy * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
+            green = np.where(keep[:, :, None], green, 0.0).reshape(len(C), -1)
+            total = np.cumsum(green, axis=-1)[:, -1]  # arc by arc, as a loop adds
+            return np.where(keep.sum(axis=1) == 1, math.pi * a * a, total)
+
+        return _chunked(chunk, C, 2 * n * n)
+
     def __repr__(self):
         return f"Disc(radius={self.radius})"
 
@@ -395,7 +522,7 @@ class Disc:
         return hash(("Disc", self.radius))
 
 
-class ConvexPolygon:
+class ConvexPolygon(CrossSection):
     """Convex polygon base, counterclockwise vertices, circumcentre at the origin.
 
     The constructor validates convexity and orientation and recentres the
@@ -404,6 +531,7 @@ class ConvexPolygon:
     """
 
     dim = 2
+    tag, field, param_shape = "polygon", "vertices", (-1, 2)
     __slots__ = ("vertices", "_normals", "_offsets", "area", "boundary", "circumradius")
 
     def __init__(self, vertices):
@@ -476,6 +604,91 @@ class ConvexPolygon:
         proj = self.vertices @ perp
         return -float(np.max(proj) - np.min(proj))
 
+    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the polygon.
+
+        A line that misses gets an empty interval (lo > hi).
+        """
+        E = np.roll(self.vertices, -1, axis=0) - self.vertices
+        lo = np.full(u0.shape[:-1], -np.inf)
+        hi = np.full(u0.shape[:-1], np.inf)
+        ok = np.ones(u0.shape[:-1], dtype=bool)
+        for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), self.vertices):
+            denom = w @ n_e
+            num = (q - u0) @ n_e
+            par = np.abs(denom) < _TANGENT_TOL
+            ok &= ~par | (num >= -GEOM_TOL)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = num / denom
+            upper = denom > 0
+            lower = (~par) & (~upper)
+            hi = np.where(upper, np.minimum(hi, t), hi)
+            lo = np.where(lower, np.maximum(lo, t), lo)
+        lo[~ok] = 0.0
+        hi[~ok] = -1.0
+        return lo, hi
+
+    def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """Separating-axis test of the polygon at each ``off`` against the zonogon at ``centre`` spanned by gens (N, 3, 2).
+
+        The candidate axes are the zonogon's edge normals (those of the
+        generators) and the polygon's own; the sets are closed.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a zero generator (an axis along a box edge) gives a NaN axis, which separates nothing
+            normals = np.stack([gens[..., 1], -gens[..., 0]], axis=-1)
+            normals = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+        p = off - centre
+        axes = np.concatenate([normals, np.broadcast_to(self._normals, (len(p), *self._normals.shape))], axis=1)
+        half = 0.5 * np.sum(np.abs(np.matmul(axes, gens.transpose(0, 2, 1))), axis=2)
+        proj = np.matmul(axes, self.vertices.T) + np.matmul(axes, p[:, :, None])
+        apart = (proj.min(axis=2) > half + GEOM_TOL) | (-half > proj.max(axis=2) + GEOM_TOL)
+        return ~np.any(apart, axis=1)
+
+    def union_areas(self, C: np.ndarray) -> np.ndarray:
+        """Area of union_i (c_i - K) for each row of points C (N, n, 2): the translates c_i + P of P = -K.
+
+        Exposed-edge tracing: Cyrus-Beck clips every edge of every translate
+        against every other translate, and the Green line integrals over the
+        parts no other translate covers sum to the area.  Where edges of two
+        translates overlap with the same orientation, the stretch is counted
+        once, on the lower-index translate; overlapping opposite edges lie
+        inside the union and are covered from both sides.
+        """
+        W = -self.vertices  # P = -K, counterclockwise like K
+        n, m = C.shape[1], len(W)
+        D = np.roll(W, -1, axis=0) - W
+        nrm = np.column_stack([D[:, 1], -D[:, 0]])  # outward, |nrm| = edge length
+        den = nrm @ D.T  # [f, k]: rate at which edge k crosses side f
+        gap = np.sum(nrm * W, axis=1)[:, None] - nrm @ W.T  # [f, k]: nrm_f . (W_f - W_k) >= 0
+        size = np.linalg.norm(nrm, axis=1)
+        par = np.abs(den) <= 1e-12 * np.outer(size, size)
+        radius = float(np.max(np.linalg.norm(W, axis=1)))
+        tol = (_DEDUPE_TOL * radius * size)[:, None]  # within tol of side f counts as on its line
+        # tables indexed [f, node, i, j, k], sides first so that reductions over them run along the
+        # leading axis; tie: an edge on the line of a same-orientation side of j is covered only if j < i
+        tie = np.tri(n, k=-1, dtype=bool)[None, None, :, :, None] | ~(par & (nrm @ nrm.T > 0.0))[:, None, None, None]
+        enters, leaves, free, den, gap, tol = (x[:, None, None, None] for x in (
+            ~par & (den < 0.0), ~par & (den > 0.0), ~par, np.where(par, 1.0, den), gap, tol))
+        others = ~np.eye(n, dtype=bool)[:, :, None]
+
+        def chunk(C):
+            C = C - C[:, :1]  # the area is translation invariant; small coordinates keep Green's sum exact
+            keep = _distinct(C, _DEDUPE_TOL * radius)
+            delta = C[:, None, :, :] - C[:, :, None, :]  # delta[:, i, j] = c_j - c_i
+            num = np.moveaxis(delta @ nrm.T, -1, 0)[..., None] + gap  # edge k of i keeps side f of j while t den <= num
+            ratio = num / den
+            lo = np.maximum(np.max(np.where(enters, ratio, -np.inf), axis=0), 0.0)
+            hi = np.minimum(np.min(np.where(leaves, ratio, np.inf), axis=0), 1.0)
+            on_side = (num > tol) | ((num >= -tol) & tie)
+            cover = (np.all(on_side | free, axis=0) & (lo < hi) & others
+                     & keep[:, :, None, None] & keep[:, None, :, None])
+            g0, g1 = _gaps(np.where(cover, lo, 0.0).swapaxes(2, 3), np.where(cover, hi, 0.0).swapaxes(2, 3), 0.0, 1.0)
+            cross = (C[:, :, None, 0] + W[:, 0]) * D[:, 1] - (C[:, :, None, 1] + W[:, 1]) * D[:, 0]
+            return 0.5 * np.sum(np.where(keep[:, :, None], cross * np.sum(g1 - g0, axis=-1), 0.0), axis=(1, 2))
+
+        return _chunked(chunk, C, (n * m) ** 2)
+
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.shape[0]} vertices, area={self.area:.6g})"
 
@@ -490,7 +703,15 @@ class ConvexPolygon:
         return hash(("ConvexPolygon", self.vertices.tobytes()))
 
 
-CrossSection = Segment | Disc | ConvexPolygon
+SHAPE_TYPES = {cls.tag: cls for cls in (Segment, Disc, ConvexPolygon)}
+
+
+def shape_from_params(tag: str, values):
+    """The cross section written under ``tag`` with the flat parameter list ``values``."""
+    if tag not in SHAPE_TYPES:
+        raise ValueError(f"unknown shape tag {tag!r}")
+    cls = SHAPE_TYPES[tag]
+    return cls(np.reshape(values, cls.param_shape))
 
 
 def covariogram(shape, t) -> float:
@@ -576,3 +797,79 @@ def _circumcentre(a, b, c):
     ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
     uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d
     return np.array([ux, uy])
+
+
+# ---------------------------------------------------------------------------
+# kernels behind the shape methods: window shadows, unions of translates
+# ---------------------------------------------------------------------------
+
+def _zonogon_distance(gens: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distance from each point p to the centred zonogon spanned by its three generators."""
+    # orient the generators into the upper half plane and sort them by angle;
+    # adding them in turn, then subtracting them, walks the boundary ccw
+    flip = (gens[..., 1] < 0) | ((gens[..., 1] == 0) & (gens[..., 0] < 0))
+    g = np.where(flip[..., None], -gens, gens)
+    order = np.argsort(np.arctan2(g[..., 1], g[..., 0]), axis=1)
+    g = np.take_along_axis(g, order[..., None], axis=1)
+    edges = np.concatenate([g, -g], axis=1)  # (N, 6, 2)
+    starts = np.cumsum(edges, axis=1) - edges - 0.5 * g.sum(axis=1)[:, None, :]
+    q = p[:, None, :] - starts
+    cross = edges[..., 0] * q[..., 1] - edges[..., 1] * q[..., 0]
+    inside = np.all(cross >= 0.0, axis=1)
+    ee = np.sum(edges * edges, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(ee > 0.0, np.clip(np.sum(q * edges, axis=2) / ee, 0.0, 1.0), 0.0)
+    gap = q - t[..., None] * edges
+    dist = np.sqrt(np.min(np.sum(gap * gap, axis=2), axis=1))
+    return np.where(inside, 0.0, dist)
+
+
+def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
+    """kernel over chunks of the rows of C whose temporaries stay under _CHUNK elements."""
+    step = max(1, _CHUNK // per_node)
+    return np.concatenate([kernel(C[a:a + step]) for a in range(0, len(C), step)])
+
+
+def _sweep(s, e, lo: float, hi: float, tol: float = _JOIN_TOL):
+    """Sort pieces [s, e] along the last axis by start, after clipping them to [lo, hi]: the interval union.
+
+    Returns the sorted starts, the running maximum R of the ends before
+    each piece (from lo, with one more entry after the last piece), and
+    whether each piece starts a new covered run (s > R + tol).  Pieces
+    outside [lo, hi] become empty pieces at lo, which change nothing.
+    """
+    inside = (e > lo) & (s < hi)
+    s = np.where(inside, np.maximum(s, lo), lo)
+    e = np.where(inside, np.minimum(e, hi), lo)
+    order = np.argsort(s, axis=-1)
+    s, e = np.take_along_axis(s, order, -1), np.take_along_axis(e, order, -1)
+    R = np.maximum.accumulate(np.concatenate([np.full(s.shape[:-1] + (1,), lo), e], axis=-1), axis=-1)
+    return s, R, s > R[..., :-1] + tol
+
+
+def _run_ends(new, R):
+    """For each sorted piece of :func:`_sweep`, the end of the covered run it belongs to."""
+    # a run ends at R where the next run starts (or after the last piece)
+    ends = np.where(np.concatenate([new[..., 1:], np.ones_like(new[..., :1])], axis=-1), R[..., 1:], math.inf)
+    return np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _gaps(s, e, lo: float, hi: float):
+    """Pieces of [lo, hi] the pieces [s, e] leave uncovered, in order, as (start, end) arrays.
+
+    One slot before each sorted piece and one after the last; a slot
+    without a gap has start == end.
+    """
+    s, R, new = _sweep(s, e, lo, hi)
+    last = R[..., -1:]
+    return R, np.concatenate([np.where(new, s, R[..., :-1]), np.where(last < hi - _JOIN_TOL, hi, last)], axis=-1)
+
+
+def _distinct(C: np.ndarray, tol: float) -> np.ndarray:
+    """keep[:, i]: centre i lies farther than tol from every earlier kept centre of its row."""
+    dv = C[:, :, None, :] - C[:, None, :, :]
+    near = np.sqrt(np.vecdot(dv, dv)) <= tol
+    keep = np.ones(C.shape[:2], dtype=bool)
+    for i in range(1, C.shape[1]):
+        keep[:, i] = ~np.any(near[:, i, :i] & keep[:, :i], axis=1)
+    return keep

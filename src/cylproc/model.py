@@ -19,11 +19,10 @@ import numpy as np
 
 from .euclid import (
     NORM_TOL,
-    ConvexPolygon,
+    SHAPE_TYPES,
     CrossSection,
     Direction,
     Disc,
-    Segment,
     Subspace,
     canonical_directions,
     complement_frames,
@@ -242,8 +241,9 @@ class DeterministicBase:
     def atoms(self):
         return ((self.shape, 1.0),)
 
-    def sample_shapes(self, rng: np.random.Generator, n: int):
-        return [self.shape] * n
+    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Indices into :meth:`atoms` of n draws; this law draws nothing."""
+        return np.zeros(n, dtype=np.intp)
 
     def __repr__(self):
         return f"DeterministicBase({self.shape!r})"
@@ -285,9 +285,9 @@ class DiscRadiusLaw:
     def atoms(self):
         return tuple(zip(self._shapes, self._weights.tolist()))
 
-    def sample_shapes(self, rng: np.random.Generator, n: int):
-        idx = rng.choice(len(self._shapes), size=n, p=self._weights)
-        return [self._shapes[i] for i in idx]
+    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Indices into :meth:`atoms` of n draws."""
+        return rng.choice(len(self._shapes), size=n, p=self._weights)
 
     def __repr__(self):
         return f"DiscRadiusLaw({self.law.atoms})"
@@ -335,9 +335,9 @@ class MixtureBase:
     def atoms(self):
         return self.components
 
-    def sample_shapes(self, rng: np.random.Generator, n: int):
-        idx = rng.choice(len(self.components), size=n, p=self._weights)
-        return [self.components[i][0] for i in idx]
+    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Indices into :meth:`atoms` of n draws."""
+        return rng.choice(len(self.components), size=n, p=self._weights)
 
     def __repr__(self):
         return f"MixtureBase({self.components!r})"
@@ -376,11 +376,6 @@ class ProcessSpec:
         m = self.d - self.k
         if self.base.dim != m:
             raise ValueError(f"base dimension {self.base.dim} does not match d-k = {m}")
-        for shape, _ in self.base.atoms():
-            if m == 1 and not (shape is None or isinstance(shape, Segment)):
-                raise ValueError("bases must be segments when the complement is one-dimensional")
-            if m == 2 and isinstance(shape, Segment):
-                raise ValueError("segment bases need a one-dimensional complement")
         if isinstance(self.alpha, (FixedAxes, GirdleBand)):
             adim = self.alpha.dim if isinstance(self.alpha, FixedAxes) else self.alpha.axis.dim
             if adim != self.d:
@@ -426,16 +421,6 @@ def mean_base_perimeter(spec: ProcessSpec) -> float:
 # JSON-facing serialization (schema shared with the command line front end)
 # ---------------------------------------------------------------------------
 
-def _shape_to_dict(shape) -> dict:
-    if isinstance(shape, Segment):
-        return {"type": "segment", "half_length": shape.half_length}
-    if isinstance(shape, Disc):
-        return {"type": "disc", "radius": shape.radius}
-    if isinstance(shape, ConvexPolygon):
-        return {"type": "polygon", "vertices": shape.vertices.tolist()}
-    raise TypeError(f"unknown shape {shape!r}")
-
-
 class ConfigError(ValueError):
     """A config field is missing, unknown or malformed; the message starts with its path."""
 
@@ -469,7 +454,7 @@ def number_field(doc: dict, path: str, key: str, default=None, integer: bool = F
 
 
 _ALPHA_FIELDS = {"isotropic": (), "fixed_axes": ("axes",), "girdle": ("axis", "delta")}
-_SHAPE_FIELDS = {"segment": ("half_length",), "disc": ("radius",), "polygon": ("vertices",)}
+_SHAPE_FIELDS = {tag: (cls.field,) for tag, cls in SHAPE_TYPES.items()}
 _BASE_FIELDS = {**_SHAPE_FIELDS, "disc_radius_law": ("atoms",), "mixture": ("components",)}
 
 
@@ -494,10 +479,8 @@ def _built(path: str, make, *args):
 
 
 def _shape_from_dict(doc, path: str):
-    kind = _typed(doc, path, _SHAPE_FIELDS, "shape type")
-    field = _SHAPE_FIELDS[kind][0]
-    make = {"segment": Segment, "disc": Disc, "polygon": ConvexPolygon}[kind]
-    return _built(f"{path}.{field}", make, doc[field])
+    cls = SHAPE_TYPES[_typed(doc, path, _SHAPE_FIELDS, "shape type")]
+    return _built(f"{path}.{cls.field}", cls, doc[cls.field])
 
 
 def spec_to_dict(spec: ProcessSpec) -> dict:
@@ -508,13 +491,13 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
     else:
         alpha = {"type": "girdle", "axis": spec.alpha.axis.vec.tolist(), "delta": spec.alpha.delta}
     if isinstance(spec.base, DeterministicBase):
-        base = _shape_to_dict(spec.base.shape)
+        base = {"type": spec.base.shape.tag, spec.base.shape.field: spec.base.shape.param}
     elif isinstance(spec.base, DiscRadiusLaw):
         base = {"type": "disc_radius_law", "atoms": [[r, q] for r, q in spec.base.law.atoms]}
     else:
         base = {
             "type": "mixture",
-            "components": [{"weight": w, "shape": _shape_to_dict(s)} for s, w in spec.base.components],
+            "components": [{"weight": w, "shape": {"type": s.tag, s.field: s.param}} for s, w in spec.base.components],
         }
     return {"d": spec.d, "k": spec.k, "lambda": spec.intensity, "alpha": alpha, "base": base}
 

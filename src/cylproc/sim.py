@@ -12,19 +12,21 @@ identifying vector, complement frame, offset and an index into a table of
 the distinct cross sections.  The sampler fills them in one array pass:
 the frames come from one batched Gram-Schmidt
 (:func:`~cylproc.euclid.complement_frames`, bit for bit the per-subspace
-frames), and one vectorized hit test per distinct shape compares each
-base with the window's shadow, the zonotope spanned by the projected box
+frames), and each distinct shape's own vectorized hit test compares its
+bases with the window's shadow, the zonotope spanned by the projected box
 edges.  The CSV reader fills the same arrays row by row and builds all
-frames in the same batched call.
+frames in the same batched call; a shape is written under its tag and
+parameter.
 
 Each query has one kernel, :func:`covered_mask`, :func:`distance_mask`
 and :func:`ray_interval_bulk`.  It loops over the shape table, projects
 that shape's cylinders in stacks of at most ``_CHUNK`` point-cylinder
 pairs with one ``matmul``, and runs the shape's own test on the stack.
-The scalar queries :func:`contains`, :func:`distance_to_union` and
-:func:`ray_intervals` are n = 1 views of them that add only the window
-checks, and probe intervals are merged in one place,
-:func:`_probe_components`.
+No code here depends on a shape's kind.  The scalar queries
+:func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
+n = 1 views of them that add only the window checks.  Probe intervals are
+merged in one place, :func:`_probe_sweep`, by the interval-union routine
+of the union-of-translates kernels with one row per probe.
 """
 
 from __future__ import annotations
@@ -38,18 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclid import (
+    _TANGENT_TOL,
     GEOM_TOL,
-    ConvexPolygon,
     Direction,
-    Disc,
-    Segment,
+    _run_ends,
+    _sweep,
     canonical_directions,
     complement_frames,
+    shape_from_params,
 )
 from .model import ProcessSpec
 from .rng import philox_stream
-
-_TANGENT_TOL = 1e-12  # quadratic discriminants below this give no interval
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +173,8 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     n = int(rng.poisson(spec.intensity * measure)) if spec.intensity > 0 else 0
 
     atoms = [shape for shape, _ in spec.base.atoms()]
-    slot = {id(shape): j for j, shape in enumerate(atoms)}
     dirs = spec.alpha.sample_vectors(d, rng, n)
-    drawn = np.array([slot[id(shape)] for shape in spec.base.sample_shapes(rng, n)], dtype=np.intp)
+    drawn = spec.base.sample_index(rng, n)
     if m == 1:
         offs = rng.uniform(-rho, rho, n)[:, None]
     else:
@@ -198,61 +198,16 @@ def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.
 
     Along L the box projects to the zonotope with the window centre's
     coordinates ``centre`` as its centre and the projected box edges
-    g_j = (hi - lo)_j * frame[j] as generators.  Segments overlap its
-    interval, discs lie within r of it, and polygons have no separating
-    axis among its edge normals (those of the g_j) and their own.
+    g_j = (hi - lo)_j * frame[j] as generators; each shape tests its own
+    candidates against it.
     """
     gens = np.subtract(window.hi, window.lo)[None, :, None] * frame  # (N, d, m)
-    rel = off - centre
     hit = np.zeros(len(index), dtype=bool)
     for j, shape in enumerate(shapes):
         sel = np.flatnonzero(index == j)
-        if not len(sel):
-            continue
-        if isinstance(shape, Segment):
-            half = 0.5 * np.sum(np.abs(gens[sel, :, 0]), axis=1)
-            lo, hi, a = centre[sel, 0] - half, centre[sel, 0] + half, shape.half_length
-            hit[sel] = (off[sel, 0] + a >= lo - GEOM_TOL) & (off[sel, 0] - a <= hi + GEOM_TOL)
-        elif isinstance(shape, Disc):
-            hit[sel] = _zonogon_distance(gens[sel], rel[sel]) <= shape.radius + GEOM_TOL
-        else:
-            hit[sel] = _zonogon_meets_polygon(gens[sel], rel[sel], shape)
+        if len(sel):
+            hit[sel] = shape.meets_zonotope(gens[sel], centre[sel], off[sel])
     return hit
-
-
-def _zonogon_distance(gens: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distance from each point p to the centred zonogon spanned by its three generators."""
-    # orient the generators into the upper half plane and sort them by angle;
-    # adding them in turn, then subtracting them, walks the boundary ccw
-    flip = (gens[..., 1] < 0) | ((gens[..., 1] == 0) & (gens[..., 0] < 0))
-    g = np.where(flip[..., None], -gens, gens)
-    order = np.argsort(np.arctan2(g[..., 1], g[..., 0]), axis=1)
-    g = np.take_along_axis(g, order[..., None], axis=1)
-    edges = np.concatenate([g, -g], axis=1)  # (N, 6, 2)
-    starts = np.cumsum(edges, axis=1) - edges - 0.5 * g.sum(axis=1)[:, None, :]
-    q = p[:, None, :] - starts
-    cross = edges[..., 0] * q[..., 1] - edges[..., 1] * q[..., 0]
-    inside = np.all(cross >= 0.0, axis=1)
-    ee = np.sum(edges * edges, axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(ee > 0.0, np.clip(np.sum(q * edges, axis=2) / ee, 0.0, 1.0), 0.0)
-    gap = q - t[..., None] * edges
-    dist = np.sqrt(np.min(np.sum(gap * gap, axis=2), axis=1))
-    return np.where(inside, 0.0, dist)
-
-
-def _zonogon_meets_polygon(gens: np.ndarray, p: np.ndarray, shape: ConvexPolygon) -> np.ndarray:
-    """Separating-axis test of each centred zonogon against ``shape`` moved by p (closed sets)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero generator (an axis along a box edge) gives a NaN axis, which separates nothing
-        normals = np.stack([gens[..., 1], -gens[..., 0]], axis=-1)
-        normals = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
-    axes = np.concatenate([normals, np.broadcast_to(shape._normals, (len(p), *shape._normals.shape))],
-                          axis=1)
-    half = 0.5 * np.sum(np.abs(np.matmul(axes, gens.transpose(0, 2, 1))), axis=2)
-    proj = np.matmul(axes, shape.vertices.T) + np.matmul(axes, p[:, :, None])
-    apart = (proj.min(axis=2) > half + GEOM_TOL) | (-half > proj.max(axis=2) + GEOM_TOL)
-    return ~np.any(apart, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +321,7 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     for shape, sel in _chunks(real, len(origins)):
         frames = real.frames[sel]
         u0 = _project(frames, origins) - real.offsets[sel, None]
-        lo, hi = _entry_exit(shape, u0, _project(frames, dirs), length)
+        lo, hi = shape.entry_exit(u0, _project(frames, dirs), length)
         lo = np.maximum(lo, 0.0)
         hi = np.minimum(hi, length)
         keep = hi - lo > 0.0
@@ -376,89 +331,38 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     return np.concatenate(ids_all).astype(np.int64), np.concatenate(tin_all), np.concatenate(tout_all)
 
 
-def _entry_exit(shape, u0: np.ndarray, w: np.ndarray, length: float):
-    """Unclipped entry and exit times (c, n) of the lines u0 + t w through one base shape.
+def _probe_sweep(ids, tins, touts):
+    """Stacks of probes: their ids and the interval sweep of each one's intervals as one row.
 
-    A line that misses gets an empty interval (lo > hi); one parallel to a
-    segment or disc and inside it gets [0, length].
+    The intervals are stable-sorted by probe id and padded with -inf into
+    one row per probe, so the sweep joins intervals within the tangent
+    tolerance of each other inside a probe and never across probes.  A
+    stack holds at most ``_CHUNK`` cells, which bounds the temporaries.
     """
-    if isinstance(shape, Segment):
-        a = shape.half_length
-        w0, p0 = w[..., 0], u0[..., 0]
-        par = np.abs(w0) <= _TANGENT_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-a - p0) / w0
-            t2 = (a - p0) / w0
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-        lo[par] = 0.0
-        hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
-        return lo, hi
-    if isinstance(shape, Disc):
-        a = shape.radius
-        ww = np.einsum("...j,...j->...", w, w)
-        b = np.einsum("...j,...j->...", u0, w)
-        c = np.einsum("...j,...j->...", u0, u0) - a * a
-        par = ww <= _TANGENT_TOL**2
-        disc = b * b - ww * c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(np.maximum(disc, 0.0))
-            lo = (-b - root) / ww
-            hi = (-b + root) / ww
-        miss = disc <= _TANGENT_TOL
-        lo[miss] = 0.0
-        hi[miss] = -1.0
-        lo[par] = 0.0
-        hi[par] = np.where(c[par] <= 0.0, length, -1.0)
-        return lo, hi
-    E = np.roll(shape.vertices, -1, axis=0) - shape.vertices
-    lo = np.full(u0.shape[:-1], -np.inf)
-    hi = np.full(u0.shape[:-1], np.inf)
-    ok = np.ones(u0.shape[:-1], dtype=bool)
-    for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), shape.vertices):
-        denom = w @ n_e
-        num = (q - u0) @ n_e
-        par = np.abs(denom) < _TANGENT_TOL
-        ok &= ~par | (num >= -GEOM_TOL)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = num / denom
-        upper = denom > 0
-        lower = (~par) & (~upper)
-        hi = np.where(upper, np.minimum(hi, t), hi)
-        lo = np.where(lower, np.maximum(lo, t), lo)
-    lo[~ok] = 0.0
-    hi[~ok] = -1.0
-    return lo, hi
-
-
-def _component_starts(ids, tins, touts):
-    """Intervals sorted by (probe id, t_in), their running exit maxima, and where components start.
-
-    Each interval takes its probe's running exit maximum (a segmented
-    prefix scan over doubling offsets); an interval opens a new component
-    when it starts more than the tangent tolerance past the maximum before
-    it.  The scan stays within each probe, so the merge tolerance is exact
-    at every probe index.
-    """
-    order = np.lexsort((tins, ids))
-    ids, tins, reach = ids[order], tins[order], touts[order]
-    step = 1
-    while step < len(ids):
-        same = ids[step:] == ids[:-step]
-        if not same.any():
-            break
-        reach[step:] = np.where(same, np.maximum(reach[step:], reach[:-step]), reach[step:])
-        step *= 2
-    prev = np.full(len(ids), -np.inf)
-    same = ids[1:] == ids[:-1]
-    prev[1:][same] = reach[:-1][same]
-    return ids, tins, reach, np.flatnonzero(tins > prev + _TANGENT_TOL)
+    order = np.argsort(ids, kind="stable")
+    probes, first, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    width = counts.max(initial=1)
+    step = max(1, _CHUNK // width)
+    for a in range(0, len(probes), step):
+        n = counts[a:a + step]
+        row = np.repeat(np.arange(len(n)), n)
+        col = np.arange(len(row)) - (first[a:a + step] - first[a])[row]
+        sel = order[first[a]:first[a] + len(row)]
+        S = np.full((len(n), width), -np.inf)
+        E = S.copy()
+        S[row, col] = tins[sel]
+        E[row, col] = touts[sel]
+        yield probes[a:a + step], *_sweep(S, E, -np.inf, np.inf, _TANGENT_TOL)
 
 
 def _probe_components(ids, tins, touts):
     """Merged components of the union along each probe, as (probe id, t_in, t_out)."""
-    ids, tins, reach, first = _component_starts(ids, tins, touts)
-    return ids[first], tins[first], np.maximum.reduceat(reach, first)
+    out = [[ids[:0]], [tins[:0]], [touts[:0]]]
+    for probes, s, R, new in _probe_sweep(ids, tins, touts):
+        out[0].append(probes[np.nonzero(new)[0]])
+        out[1].append(s[new])
+        out[2].append(_run_ends(new, R)[new])
+    return tuple(np.concatenate(parts) for parts in out)
 
 
 def count_component_entries(ids, tins, touts, length: float) -> int:
@@ -469,8 +373,7 @@ def count_component_entries(ids, tins, touts, length: float) -> int:
     entry endpoint; components straddling the probe start (t_in == 0) are
     dropped.  Only entry times are read, so component exits are not formed.
     """
-    _, tins, _, first = _component_starts(ids, tins, touts)
-    return int(np.count_nonzero(tins[first] > 1e-9))
+    return sum(int(np.count_nonzero(s[new] > 1e-9)) for _, s, _, new in _probe_sweep(ids, tins, touts))
 
 
 def covered_length(ids, tins, touts, length: float) -> float:
@@ -493,24 +396,9 @@ def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.
 # CSV export / import
 # ---------------------------------------------------------------------------
 
-def _shape_fields(shape) -> tuple:
-    """(tag, parameter strings) of a cross section as one CSV row writes them."""
-    if isinstance(shape, Segment):
-        return "segment", (f"{shape.half_length:.17g}",)
-    if isinstance(shape, Disc):
-        return "disc", (f"{shape.radius:.17g}",)
-    return "polygon", tuple(f"{x:.17g}" for x in shape.vertices.reshape(-1))
-
-
-def _shape_from_fields(tag: str, params: tuple):
-    values = [float(x) for x in params]
-    if tag == "segment":
-        return Segment(values[0])
-    if tag == "disc":
-        return Disc(values[0])
-    if tag == "polygon":
-        return ConvexPolygon(np.asarray(values).reshape(-1, 2))
-    raise ValueError(f"unknown shape tag {tag!r}")
+def _csv_params(shape) -> tuple:
+    """A cross section's parameter as the strings one CSV row writes."""
+    return tuple(f"{x:.17g}" for x in np.ravel(shape.param).tolist())
 
 
 def export_realization_csv(real: Realization, path) -> None:
@@ -524,9 +412,9 @@ def export_realization_csv(real: Realization, path) -> None:
     """
     d = real.spec.d
     m = d - real.spec.k
-    fields = [_shape_fields(shape) for shape in real.shapes]
-    width = max([1] + [len(fields[j][1]) for j in np.unique(real.shape_index).tolist()])
-    tails = [",".join([tag, *params] + [""] * (width - len(params))) for tag, params in fields]
+    fields = [_csv_params(shape) for shape in real.shapes]
+    width = max([1] + [len(fields[j]) for j in np.unique(real.shape_index).tolist()])
+    tails = [",".join([shape.tag, *params] + [""] * (width - len(params))) for shape, params in zip(real.shapes, fields)]
     header = ["cyl_id", *("axis_x", "axis_y", "axis_z")[:d], *("offset_u", "offset_v")[:d - 1], "shape",
               *[f"param{i}" for i in range(width)]]
     row = ",".join(["%d"] + ["%.17g"] * (d + m) + [""] * (d - 1 - m) + ["%s"]) + "\r\n"
@@ -562,7 +450,7 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
         v_at = col.get("offset_v")  # empty exactly when the complement is a line
         tag_at = col["shape"]
         param_at = [j for j, name in enumerate(header) if name.startswith("param")]
-        atoms = {_shape_fields(shape): shape for shape, _ in spec.base.atoms() if shape is not None}
+        atoms = {(shape.tag, _csv_params(shape)): shape for shape, _ in spec.base.atoms() if shape is not None}
         slots, shapes = {}, []
         values, index = array("d"), array("q")
         for row in reader:
@@ -572,7 +460,7 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
             key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
             slot = slots.get(key)
             if slot is None:
-                shape = atoms[key] if key in atoms else _shape_from_fields(*key)
+                shape = atoms[key] if key in atoms else shape_from_params(key[0], [float(x) for x in key[1]])
                 if shape.dim != m:
                     raise ValueError(f"CSV line {reader.line_num}: a {key[0]} base has dimension "
                                      f"{shape.dim}, not d - k = {m}")

@@ -18,10 +18,9 @@ import math
 import numpy as np
 
 from cylproc import analytic
-from cylproc.euclid import _FRAME_TOL, GEOM_TOL, Disc, Segment
+from cylproc.euclid import _FRAME_TOL, _TANGENT_TOL, GEOM_TOL, Disc, Segment
 from cylproc.model import FixedAxes
 from cylproc.rng import philox_stream
-from cylproc.sim import _TANGENT_TOL
 
 
 def complement_frame(B: np.ndarray) -> np.ndarray:
@@ -65,7 +64,8 @@ def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
     if n == 0:
         return []
     dirs = spec.alpha.sample_vectors(spec.d, rng, n)
-    shapes = spec.base.sample_shapes(rng, n)
+    atoms = [shape for shape, _ in spec.base.atoms()]
+    shapes = [atoms[j] for j in spec.base.sample_index(rng, n)]
     if m == 1:
         offs = rng.uniform(-rho, rho, n)[:, None]
     else:

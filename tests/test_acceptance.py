@@ -176,7 +176,7 @@ def test_criterion_5_specific_surface():
 def test_criterion_6_product_identity():
     spec = spec3_iso()
     closed = 2 * math.pi * 1.0 * 0.1 * math.exp(-0.1 * math.pi)
-    quad = specific_surface(spec, method="quadrature")
+    quad = specific_surface(spec)
     gap = abs(quad - closed)
     ok = gap < 1e-9
     report_line(6, ok, f"quadrature path vs closed form: |{quad:.12f} - {closed:.12f}| = "

@@ -5,8 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from cylproc.analytic import (
-    _union_area_discs,
-    _union_area_polygons,
     capacity_finite,
     covariance,
     covariance_2d_isotropic,
@@ -101,7 +99,7 @@ def test_capacity_input_validation():
 def test_union_area_discs_against_darts():
     rng = philox_stream(22, 0)
     centers = np.array([[0, 0], [1.2, 0.3], [0.4, 1.1], [3.5, 3.5], [-0.8, 0.9]])
-    area = _union_area_discs(centers, 1.0)
+    area = Disc(1.0).union_areas(centers[None])[0]
     lo, hi = centers.min(0) - 1.1, centers.max(0) + 1.1
     pts = rng.uniform(lo, hi, size=(400_000, 2))
     inside = np.zeros(len(pts), dtype=bool)
@@ -115,7 +113,7 @@ def test_union_area_discs_against_darts():
 def test_union_area_discs_ring_with_hole():
     ring = np.array([[2 * math.cos(t), 2 * math.sin(t)]
                      for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)])
-    area = _union_area_discs(ring, 1.0)
+    area = Disc(1.0).union_areas(ring[None])[0]
     rng = philox_stream(23, 0)
     lo, hi = ring.min(0) - 1.1, ring.max(0) + 1.1
     pts = rng.uniform(lo, hi, size=(400_000, 2))
@@ -131,14 +129,14 @@ def test_union_area_discs_ring_with_hole():
 def test_union_identities_for_pairs():
     d = Disc(1.0)
     t = np.array([1.0, 0.5])
-    assert _union_area_discs(np.array([[0, 0], t]), 1.0) == pytest.approx(
+    assert d.union_areas(np.array([[[0, 0], t]]))[0] == pytest.approx(
         2 * math.pi - d.covariogram(t), abs=1e-12)
     sq = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     s = np.array([0.3, 0.4])
-    assert _union_area_polygons(sq.vertices, [[0.0, 0.0], s]) == pytest.approx(
+    assert sq.union_areas(-np.array([[[0.0, 0.0], s]]))[0] == pytest.approx(
         2.0 - sq.covariogram(s), abs=1e-12)
     # coincident translates deduplicate
-    assert _union_area_discs(np.array([[0.2, 0.1], [0.2, 0.1]]), 1.0) == pytest.approx(math.pi)
+    assert d.union_areas(np.array([[[0.2, 0.1], [0.2, 0.1]]]))[0] == pytest.approx(math.pi)
 
 
 def test_capacity_three_points_matches_monte_carlo_area():
@@ -146,7 +144,7 @@ def test_capacity_three_points_matches_monte_carlo_area():
     spec = spec3_fixed(lam=0.07)
     pts = np.array([[0, 0, 0], [1.4, 0.2, 5.0], [0.3, 1.1, -2.0]])
     proj = pts[:, :2]
-    area = _union_area_discs(proj, 1.0)
+    area = Disc(1.0).union_areas(proj[None])[0]
     assert capacity_finite(spec, pts) == pytest.approx(1 - math.exp(-0.07 * area), abs=1e-12)
 
 
@@ -302,11 +300,10 @@ def test_specific_surface_disc_closed_form_and_quadrature():
     spec = spec3_iso()
     exact = 2 * math.pi * 1.0 * 0.1 * math.exp(-0.1 * math.pi)
     # the quadrature path must certify the product identity to 1e-9
-    assert abs(specific_surface(spec, method="quadrature") - exact) < 1e-9
-    assert specific_surface(spec, method="closed_form") == pytest.approx(exact, abs=1e-14)
+    assert abs(specific_surface(spec) - exact) < 1e-9
     # any directional law gives the same value for disc bases
-    assert specific_surface(spec3_fixed(), method="quadrature") == pytest.approx(exact, abs=1e-9)
-    assert specific_surface(spec3_girdle(), method="quadrature") == pytest.approx(exact, abs=1e-9)
+    assert specific_surface(spec3_fixed()) == pytest.approx(exact, abs=1e-9)
+    assert specific_surface(spec3_girdle()) == pytest.approx(exact, abs=1e-9)
 
 
 def test_specific_surface_band_case():
@@ -335,17 +332,14 @@ def test_specific_surface_polygon_base_via_quadrature():
     spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DeterministicBase(square))
     expfac = math.exp(-0.1 * square.area)
     expected = 0.1 * square.boundary * expfac
-    assert specific_surface(spec, method="quadrature") == pytest.approx(expected, rel=1e-9)
-    with pytest.raises(ValueError):
-        specific_surface(spec, method="closed_form")
+    assert specific_surface(spec) == pytest.approx(expected, rel=1e-9)
 
 
 def test_specific_surface_radius_law():
     law = RadiusLaw(((0.0, 0.5), (2.0, 0.5)))
     spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DiscRadiusLaw(law))
     expected = 2 * math.pi * 0.1 * law.mean * math.exp(-0.1 * math.pi * law.second_moment)
-    assert specific_surface(spec, method="quadrature") == pytest.approx(expected, abs=1e-12)
-    assert specific_surface(spec, method="closed_form") == pytest.approx(expected, abs=1e-14)
+    assert specific_surface(spec) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

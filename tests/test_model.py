@@ -58,7 +58,8 @@ def test_fixed_axes_and_deterministic_base_are_constant():
     rng = philox_stream(12, 0)
     for _ in range(50):
         vec = spec.alpha.sample_vectors(spec.d, rng, 1)[0]
-        (K,) = spec.base.sample_shapes(rng, 1)
+        (j,) = spec.base.sample_index(rng, 1)
+        K = spec.base.atoms()[j][0]
         assert np.allclose(spec.subspace_for(vec).basis[:, 0], [0, 0, 1])
         assert K == Disc(1.0)
 
@@ -97,8 +98,8 @@ def test_empirical_mean_area_matches():
     law = RadiusLaw(((0.5, 0.25), (1.0, 0.5), (1.5, 0.25)))
     base = DiscRadiusLaw(law)
     rng = philox_stream(14, 0)
-    shapes = base.sample_shapes(rng, 1_000_000)
-    areas = np.array([0.0 if s is None else s.area for s in shapes])
+    table = np.array([0.0 if s is None else s.area for s, _ in base.atoms()])
+    areas = table[base.sample_index(rng, 1_000_000)]
     se = areas.std(ddof=1) / math.sqrt(len(areas))
     assert abs(areas.mean() - base.mean_area) < 3 * se
 
@@ -131,7 +132,7 @@ def test_sampling_reproducibility():
     spec = iso_disc_spec()
     a, b = philox_stream(99, 0), philox_stream(99, 0)
     assert np.array_equal(spec.alpha.sample_vectors(3, a, 5), spec.alpha.sample_vectors(3, b, 5))
-    assert spec.base.sample_shapes(a, 5) == spec.base.sample_shapes(b, 5)
+    assert np.array_equal(spec.base.sample_index(a, 5), spec.base.sample_index(b, 5))
 
 
 def test_spec_json_round_trip():

@@ -15,8 +15,6 @@ from hypothesis import given, settings, strategies as st
 import scalar_geometry as scalar
 from cylproc import analytic
 from cylproc.analytic import (
-    _union_area_discs,
-    _union_area_polygons,
     capacity_finite,
     covariance,
     covariance_derivative,
@@ -82,7 +80,7 @@ OTHER_SPECS = {f"{b}_{law}": spec3(LAWS[law], BASES[b]) for b in BASES for law i
     ([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]], 2.0),    # abutting and overlapping
 ])
 def test_collinear_edges_of_translates_count_once(centres, area):
-    assert _union_area_polygons(SQUARE.vertices, centres) == pytest.approx(area, rel=1e-12)
+    assert SQUARE.union_areas(-np.array(centres)[None])[0] == pytest.approx(area, rel=1e-12)
 
 
 def test_capacity_with_collinear_projected_edges():
@@ -95,15 +93,15 @@ def test_capacity_with_collinear_projected_edges():
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
 def test_close_translates_are_not_merged(centre, delta):
     c = np.array(centre)
-    area = _union_area_polygons(SQUARE.vertices, [c, c + delta])
+    area = SQUARE.union_areas(-np.array([[c, c + delta]]))[0]
     assert area == pytest.approx(1.0 + 2.0 * delta - delta * delta, rel=1e-12)
 
 
 def test_coincident_translates_count_once():
-    assert _union_area_polygons(SQUARE.vertices, [[3.0, 3.0]] * 3) == pytest.approx(1.0, rel=1e-12)
-    assert _union_area_polygons(TRIANGLE.vertices, [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]) == pytest.approx(
+    assert SQUARE.union_areas(-np.array([[[3.0, 3.0]] * 3]))[0] == pytest.approx(1.0, rel=1e-12)
+    assert TRIANGLE.union_areas(-np.array([[[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]]]))[0] == pytest.approx(
         2.0 * TRIANGLE.area, rel=1e-12)
-    assert _union_area_discs([[0.2, 0.1]] * 3, 1.0) == math.pi
+    assert Disc(1.0).union_areas(np.array([[[0.2, 0.1]] * 3]))[0] == math.pi
 
 
 def test_polygon_union_matches_the_scalar_loop_on_generic_centres():
@@ -113,7 +111,7 @@ def test_polygon_union_matches_the_scalar_loop_on_generic_centres():
             for _ in range(10):
                 centres = rng.uniform(-1.5, 1.5, size=(n, 2))
                 want = scalar.union_area_polygons([c + poly.vertices for c in centres])
-                assert _union_area_polygons(poly.vertices, centres) == pytest.approx(want, rel=1e-12)
+                assert poly.union_areas(-centres[None])[0] == pytest.approx(want, rel=1e-12)
 
 
 def intersection_area(poly, shifts) -> float:
@@ -134,7 +132,7 @@ def test_polygon_union_of_three_is_inclusion_exclusion(poly, centres):
     c = np.array(centres)
     pairs = sum(intersection_area(poly, c[[i, j]]) for i, j in ((0, 1), (0, 2), (1, 2)))
     want = 3.0 * poly.area - pairs + intersection_area(poly, c)
-    assert _union_area_polygons(poly.vertices, c) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert poly.union_areas(-c[None])[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # quarters for tangent, coincident and wrapping arcs, thousandths for the rest; two
@@ -147,7 +145,7 @@ disc_coords = st.one_of(quarters, st.integers(-3000, 3000).map(lambda i: i / 100
        radius=st.sampled_from([0.3, 1.0, 2.5]))
 def test_disc_union_is_the_scalar_arc_tracing_bit_for_bit(centres, radius):
     centres = np.array(centres, dtype=float)
-    assert _union_area_discs(centres, radius) == scalar.union_area_discs(centres, radius)
+    assert Disc(radius).union_areas(centres[None])[0] == scalar.union_area_discs(centres, radius)
 
 
 @settings(max_examples=60, deadline=None)

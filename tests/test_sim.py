@@ -269,6 +269,57 @@ def test_interval_merge_does_not_depend_on_probe_index():
     assert lengths[0] == lengths[1] == lengths[2] == pytest.approx(4.0, abs=1e-11)
 
 
+@st.composite
+def ragged_intervals(draw):
+    """Flat (ids, tins, touts) as ray_interval_bulk returns them: probes interleaved, t_out > t_in."""
+    ids, tins, touts = [], [], []
+    for pid in draw(st.lists(st.integers(0, 100_000), max_size=6, unique=True)):
+        prev = 0.0
+        for _ in range(draw(st.integers(1, 6))):
+            start = draw(st.sampled_from(["zero", "tie", "gap", "grid"]))
+            if start == "zero":
+                t = 0.0
+            elif start == "tie":
+                t = tins[-1] if ids and ids[-1] == pid else 1.0
+            elif start == "gap":
+                t = prev + draw(st.sampled_from([5e-13, 5e-12, -0.25, 0.5]))
+            else:
+                t = draw(st.integers(0, 12).map(lambda i: 0.5 * i))
+            t = max(t, 0.0)
+            prev = t + draw(st.sampled_from([0.25, 1.0, 2.5, 1e-3]))
+            ids.append(pid)
+            tins.append(t)
+            touts.append(prev)
+    order = draw(st.permutations(range(len(ids))))
+    return (np.array(ids, dtype=np.int64)[order], np.array(tins)[order], np.array(touts)[order])
+
+
+def merged_per_probe(ids, tins, touts):
+    """Components per probe, probes in id order, joining an interval within 1e-12 of the run before it."""
+    comps = []
+    for pid in sorted(set(ids.tolist())):
+        sel = ids == pid
+        for lo, hi in sorted(zip(tins[sel].tolist(), touts[sel].tolist()), key=lambda iv: iv[0]):
+            if comps and comps[-1][0] == pid and lo <= comps[-1][2] + 1e-12:
+                comps[-1][2] = max(comps[-1][2], hi)
+            else:
+                comps.append([pid, lo, hi])
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals=ragged_intervals(), chunk=st.sampled_from([1, 5, sim._CHUNK]))
+def test_probe_merge_is_the_per_probe_loop(intervals, chunk):
+    ids, tins, touts = intervals
+    want = merged_per_probe(ids, tins, touts)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim, "_CHUNK", chunk)  # small caps spread the probes over several stacks
+        got_ids, got_in, got_out = sim._probe_components(ids, tins, touts)
+        assert [list(c) for c in zip(got_ids.tolist(), got_in.tolist(), got_out.tolist())] == want
+        assert count_component_entries(ids, tins, touts, 10.0) == sum(lo > 1e-9 for _, lo, _ in want)
+        assert covered_length(ids, tins, touts, 10.0) == float(np.sum(np.array([hi - lo for _, lo, hi in want])))
+
+
 def test_section_identity_covered_fraction():
     spec = spec3_iso()
     w = Window((0, 0, 0), (24, 24, 24))
@@ -401,7 +452,7 @@ def test_batched_hit_test_keeps_what_the_scalar_test_keeps(family, law):
     gen = philox_stream(17, 0)
     n = 1500
     table = [s for s, _ in spec.base.atoms()]
-    shapes = [s for s in spec.base.sample_shapes(gen, n) if s is not None]
+    shapes = [table[j] for j in spec.base.sample_index(gen, n) if table[j] is not None]
     _, frame = spec.subspace_frames(spec.alpha.sample_vectors(spec.d, gen, len(shapes)))
     centre = np.vecmat(window.center, frame)
     # offsets out to just past the covering radius, so many candidates sit near the shadow's edge
