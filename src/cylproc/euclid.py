@@ -629,7 +629,7 @@ class ConvexPolygon(CrossSection):
         return lo, hi
 
     def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
-        """Separating-axis test of the polygon at each ``off`` against the zonogon at ``centre`` spanned by gens (N, 3, 2).
+        """Separating-axis test of the polygon at each ``off`` against the zonogon at ``centre`` spanned by gens.
 
         The candidate axes are the zonogon's edge normals (those of the
         generators) and the polygon's own; the sets are closed.

@@ -414,7 +414,8 @@ def export_realization_csv(real: Realization, path) -> None:
     m = d - real.spec.k
     fields = [_csv_params(shape) for shape in real.shapes]
     width = max([1] + [len(fields[j]) for j in np.unique(real.shape_index).tolist()])
-    tails = [",".join([shape.tag, *params] + [""] * (width - len(params))) for shape, params in zip(real.shapes, fields)]
+    tails = [",".join([shape.tag, *params] + [""] * (width - len(params)))
+             for shape, params in zip(real.shapes, fields)]
     header = ["cyl_id", *("axis_x", "axis_y", "axis_z")[:d], *("offset_u", "offset_v")[:d - 1], "shape",
               *[f"param{i}" for i in range(width)]]
     row = ",".join(["%d"] + ["%.17g"] * (d + m) + [""] * (d - 1 - m) + ["%s"]) + "\r\n"
