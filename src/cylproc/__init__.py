@@ -36,10 +36,6 @@ from .euclid import (
     Segment,
     Subspace,
     ball_constants,
-    covariogram,
-    covariogram_derivative_at_origin,
-    grassmann_average_det,
-    project_along,
     subspace_det,
 )
 from .model import (

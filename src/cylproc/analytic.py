@@ -15,8 +15,9 @@ the hemisphere, 48 x 96 on a girdle band.  For the unit square these
 differ from rules twice as fine per axis by up to 1.7e-4 relative in the
 covariance and its derivative (on the girdle band) and 3.7e-5 in the
 three-point capacity; tests/test_quadrature.py holds those bounds.  The
-areas of unions of translates come from each shape's
-:meth:`~cylproc.euclid.Segment.union_areas`, batched over the nodes.
+base enters only through each shape's batched ``covariogram``,
+``covariogram_derivative`` and ``union_areas``, called once for all the
+nodes or fixed axes; no shape formula lives here.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from scipy.special import erfcx
 from .euclid import (
     ConvexPolygon,
     Direction,
-    Disc,
-    Segment,
     ball_constants,
     complement_frames,
     crofton_factor,
@@ -101,20 +100,12 @@ def _angle_breakpoints(r: float, psi: float, targets, lo: float, hi: float):
 # ---------------------------------------------------------------------------
 
 def _split_atoms(spec: ProcessSpec):
-    """(segments, discs, polygons) as (param, weight) lists; zero atoms drop out."""
-    segs, discs, polys = [], [], []
+    """(rotation-invariant, polygon) atoms as (shape, weight) lists; zero atoms drop out."""
+    radial, polys = [], []
     for shape, w in spec.base.atoms():
-        if shape is None:
-            continue
-        if isinstance(shape, Segment):
-            segs.append((shape.half_length, w))
-        elif isinstance(shape, Disc):
-            discs.append((shape.radius, w))
-        elif isinstance(shape, ConvexPolygon):
-            polys.append((shape, w))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown base shape {shape!r}")
-    return segs, discs, polys
+        if shape is not None:
+            (polys if isinstance(shape, ConvexPolygon) else radial).append((shape, w))
+    return radial, polys
 
 
 def _radial_gamma(spec: ProcessSpec):
@@ -123,39 +114,20 @@ def _radial_gamma(spec: ProcessSpec):
     Returns (g, targets): g is vectorized over arrays of distances, targets
     are the distances where g has a kink (each atom's diameter).
     """
-    segs, discs, _ = _split_atoms(spec)
+    radial, _ = _split_atoms(spec)
 
     def g(q):
         q = np.asarray(q, dtype=float)
-        out = np.zeros_like(q)
-        for a, w in segs:
-            out += w * np.maximum(0.0, 2.0 * a - q)
-        for a, w in discs:
-            x = np.clip(q / (2.0 * a), 0.0, 1.0)
-            out += w * (2.0 * a * a * np.arccos(x) - 0.5 * q * np.sqrt(np.maximum(4.0 * a * a - q * q, 0.0)))
-        return out
+        t = np.zeros(q.shape + (spec.d - spec.k,))
+        t[..., 0] = q
+        return sum(w * shape.covariogram(t) for shape, w in radial)
 
-    targets = [2.0 * a for a, _ in segs] + [2.0 * a for a, _ in discs]
-    return g, targets
-
-
-def _gamma_at(spec: ProcessSpec, t: np.ndarray) -> float:
-    """Mean covariogram of the base law at a frame-resolved lag t."""
-    total = 0.0
-    for shape, w in spec.base.atoms():
-        if shape is None:
-            continue
-        total += w * shape.covariogram(t)
-    return total
+    return g, [shape.diameter for shape, _ in radial]
 
 
 # ---------------------------------------------------------------------------
 # directional expectations
 # ---------------------------------------------------------------------------
-
-def _angle_of(v: np.ndarray) -> float:
-    return math.atan2(v[1], v[0])
-
 
 def _alpha_intervals_2d(spec: ProcessSpec):
     """Line-angle intervals carrying the 2-D directional law, with densities."""
@@ -163,7 +135,7 @@ def _alpha_intervals_2d(spec: ProcessSpec):
     if isinstance(alpha, Isotropic):
         return [(0.0, math.pi, 1.0 / math.pi)]
     if isinstance(alpha, GirdleBand):
-        c = _angle_of(alpha.axis.vec) + 0.5 * math.pi
+        c = math.atan2(alpha.axis.vec[1], alpha.axis.vec[0]) + 0.5 * math.pi
         return [(c - alpha.delta, c + alpha.delta, 1.0 / (2.0 * alpha.delta))]
     raise TypeError("discrete laws are summed exactly, not integrated")
 
@@ -245,8 +217,8 @@ def _law_frames(spec: ProcessSpec):
     A slab's frame is its quadrature node itself, the normal of its plane.
     """
     if isinstance(spec.alpha, FixedAxes):
-        axes = spec.alpha.axes
-        return np.stack([spec.subspace_for(v).frame for v, _ in axes]), np.array([w for _, w in axes])
+        vecs, ww = zip(*((v.vec, w) for v, w in spec.alpha.axes))
+        return spec.subspace_frames(np.array(vecs))[1], np.array(ww)
     dirs, ww = _direction_nodes(spec)
     return complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None], ww
 
@@ -262,13 +234,9 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
 
     alpha = spec.alpha
     if isinstance(alpha, FixedAxes):
-        total = 0.0
-        for direction, w in alpha.axes:
-            L = spec.subspace_for(direction)
-            total += w * _gamma_at(spec, L.complement_coords(h))
-        return total
+        return _frame_gamma_mean(spec, [(s, w) for s, w in spec.base.atoms() if s is not None], h)
 
-    segs, discs, polys = _split_atoms(spec)
+    radial, polys = _split_atoms(spec)
     g, targets = _radial_gamma(spec)
     total = 0.0
 
@@ -282,7 +250,7 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
 
     if spec.k == 1:
         # radial part: |Pr_L(h)| = r sqrt(1 - dot^2) with dot = <h/r, omega>
-        if segs or discs:
+        if radial:
             if isinstance(alpha, Isotropic):
                 brk = [math.asin(min(1.0, t / r)) for t in targets if t < r]
 
@@ -291,19 +259,14 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
 
                 total += _piecewise_gl(f_theta, 0.0, 0.5 * math.pi, brk)
             else:
-                dot_targets = set()
-                for t in targets:
-                    if t <= r:
-                        x = math.sqrt(max(0.0, 1.0 - (t / r) ** 2))
-                        dot_targets.update((x, -x))
-                dot_targets.update((1.0, -1.0))
+                xs = {math.sqrt(max(0.0, 1.0 - (t / r) ** 2)) for t in targets if t <= r} | {1.0}
                 total += _girdle_expect_3d(
                     alpha, h / r,
                     lambda dot: g(r * np.sqrt(np.maximum(0.0, 1.0 - dot**2))),
-                    sorted(dot_targets),
+                    sorted({s * x for x in xs for s in (1.0, -1.0)}),
                 )
         if polys:
-            total += _polygon_gamma_mean(spec, polys, h)
+            total += _frame_gamma_mean(spec, polys, h)
         return total
 
     # k = d-1: the position space is the normal line, |t| = |<h, normal>|
@@ -322,11 +285,9 @@ def _expect_pr_norm(spec: ProcessSpec, unit_h: np.ndarray) -> float:
     """E over the directional law of [h, L], the projected length of a unit h."""
     alpha = spec.alpha
     if isinstance(alpha, FixedAxes):
-        total = 0.0
-        for direction, w in alpha.axes:
-            L = spec.subspace_for(direction)
-            total += w * float(np.linalg.norm(L.complement_coords(unit_h)))
-        return total
+        frames, ww = _law_frames(spec)
+        t = np.vecmat(unit_h, frames)
+        return float(np.cumsum(ww * np.sqrt(np.vecdot(t, t)))[-1])  # axis by axis, in order
 
     if spec.d == 2:
         psi = math.atan2(-unit_h[0], unit_h[1])
@@ -348,8 +309,8 @@ def _expect_pr_norm(spec: ProcessSpec, unit_h: np.ndarray) -> float:
 
 def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
     """E over the shape law of gamma'(o, unit projected lag) * [h, L]."""
-    segs, discs, polys = _split_atoms(spec)
-    const = -sum(w for _, w in segs) - sum(2.0 * a * w for a, w in discs)
+    radial, polys = _split_atoms(spec)
+    const = sum(w * shape.covariogram_derivative() for shape, w in radial)
     total = const * _expect_pr_norm(spec, unit_h) if const != 0.0 else 0.0
 
     if polys:
@@ -357,40 +318,26 @@ def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
     return total
 
 
-def _polygon_gamma_mean(spec: ProcessSpec, polys, h: np.ndarray) -> float:
-    """E over the directional law of the polygon atoms' covariograms at the projected lag.
+def _frame_gamma_mean(spec: ProcessSpec, atoms, h: np.ndarray) -> float:
+    """E over the directional law's frames of the atoms' mean covariogram at the projected lag.
 
-    gamma_K(t) = 2 A - |K u (K + t)|: the union kernel at two translates,
-    here at the points 0 and -t, whose union of 0 - K and -t - K mirrors it.
+    Fixed axes are summed in order, quadrature nodes by one dot product.
     """
     frames, ww = _law_frames(spec)
     t = np.vecmat(h, frames)
-    C = np.stack([np.zeros_like(t), -t], axis=1)
-    gam = sum(wp * (2.0 * poly.area - poly.union_areas(C)) for poly, wp in polys)
-    return float(ww @ gam)
+    gam = sum(w * shape.covariogram(t) for shape, w in atoms)
+    return float(np.cumsum(ww * gam)[-1] if isinstance(spec.alpha, FixedAxes) else ww @ gam)
 
 
 def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
-    """E over the directional law of [h, L] gamma'_K(o, u) for the polygon atoms.
-
-    u is the unit projected direction, and -gamma'_K(o, u) is the width of
-    K's shadow on the line orthogonal to u.
-    """
+    """E over the directional law of [h, L] gamma'_K(o, u) for the polygon atoms; u is the unit projected lag."""
     frames, ww = _law_frames(spec)
     t = np.vecmat(unit_h, frames)
     nt = np.sqrt(np.vecdot(t, t))
     ok = nt > 1e-14  # [h, L] vanishes together with the projection
     u = t[ok] / nt[ok, None]
-    slope = 0.0
-    for poly, wp in polys:
-        slope = slope - wp * _shadow_widths(poly, u)
+    slope = sum(wp * poly.covariogram_derivative(u) for poly, wp in polys)
     return float(ww[ok] @ (nt[ok] * slope))
-
-
-def _shadow_widths(poly: ConvexPolygon, u: np.ndarray) -> np.ndarray:
-    """Width of the polygon's shadow on the line orthogonal to each unit row of u: -gamma'_K(o, u)."""
-    shadow = np.column_stack([-u[:, 1], u[:, 0]]) @ poly.vertices.T
-    return shadow.max(axis=1) - shadow.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +408,10 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
         return -math.expm1(-lam * vol)
 
     if spec.d == 2 and not isinstance(spec.alpha, FixedAxes):
-        # kinks occur where a projected pairwise gap matches an atom diameter
+        # kinks occur where a projected pairwise gap matches an atom diameter (a gap of 0 has none)
         _, targets = _radial_gamma(spec)
-        diffs = [pts[i] - pts[j] for i in range(len(pts)) for j in range(i)]
-        brks_all = []
-        for dv in diffs:
-            rr = float(np.linalg.norm(dv))
-            if rr == 0.0:
-                continue
-            psi = math.atan2(-dv[0], dv[1])
-            brks_all.append((rr, psi))
+        gaps = [(float(np.linalg.norm(dv)), math.atan2(-dv[0], dv[1]))
+                for dv in (pts[i] - pts[j] for i in range(len(pts)) for j in range(i))]
 
         def f(phis):
             normals = np.column_stack([-np.sin(phis), np.cos(phis)])
@@ -479,7 +420,7 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
         total = 0.0
         for lo, hi, dens in _alpha_intervals_2d(spec):
             brk = []
-            for rr, psi in brks_all:
+            for rr, psi in gaps:
                 brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
             total += dens * _piecewise_gl(f, lo, hi, brk, n=32)
         return -math.expm1(-lam * total)
@@ -512,8 +453,7 @@ def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    _, _, polys = _split_atoms(spec)
-    if polys:
+    if _split_atoms(spec)[1]:
         raise ValueError("linear contact distribution needs a rotation-invariant base law "
                          "(disc or segment cross sections)")
     spec.require_positive_volume()
@@ -551,27 +491,24 @@ def specific_surface(spec: ProcessSpec) -> float:
     lam = spec.intensity
     if lam == 0.0:
         return 0.0
-    segs, discs, polys = _split_atoms(spec)
+    radial, polys = _split_atoms(spec)
     expfac = math.exp(-lam * spec.base.mean_area)
     d, k = spec.d, spec.k
     haar = haar_mean_line_det(d) if k == 1 else haar_mean_plane_det()
-    const = -sum(w for _, w in segs) - sum(2.0 * a * w for a, w in discs)
-    core = const * haar
+    core = sum(w * shape.covariogram_derivative() for shape, w in radial) * haar
     if polys:
         # line average of gamma'(unit projection) factorizes into the polar
         # part (the Haar determinant integral) and an azimuthal mean of the
         # directional shadow width; the width function kinks where the
         # supporting vertex switches, i.e. at the edge-normal azimuths
         for poly, wp in polys:
-            edges = np.roll(poly.vertices, -1, axis=0) - poly.vertices
             brk = []
-            for e in edges:
-                n_e = np.array([e[1], -e[0]])
-                phi0 = math.atan2(-n_e[0], n_e[1]) % (2.0 * math.pi)
+            for e in np.roll(poly.vertices, -1, axis=0) - poly.vertices:
+                phi0 = math.atan2(-e[1], -e[0]) % (2.0 * math.pi)
                 brk += [phi0, (phi0 + math.pi) % (2.0 * math.pi)]
 
             def slope(phis, _poly=poly):
-                return -_shadow_widths(_poly, np.column_stack([np.cos(phis), np.sin(phis)]))
+                return _poly.covariogram_derivative(np.column_stack([np.cos(phis), np.sin(phis)]))
 
             core += wp * haar * _piecewise_gl(slope, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
     return -lam * crofton_factor(d) * expfac * core

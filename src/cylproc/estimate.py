@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analytic
 from .euclid import Direction, crofton_factor
-from .model import ProcessSpec, haar_vectors
+from .model import ArgumentError, ProcessSpec, haar_vectors
 from .rng import philox_stream
 from .sim import (
     Realization,
@@ -68,14 +68,6 @@ __all__ = [
     "reports_to_csv",
     "reports_to_json",
 ]
-
-
-class ArgumentError(ValueError):
-    """An estimator argument is out of range or of the wrong type; ``field`` names the argument."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 def _real(field: str, value) -> float:

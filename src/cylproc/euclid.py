@@ -4,10 +4,12 @@ Exact geometry in R^2 / R^3: directions with antipodal identification,
 linear subspaces with deterministic orthonormal frames for their
 complements, and unit-ball constants.  The cross sections (segment, disc,
 convex polygon) are the only code that knows a base's kind: each has its
-area, boundary, exact covariogram, membership and distance tests, the
-entry and exit times of lines, the hit test against a window's shadow,
-the batched area of a union of translates, and the tag and parameter it
-is written under.  The union kernels share one interval-union routine,
+area, boundary, membership and distance tests, the entry and exit times
+of lines, the hit test against a window's shadow, and the tag and
+parameter it is written under, and one batched kernel each for the
+covariogram, its derivative at the origin and the area of a union of
+translates; a single lag or direction is the n = 1 view of a stack, bit
+for bit.  The union kernels share one interval-union routine,
 :func:`_sweep`, which the simulation's probe merge uses too; every
 absolute tolerance is defined here.  Everything is immutable after
 construction and safe to share between workers.
@@ -205,15 +207,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def project_along(x, subspace: Subspace) -> np.ndarray:
-    """Project x along ``subspace`` onto its orthogonal complement.
-
-    Returns coordinates in the complement's canonical frame.  Linear, and
-    composing with :meth:`Subspace.embed_complement` is idempotent.
-    """
-    return subspace.complement_coords(x)
-
-
 def subspace_det(xi: Subspace, eta: Direction) -> float:
     """Volume of the parallelepiped spanned by an orthonormal basis of xi and eta.
 
@@ -262,20 +255,6 @@ def gauss_legendre(n: int, a: float, b: float):
     x, w = _gl_base(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def grassmann_average_det(d: int, xi: Subspace) -> float:
-    """Average parallelepiped volume [xi', xi] over Haar-random lines xi'.
-
-    By rotation invariance the value does not depend on xi: 2/pi in the
-    plane, pi/4 in space.  Computed by quadrature in a frame aligned with
-    xi, where the integrand is analytic.
-    """
-    if d not in (2, 3):
-        raise ValueError("only dimensions 2 and 3 are supported")
-    if xi.dim != 1 or xi.ambient_dim != d:
-        raise ValueError("xi must be a line in R^d")
-    return haar_mean_line_det(d)
 
 
 def haar_mean_line_det(d: int) -> float:
@@ -353,13 +332,13 @@ class Segment(CrossSection):
         u = np.asarray(u, dtype=float)
         return np.maximum(np.abs(u[..., 0]) - self.half_length, 0.0)
 
-    def covariogram(self, t) -> float:
-        q = abs(float(np.asarray(t, dtype=float).reshape(-1)[0]))
-        return max(0.0, 2.0 * self.half_length - q)
+    def covariogram(self, t):
+        """Length of K n (K + t), max(0, 2a - |t|), for lags t (..., 1): an array (...), a number for one lag."""
+        return np.maximum(0.0, 2.0 * self.half_length - np.abs(np.asarray(t, dtype=float)[..., 0]))[()]
 
-    def covariogram_derivative(self, u=None) -> float:
-        # gamma(t) = 2a - |t| near the origin, in either direction
-        return -1.0
+    def covariogram_derivative(self, u=None):
+        """gamma'(o, u) = -1 for unit u (..., 1), in either direction; the number itself when u is None."""
+        return -1.0 if u is None else np.full(np.shape(u)[:-1], -1.0)[()]
 
     def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
         """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 1) through the segment.
@@ -437,16 +416,22 @@ class Disc(CrossSection):
         u = np.asarray(u, dtype=float)
         return np.maximum(np.sqrt(np.einsum("...i,...i->...", u, u)) - self.radius, 0.0)
 
-    def covariogram(self, t) -> float:
-        """Lens area of two unit-translate discs: 2a^2 acos(q/2a) - (q/2) sqrt(4a^2-q^2)."""
-        a = self.radius
-        q = float(np.linalg.norm(np.asarray(t, dtype=float)))
-        if q >= 2.0 * a:
-            return 0.0
-        return 2.0 * a * a * math.acos(q / (2.0 * a)) - 0.5 * q * math.sqrt(4.0 * a * a - q * q)
+    def covariogram(self, t):
+        """Lens area 2a^2 acos(q/2a) - (q/2) sqrt(4a^2 - q^2), q = |t|, for lags t (..., 2); 0 from q = 2a.
 
-    def covariogram_derivative(self, u=None) -> float:
-        return -2.0 * self.radius
+        The two terms cancel near q = 2a, where rounding could leave the
+        difference below 0; it is held at 0 there.
+        """
+        a = self.radius
+        t = np.asarray(t, dtype=float)
+        q = np.sqrt(np.vecdot(t, t))
+        x = np.clip(q / (2.0 * a), 0.0, 1.0)
+        lens = 2.0 * a * a * np.arccos(x) - 0.5 * q * np.sqrt(np.maximum(4.0 * a * a - q * q, 0.0))
+        return np.maximum(lens, 0.0)[()]
+
+    def covariogram_derivative(self, u=None):
+        """gamma'(o, u) = -2a for unit u (..., 2); the number itself when u is None."""
+        return -2.0 * self.radius if u is None else np.full(np.shape(u)[:-1], -2.0 * self.radius)[()]
 
     def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
         """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the disc.
@@ -591,18 +576,28 @@ class ConvexPolygon(CrossSection):
         out = np.where(inside, 0.0, best)
         return float(out[0]) if single else out
 
-    def covariogram(self, t) -> float:
-        """Exact area of the polygon intersected with its translate by t."""
-        t = np.asarray(t, dtype=float)
-        clipped = _clip_convex(self.vertices, self._normals, self._offsets + self._normals @ (-t))
-        return _polygon_area(clipped)
+    def covariogram(self, t):
+        """Area of K n (K + t), 2A - |K u (K + t)|, for lags t (..., 2): the union kernel at the points 0 and -t.
 
-    def covariogram_derivative(self, u) -> float:
-        """Minus the length of the shadow of the polygon on the line orthogonal to u."""
+        A lag off the interior of K - K, where |n . t| reaches K's width
+        along some edge normal n, gives exactly 0.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1, 2)
+        width = self._offsets - np.min(self._normals @ self.vertices.T, axis=1)
+        apart = np.zeros(len(flat), dtype=bool)
+        for (nx, ny), w in zip(self._normals, width):  # edge by edge: temporaries of one value per lag
+            apart |= np.abs(flat[:, 0] * nx + flat[:, 1] * ny) >= w
+        union = self.union_areas(np.stack([np.zeros_like(flat), -flat], axis=1))
+        return np.where(apart, 0.0, 2.0 * self.area - union).reshape(t.shape[:-1])[()]
+
+    def covariogram_derivative(self, u):
+        """gamma'(o, u) for unit u (..., 2): minus the width of K's shadow on the line orthogonal to u."""
         u = np.asarray(u, dtype=float)
-        perp = np.array([-u[1], u[0]])
-        proj = self.vertices @ perp
-        return -float(np.max(proj) - np.min(proj))
+        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1).reshape(-1, 2)
+        # one zero row more keeps even a single u on the matrix-matrix product, which rounds every row alike
+        shadow = (np.vstack([perp, np.zeros(2)]) @ self.vertices.T)[:-1]
+        return -(shadow.max(axis=1) - shadow.min(axis=1)).reshape(u.shape[:-1])[()]
 
     def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
         """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the polygon.
@@ -714,48 +709,9 @@ def shape_from_params(tag: str, values):
     return cls(np.reshape(values, cls.param_shape))
 
 
-def covariogram(shape, t) -> float:
-    """Volume of shape intersected with its translate by t; see the shape classes."""
-    return shape.covariogram(t)
-
-
-def covariogram_derivative_at_origin(shape, u=None) -> float:
-    """One-sided derivative of t -> covariogram(t*u) at t = 0+ (always <= 0)."""
-    return shape.covariogram_derivative(u)
-
-
 # ---------------------------------------------------------------------------
 # polygon helpers
 # ---------------------------------------------------------------------------
-
-def _polygon_area(V) -> float:
-    if V is None or len(V) < 3:
-        return 0.0
-    x, y = V[:, 0], V[:, 1]
-    return 0.5 * float(np.abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
-def _clip_convex(subject, normals, offsets):
-    """Clip a convex polygon by the halfplanes n.x <= b; returns vertex array."""
-    poly = [p for p in np.asarray(subject, dtype=float)]
-    for n, b in zip(normals, offsets):
-        if not poly:
-            return np.empty((0, 2))
-        out = []
-        prev = poly[-1]
-        dp = b - float(n @ prev)
-        for cur in poly:
-            dc = b - float(n @ cur)
-            if dp >= -GEOM_TOL:
-                out.append(prev)
-                if dc < -GEOM_TOL:
-                    out.append(prev + (cur - prev) * (dp / (dp - dc)))
-            elif dc >= -GEOM_TOL:
-                out.append(prev + (cur - prev) * (dp / (dp - dc)))
-            prev, dp = cur, dc
-        poly = out
-    return np.asarray(poly) if poly else np.empty((0, 2))
-
 
 def _min_enclosing_circle(V):
     """Smallest circle containing all points; brute force over pairs and triples."""

@@ -29,6 +29,7 @@ from .euclid import (
 )
 
 __all__ = [
+    "ArgumentError",
     "ConfigError",
     "check_fields",
     "is_number",
@@ -368,18 +369,18 @@ class ProcessSpec:
 
     def __post_init__(self):
         if self.d not in (2, 3):
-            raise ValueError("ambient dimension must be 2 or 3")
+            raise ArgumentError("d", "ambient dimension must be 2 or 3")
         if self.k not in (1, self.d - 1) or self.k >= self.d:
-            raise ValueError("flat dimension must be 1 or d-1 and below d")
+            raise ArgumentError("k", "flat dimension must be 1 or d-1 and below d")
         if not (isinstance(self.intensity, (int, float)) and self.intensity >= 0 and math.isfinite(self.intensity)):
-            raise ValueError("intensity must be a finite nonnegative number")
+            raise ArgumentError("lambda", "intensity must be a finite nonnegative number")
         m = self.d - self.k
         if self.base.dim != m:
-            raise ValueError(f"base dimension {self.base.dim} does not match d-k = {m}")
+            raise ArgumentError("base", f"base dimension {self.base.dim} does not match d-k = {m}")
         if isinstance(self.alpha, (FixedAxes, GirdleBand)):
             adim = self.alpha.dim if isinstance(self.alpha, FixedAxes) else self.alpha.axis.dim
             if adim != self.d:
-                raise ValueError("directional law lives in the wrong dimension")
+                raise ArgumentError("alpha", "directional law lives in the wrong dimension")
 
     def subspace_for(self, vec) -> Subspace:
         """Direction space determined by one sampled direction vector."""
@@ -423,6 +424,14 @@ def mean_base_perimeter(spec: ProcessSpec) -> float:
 
 class ConfigError(ValueError):
     """A config field is missing, unknown or malformed; the message starts with its path."""
+
+
+class ArgumentError(ValueError):
+    """An argument is out of range or of the wrong type; ``field`` names it as a config spells it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 def check_fields(doc, path: str, required=(), optional=()) -> None:
@@ -469,11 +478,13 @@ def _typed(doc, path: str, fields: dict, what: str) -> str:
 
 
 def _built(path: str, make, *args):
-    """``make(*args)``, with its ValueError or TypeError re-raised as a ConfigError naming path."""
+    """``make(*args)``, with its ValueError or TypeError re-raised as a ConfigError naming path (and the field)."""
     try:
         return make(*args)
     except ConfigError:
         raise
+    except ArgumentError as exc:
+        raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -536,4 +547,4 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         base = _built(f"{bpath}.components", MixtureBase, comps)
     else:
         base = DeterministicBase(_shape_from_dict(base_doc, bpath))
-    return ProcessSpec(d=d, k=k, intensity=lam, alpha=alpha, base=base)
+    return _built(path, ProcessSpec, d, k, lam, alpha, base)

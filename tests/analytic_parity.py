@@ -1,0 +1,105 @@
+"""Analytic values over a grid of specs, written bit for bit, for comparing two checkouts.
+
+    PYTHONPATH=src python3 tests/analytic_parity.py > new.json
+    PYTHONPATH=src python3 tests/analytic_parity.py --compare old.json new.json
+
+The first form evaluates covariance and the mean covariogram
+E gamma_K(Pr h) at five lags, the two- and
+three-point capacity, the covariance derivative, the specific surface and
+(for rotation-invariant bases) the linear contact distribution at two
+radii, over disc, square, triangle, radius-law and mixture bases under
+isotropic, girdle and fixed-axes laws in space, and over slabs and bands
+under the same laws: 318 values, each as ``float.hex``.  The second form
+lists every value that differs between two such files, with its relative
+change, and the count of equal values.
+"""
+
+import json
+import sys
+
+import numpy as np
+
+from cylproc import analytic
+from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
+from cylproc.model import (
+    DeterministicBase,
+    DiscRadiusLaw,
+    FixedAxes,
+    GirdleBand,
+    Isotropic,
+    MixtureBase,
+    ProcessSpec,
+    RadiusLaw,
+)
+
+SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+LAWS_3D = {
+    "iso": Isotropic(),
+    "girdle": GirdleBand(Direction([0.0, 0.0, 1.0]), 0.4),
+    "fixed": FixedAxes([(Direction([0.0, 0.0, 1.0]), 0.5), (Direction([0.6, 0.0, 0.8]), 0.3),
+                        (Direction([0.0, 1.0, 0.0]), 0.2)]),
+}
+LAWS_2D = {
+    "iso": Isotropic(),
+    "girdle": GirdleBand(Direction([0.0, 1.0]), 0.4),
+    "fixed": FixedAxes([(Direction([1.0, 0.0]), 0.5), (Direction([0.6, 0.8]), 0.5)]),
+}
+BASES = {
+    "disc": DeterministicBase(Disc(1.0)),
+    "square": DeterministicBase(SQUARE),
+    "triangle": DeterministicBase(TRIANGLE),
+    "radius_law": DiscRadiusLaw(RadiusLaw(((0.0, 0.2), (0.6, 0.3), (1.1, 0.5)))),
+    "mixture": MixtureBase([(Disc(0.7), 0.5), (SQUARE, 0.5)]),
+}
+LAGS = ((0.3, 0.1, 0.2), (0.7, -0.4, 0.5), (1.2, 0.3, -0.6), (2.5, 1.0, 0.3), (0.05, 0.0, 0.9))
+POINTS = ((0.0, 0.0, 0.0), (0.4, -0.5, 0.3), (-0.3, 0.2, 0.6))
+DIRECTION = (1.0, 2.0, 2.0)
+RADII = (0.5, 2.0)
+
+
+def specs():
+    for law, alpha in LAWS_3D.items():
+        for name, base in BASES.items():
+            yield f"{name}_{law}", ProcessSpec(d=3, k=1, intensity=0.1, alpha=alpha, base=base)
+        yield f"slab_{law}", ProcessSpec(d=3, k=2, intensity=0.3, alpha=alpha,
+                                         base=DeterministicBase(Segment(0.5)))
+        yield f"band_{law}", ProcessSpec(d=2, k=1, intensity=0.4, alpha=LAWS_2D[law],
+                                         base=DeterministicBase(Segment(0.5)))
+
+
+def values() -> dict:
+    out = {}
+    for name, spec in specs():
+        d = spec.d
+        pts = np.array(POINTS)[:, :d]
+        unit = np.array(DIRECTION[:d]) / np.linalg.norm(DIRECTION[:d])
+        for h in LAGS:
+            out[f"{name}/covariance{list(h[:d])}"] = analytic.covariance(spec, np.array(h[:d]))
+            # the mean covariogram itself: the covariance rounds most of its last digits away
+            out[f"{name}/mean_covariogram{list(h[:d])}"] = analytic._expect_gamma(spec, np.array(h[:d]))
+        out[f"{name}/capacity2"] = analytic.capacity_finite(spec, pts[:2])
+        out[f"{name}/capacity3"] = analytic.capacity_finite(spec, pts)
+        out[f"{name}/covariance_derivative"] = analytic.covariance_derivative(spec, unit)
+        out[f"{name}/specific_surface"] = analytic.specific_surface(spec)
+        if not any(isinstance(shape, ConvexPolygon) for shape, _ in spec.base.atoms()):
+            for r in RADII:
+                out[f"{name}/linear_cdf[{r}]"] = analytic.linear_cdf(spec, Direction(unit), r)
+    return {key: float(v).hex() for key, v in out.items()}
+
+
+def compare(old_path: str, new_path: str) -> None:
+    old, new = (json.loads(open(p).read()) for p in (old_path, new_path))
+    assert old.keys() == new.keys(), "the two files hold different grids"
+    moved = [(k, float.fromhex(old[k]), float.fromhex(new[k])) for k in old if old[k] != new[k]]
+    for key, a, b in moved:
+        print(f"{key}: {a!r} -> {b!r} (relative {abs(b - a) / abs(a):.2g})")
+    print(f"{len(old) - len(moved)} of {len(old)} values equal bit for bit")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        compare(*sys.argv[2:4])
+    else:
+        json.dump(values(), sys.stdout, indent=1)
+        print()

@@ -10,7 +10,8 @@ per-candidate sampler loop built on it.  Frames come from
 ``euclid.complement_frames`` batches.  The query oracles are the
 per-cylinder loops the simulation module used to run.  The quadrature
 oracle, at the end, is the node-by-node loop the analytic module used to
-run.
+run, with covariograms one lag at a time from closed forms and, for
+polygons, from clipping one copy of the polygon by the other.
 """
 
 import math
@@ -252,51 +253,96 @@ def ray_interval_bulk(real, origins, dirs, length: float):
 #
 # The per-node loops ``cylproc.analytic`` ran before its quadrature was
 # batched, kept as the oracle for the batched kernels.  Frames come from
-# the scalar :func:`complement_frame` and covariograms from the shape
-# methods.  The polygon union drops a stretch shared by same-orientation
-# collinear edges twice, and merges translates up to about 1e-5 times
-# their coordinates apart, so compare only point sets with no collinear
-# or near-coincident configuration.
+# the scalar :func:`complement_frame` or :meth:`ProcessSpec.subspace_for`
+# and covariograms from :func:`covariogram`.  The polygon union drops a
+# stretch shared by same-orientation collinear edges twice, and merges
+# translates up to about 1e-5 times their coordinates apart, so compare
+# only point sets with no collinear or near-coincident configuration.
 
-def polygon_gamma_mean(spec, polys, h) -> float:
-    """E over the directional law of sum_p w_p gamma_p(projected h), node by node."""
-    dirs, ww = analytic._direction_nodes(spec)
+def law_frames(spec) -> list:
+    """(complement frame, weight) of each fixed axis or quadrature node, one subspace at a time."""
+    if isinstance(spec.alpha, FixedAxes):
+        return [(spec.subspace_for(direction).frame, w) for direction, w in spec.alpha.axes]
+    return [(complement_frame(omega[:, None]) if spec.k == 1 else omega[:, None], w)
+            for omega, w in zip(*analytic._direction_nodes(spec))]
+
+
+def frame_gamma_mean(spec, atoms, h) -> float:
+    """E over the directional law of sum_a w_a gamma_a(projected h), axis by axis or node by node."""
     acc = 0.0
-    for omega, w in zip(dirs, ww):
-        t = h @ complement_frame(omega[:, None])
-        acc += w * sum(wp * poly.covariogram(t) for poly, wp in polys)
+    for frame, w in law_frames(spec):
+        t = h @ frame
+        acc += w * sum(wa * covariogram(shape, t) for shape, wa in atoms)
     return acc
 
 
 def polygon_slope_mean(spec, polys, unit_h) -> float:
     """E over the directional law of [h, L] sum_p w_p gamma_p'(o, u), axis by axis or node by node."""
-    if isinstance(spec.alpha, FixedAxes):
-        frames = [(spec.subspace_for(direction).frame, w) for direction, w in spec.alpha.axes]
-    else:
-        frames = [(complement_frame(omega[:, None]), w) for omega, w in zip(*analytic._direction_nodes(spec))]
     acc = 0.0
-    for frame, w in frames:
+    for frame, w in law_frames(spec):
         t = unit_h @ frame
         nt = float(np.linalg.norm(t))
         if nt <= 1e-14:
             continue
-        acc += w * nt * sum(wp * poly.covariogram_derivative(t / nt) for poly, wp in polys)
+        acc += w * nt * sum(wp * polygon_covariogram_derivative(poly, t / nt) for poly, wp in polys)
     return acc
 
 
 def mean_union_volume(spec, pts) -> float:
-    """E over the directional and base laws of the volume of union_i (p_i - K), node by node."""
-    if isinstance(spec.alpha, FixedAxes):
-        vol = 0.0
-        for direction, w in spec.alpha.axes:
-            vol += w * union_volume(spec, pts @ spec.subspace_for(direction).frame)
-        return vol
-    dirs, ww = analytic._direction_nodes(spec)
-    vol = 0.0
-    for omega, w in zip(dirs, ww):
-        proj = pts @ complement_frame(omega[:, None]) if spec.k == 1 else (pts @ omega)[:, None]
-        vol += w * union_volume(spec, proj)
-    return vol
+    """E over the directional and base laws of the volume of union_i (p_i - K), axis by axis or node by node."""
+    return sum(w * union_volume(spec, pts @ frame) for frame, w in law_frames(spec))
+
+
+def covariogram(shape, t) -> float:
+    """gamma_K(t) at one lag: the segment and disc closed forms, clipping for a polygon."""
+    if isinstance(shape, Segment):
+        return max(0.0, 2.0 * shape.half_length - abs(float(t[0])))
+    if isinstance(shape, Disc):
+        a, q = shape.radius, float(np.linalg.norm(t))
+        if q >= 2.0 * a:
+            return 0.0
+        return 2.0 * a * a * math.acos(q / (2.0 * a)) - 0.5 * q * math.sqrt(4.0 * a * a - q * q)
+    return polygon_covariogram(shape, t)
+
+
+def polygon_covariogram(poly, t) -> float:
+    """Area of the polygon intersected with its translate by t, by clipping one with the other."""
+    return polygon_area(clip_convex(poly.vertices, poly._normals, poly._offsets - poly._normals @ np.asarray(t)))
+
+
+def polygon_covariogram_derivative(poly, u) -> float:
+    """Minus the length of the polygon's shadow on the line orthogonal to the unit vector u."""
+    proj = poly.vertices @ np.array([-u[1], u[0]])
+    return -float(np.max(proj) - np.min(proj))
+
+
+def polygon_area(V) -> float:
+    if V is None or len(V) < 3:
+        return 0.0
+    x, y = V[:, 0], V[:, 1]
+    return 0.5 * float(np.abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+
+def clip_convex(subject, normals, offsets):
+    """Clip a convex polygon by the halfplanes n.x <= b; returns vertex array."""
+    poly = [p for p in np.asarray(subject, dtype=float)]
+    for n, b in zip(normals, offsets):
+        if not poly:
+            return np.empty((0, 2))
+        out = []
+        prev = poly[-1]
+        dp = b - float(n @ prev)
+        for cur in poly:
+            dc = b - float(n @ cur)
+            if dp >= -GEOM_TOL:
+                out.append(prev)
+                if dc < -GEOM_TOL:
+                    out.append(prev + (cur - prev) * (dp / (dp - dc)))
+            elif dc >= -GEOM_TOL:
+                out.append(prev + (cur - prev) * (dp / (dp - dc)))
+            prev, dp = cur, dc
+        poly = out
+    return np.asarray(poly) if poly else np.empty((0, 2))
 
 
 def union_volume(spec, proj) -> float:

@@ -295,6 +295,17 @@ OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
                                             "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}),
                   "analytic": {"linear_radii": [1.0], "linear_eta": [1.0, 0.0, 0.0]}},
      "analytic.linear_radii"),
+    # fields that parse as numbers or objects but that the process spec itself rejects
+    ("analytic", {"spec": dict(SPEC3, **{"lambda": -1})}, "spec.lambda"),
+    ("analytic", {"spec": dict(SPEC3, **{"lambda": math.inf})}, "spec.lambda"),
+    ("analytic", {"spec": dict(SPEC3, d=4)}, "spec.d"),
+    ("analytic", {"spec": dict(SPEC3, k=3)}, "spec.k"),
+    ("analytic", {"spec": dict(SPEC3, k=2)}, "spec.base"),
+    ("analytic", {"spec": dict(SPEC3, base={"type": "segment", "half_length": 1.0})}, "spec.base"),
+    ("analytic", {"spec": dict(SPEC3, alpha={"type": "girdle", "axis": [0, 1], "delta": 0.5})}, "spec.alpha"),
+    ("simulate", {"spec": dict(SPEC3, alpha={"type": "fixed_axes",
+                                             "axes": [{"direction": [1, 0], "weight": 1.0}]}),
+                  "window": WINDOW3}, "spec.alpha"),
 ])
 def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, config, path):
     cfg = write_config(tmp_path, config)

@@ -13,14 +13,12 @@ from cylproc.euclid import (
     ball_constants,
     canonical_directions,
     complement_frames,
-    covariogram,
-    covariogram_derivative_at_origin,
-    grassmann_average_det,
-    project_along,
+    haar_mean_line_det,
     subspace_det,
 )
 from cylproc.model import DeterministicBase, GirdleBand, Isotropic, ProcessSpec, haar_vectors
 from cylproc.rng import philox_stream
+import scalar_geometry as scalar
 from scalar_geometry import complement_frame
 
 # frozen from a 1e7-dart run (z = 0.44 against the closed form)
@@ -68,10 +66,10 @@ def test_subspace_validation_and_projection():
 
 def test_project_along_examples():
     L = Subspace.line(Direction([1.0, 0.0]))
-    assert np.allclose(project_along([3.0, 4.0], L), [4.0])
-    assert np.allclose(project_along([5.0, 0.0], L), [0.0])
+    assert np.allclose(L.complement_coords([3.0, 4.0]), [4.0])
+    assert np.allclose(L.complement_coords([5.0, 0.0]), [0.0])
     L3 = Subspace.line(Direction([0.0, 0.0, 1.0]))
-    assert np.allclose(project_along([1.0, 1.0, 1.0], L3), [1.0, 1.0])
+    assert np.allclose(L3.complement_coords([1.0, 1.0, 1.0]), [1.0, 1.0])
 
 
 def test_subspace_det_examples_and_properties():
@@ -102,9 +100,9 @@ def test_plane_subspace_det():
 
 def test_covariogram_disc_values():
     disc = Disc(1.0)
-    assert covariogram(disc, [0.0, 0.0]) == pytest.approx(math.pi, abs=1e-14)
-    assert covariogram(disc, [2.0, 0.0]) == 0.0
-    assert covariogram(disc, [0.6, 0.8]) == pytest.approx(LENS_AREA_UNIT_DISCS_AT_1, abs=1e-12)
+    assert disc.covariogram([0.0, 0.0]) == pytest.approx(math.pi, abs=1e-14)
+    assert disc.covariogram([2.0, 0.0]) == 0.0
+    assert disc.covariogram([0.6, 0.8]) == pytest.approx(LENS_AREA_UNIT_DISCS_AT_1, abs=1e-12)
 
 
 def test_covariogram_square_closed_form():
@@ -113,7 +111,7 @@ def test_covariogram_square_closed_form():
     for _ in range(100):
         t = rng.uniform(-1.3, 1.3, size=2)
         expected = max(0.0, 1 - abs(t[0])) * max(0.0, 1 - abs(t[1]))
-        assert covariogram(sq, t) == pytest.approx(expected, abs=1e-10)
+        assert sq.covariogram(t) == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("shape", [Disc(0.8), Segment(1.5),
@@ -123,12 +121,12 @@ def test_covariogram_properties(shape):
     area = shape.area
     for _ in range(60):
         t = rng.uniform(-3, 3, size=shape.dim)
-        g = covariogram(shape, t)
-        assert g == pytest.approx(covariogram(shape, -t), abs=1e-10)
+        g = shape.covariogram(t)
+        assert g == pytest.approx(shape.covariogram(-t), abs=1e-10)
         assert g <= area + 1e-10
         if np.linalg.norm(t) > shape.diameter:
             assert g == 0.0
-    assert covariogram(shape, np.zeros(shape.dim)) == pytest.approx(area, rel=1e-12)
+    assert shape.covariogram(np.zeros(shape.dim)) == pytest.approx(area, rel=1e-12)
 
 
 def test_covariogram_monte_carlo_oracle():
@@ -144,14 +142,14 @@ def test_covariogram_monte_carlo_oracle():
         hits = shape.contains(pts[inside] + t)
         est = hits.mean() * inside.mean() * box
         se = box * math.sqrt(hits.mean() * (1 - hits.mean()) / max(hits.size, 1) + 1e-12)
-        assert abs(est - covariogram(shape, t)) < 3 * se + 1e-3
+        assert abs(est - shape.covariogram(t)) < 3 * se + 1e-3
 
 
 def test_covariogram_derivative_examples():
-    assert covariogram_derivative_at_origin(Disc(1.0)) == -2.0
-    assert covariogram_derivative_at_origin(Segment(3.0)) == -1.0
+    assert Disc(1.0).covariogram_derivative() == -2.0
+    assert Segment(3.0).covariogram_derivative() == -1.0
     sq = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    assert covariogram_derivative_at_origin(sq, np.array([1.0, 0.0])) == pytest.approx(-1.0, abs=1e-12)
+    assert sq.covariogram_derivative(np.array([1.0, 0.0])) == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [Disc(1.0), Disc(0.35),
@@ -163,26 +161,120 @@ def test_covariogram_derivative_finite_difference(shape):
     for _ in range(20):
         u = rng.normal(size=2)
         u /= np.linalg.norm(u)
-        fd = (covariogram(shape, h * u) - shape.area) / h
-        assert abs(covariogram_derivative_at_origin(shape, u) - fd) < 1e-4 * shape.area
+        fd = (shape.covariogram(h * u) - shape.area) / h
+        assert abs(shape.covariogram_derivative(u) - fd) < 1e-4 * shape.area
 
 
 def test_segment_derivative_finite_difference():
     seg = Segment(3.0)
     h = 1e-6
     for u in (np.array([1.0]), np.array([-1.0])):
-        fd = (covariogram(seg, h * u) - seg.area) / h
-        assert abs(covariogram_derivative_at_origin(seg, u) - fd) < 1e-4 * seg.area
+        fd = (seg.covariogram(h * u) - seg.area) / h
+        assert abs(seg.covariogram_derivative(u) - fd) < 1e-4 * seg.area
+
+
+# ---------------------------------------------------------------------------
+# the batched covariogram and derivative kernels
+# ---------------------------------------------------------------------------
+
+PENTAGON = ConvexPolygon([[0, 0], [2, 0], [2.5, 1], [1, 2], [-0.5, 1]])
+KERNEL_SHAPES = [Segment(0.7), Disc(0.8), PENTAGON]
+KINDS = pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=["segment", "disc", "polygon"])
+
+
+def lags(shape, lead, seed, reach=1.5):
+    """Lags of shape lead + (dim,) with coordinates within reach times the diameter."""
+    r = reach * shape.diameter
+    return philox_stream(seed, 0).uniform(-r, r, size=(*lead, shape.dim))
+
+
+def units(shape, lead, seed):
+    v = philox_stream(seed, 1).normal(size=(*lead, shape.dim))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@KINDS
+def test_kernels_return_one_value_per_row(shape):
+    for lead in [(), (7,), (3, 4)]:
+        assert np.shape(shape.covariogram(lags(shape, lead, 11))) == lead
+        assert np.shape(shape.covariogram_derivative(units(shape, lead, 12))) == lead
+    assert isinstance(shape.covariogram(np.zeros(shape.dim)), float)
+    assert isinstance(shape.covariogram_derivative(units(shape, (), 13)), float)
+
+
+@KINDS
+def test_one_lag_is_its_row_of_a_stack_bit_for_bit(shape):
+    T = lags(shape, (6, 8), 14)
+    g = shape.covariogram(T)
+    assert same_bits(shape.covariogram(T.reshape(-1, shape.dim)), g.reshape(-1))
+    for i, j in np.ndindex(g.shape):
+        assert same_bits(shape.covariogram(T[i, j]), g[i, j])
+        assert same_bits(shape.covariogram(T[i, j:j + 1]), g[i, j:j + 1])
+
+
+@KINDS
+def test_batched_derivative_is_the_per_row_value(shape):
+    U = units(shape, (6, 8), 15)
+    d = shape.covariogram_derivative(U)
+    for i, j in np.ndindex(d.shape):
+        assert same_bits(shape.covariogram_derivative(U[i, j]), d[i, j])
+    if not isinstance(shape, ConvexPolygon):  # rotation invariant: one number in every direction
+        assert np.all(d == shape.covariogram_derivative())
+    else:
+        want = [scalar.polygon_covariogram_derivative(shape, u) for u in U.reshape(-1, 2)]
+        assert np.allclose(d.reshape(-1), want, rtol=1e-15, atol=0.0)
+
+
+SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def off_interior_lags(shape) -> np.ndarray:
+    """Lags off the interior of K - K within one diameter: K and K + t meet in a null set."""
+    if isinstance(shape, Segment):
+        return np.array([[2.0 * shape.half_length], [-2.0 * shape.half_length]])
+    if isinstance(shape, Disc):
+        return np.array([[2.0 * shape.radius, 0.0], [0.0, -2.0 * shape.radius]])
+    if shape is SQUARE:  # shifted by an edge vector, or by two: the translates share an edge or a corner
+        return np.array([[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
+    # farther than 1e-9 outside K - K, the hull of the vertex differences
+    V = shape.vertices
+    hull = scalar.convex_hull_ccw((V[:, None, :] - V[None, :, :]).reshape(-1, 2))
+    T = lags(shape, (2000,), 18, reach=1.0)
+    T = T[[scalar.convex_distance(hull, t) > 1e-9 for t in T]]
+    assert len(T) > 200
+    return T
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [SQUARE], ids=["segment", "disc", "polygon", "square"])
+def test_covariogram_is_exactly_zero_off_the_interior_of_k_minus_k(shape):
+    beyond = units(shape, (400,), 16) * shape.diameter * philox_stream(17, 0).uniform(1.0, 3.0, (400, 1))
+    assert np.all(shape.covariogram(beyond) == 0.0)
+    assert np.all(shape.covariogram(off_interior_lags(shape)) == 0.0)
+
+
+@KINDS
+def test_covariogram_is_nonnegative(shape):
+    T = lags(shape, (3000,), 19)
+    edge = units(shape, (3000,), 20) * shape.diameter * (1.0 - philox_stream(21, 0).uniform(0.0, 1e-6, (3000, 1)))
+    assert np.all(shape.covariogram(T) >= 0.0)
+    assert np.all(shape.covariogram(edge) >= 0.0)
+
+
+@KINDS
+def test_covariogram_matches_its_closed_form_or_the_clip_oracle(shape):
+    T = lags(shape, (500,), 22, reach=0.7)
+    g = shape.covariogram(T)
+    want = np.array([scalar.covariogram(shape, t) for t in T])
+    if isinstance(shape, Segment):
+        assert same_bits(g, want)
+    else:
+        assert np.max(np.abs(g - want)) <= 1e-15 * shape.area
 
 
 def test_grassmann_average_det():
-    L2 = Subspace.line(Direction([1.0, 0.0]))
-    assert grassmann_average_det(2, L2) == pytest.approx(2 / math.pi, abs=1e-12)
-    L3 = Subspace.line(Direction([0.0, 0.0, 1.0]))
+    assert haar_mean_line_det(2) == pytest.approx(2 / math.pi, abs=1e-12)
     # pi/4 confirmed by a 1e7-direction Monte Carlo run (z = 1.4)
-    assert grassmann_average_det(3, L3) == pytest.approx(math.pi / 4, abs=1e-12)
-    other = Subspace.line(Direction([1.0, 2.0, -0.5]))
-    assert grassmann_average_det(3, other) == grassmann_average_det(3, L3)
+    assert haar_mean_line_det(3) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_polygon_validation():

@@ -20,7 +20,7 @@ from cylproc.analytic import (
     covariance_derivative,
     volume_fraction,
 )
-from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment, _clip_convex, _polygon_area
+from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
 from cylproc.model import (
     DeterministicBase,
     DiscRadiusLaw,
@@ -67,6 +67,7 @@ BASES = {
     "radius_law": DiscRadiusLaw(RadiusLaw(((0.0, 0.2), (0.6, 0.3), (1.1, 0.5)))),
 }
 OTHER_SPECS = {f"{b}_{law}": spec3(LAWS[law], BASES[b]) for b in BASES for law in LAWS}
+OTHER_SPECS["slab_fixed"] = ProcessSpec(d=3, k=2, intensity=0.3, alpha=FIXED, base=DeterministicBase(Segment(0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +119,8 @@ def intersection_area(poly, shifts) -> float:
     """Area of the intersection of the translates poly + s, s in shifts, by convex clipping."""
     V = poly.vertices + shifts[0]
     for s in shifts[1:]:
-        V = _clip_convex(V, poly._normals, poly._offsets + poly._normals @ s)
-    return _polygon_area(V)
+        V = scalar.clip_convex(V, poly._normals, poly._offsets + poly._normals @ s)
+    return scalar.polygon_area(V)
 
 
 # multiples of 1/4: edges of translates of the square meet, overlap and coincide
@@ -168,7 +169,7 @@ def rules(monkeypatch, scale):
 
 
 def scalar_loops(monkeypatch):
-    monkeypatch.setattr(analytic, "_polygon_gamma_mean", scalar.polygon_gamma_mean)
+    monkeypatch.setattr(analytic, "_frame_gamma_mean", scalar.frame_gamma_mean)
     monkeypatch.setattr(analytic, "_polygon_slope_mean", scalar.polygon_slope_mean)
     monkeypatch.setattr(analytic, "_mean_union_volume", scalar.mean_union_volume)
 
