@@ -34,9 +34,7 @@ from .euclid import (
     Direction,
     Disc,
     Segment,
-    Subspace,
     ball_constants,
-    subspace_det,
 )
 from .model import (
     DeterministicBase,
@@ -47,8 +45,6 @@ from .model import (
     MixtureBase,
     ProcessSpec,
     RadiusLaw,
-    mean_base_area,
-    mean_base_perimeter,
     spec_from_dict,
     spec_to_dict,
 )

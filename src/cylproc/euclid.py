@@ -1,8 +1,8 @@
 """Low-dimensional Euclidean primitives and the per-shape kernels.
 
 Exact geometry in R^2 / R^3: directions with antipodal identification,
-linear subspaces with deterministic orthonormal frames for their
-complements, and unit-ball constants.  The cross sections (segment, disc,
+deterministic orthonormal frames for the complements of their spans, and
+unit-ball constants.  The cross sections (segment, disc,
 convex polygon) are the only code that knows a base's kind: each has its
 area, boundary, membership and distance tests, the entry and exit times
 of lines, the hit test against a window's shadow, and the tag and
@@ -32,19 +32,11 @@ _CHUNK = 1 << 13      # elements per union-kernel temporary (64 KB); bounds the 
 
 
 # ---------------------------------------------------------------------------
-# directions and subspaces
+# directions and complement frames
 # ---------------------------------------------------------------------------
 
-def canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip v so that its first coordinate of magnitude > 1e-12 is positive."""
-    for x in v:
-        if abs(x) > NORM_TOL:
-            return v.copy() if x > 0 else -v
-    raise ValueError("zero vector has no canonical sign")
-
-
 def canonical_directions(V) -> np.ndarray:
-    """The rows of V as :class:`Direction` stores them, bit for bit, in one pass.
+    """The canonical representatives of the rows of V, in one pass.
 
     A row is divided by its norm unless that is within 1e-12 of one, then
     flipped so that its first coordinate of magnitude > 1e-12 is positive.
@@ -52,6 +44,8 @@ def canonical_directions(V) -> np.ndarray:
     V = np.array(V, dtype=float)
     if V.ndim != 2 or V.shape[1] not in (2, 3):
         raise ValueError(f"directions must be vectors in R^2 or R^3, got shape {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValueError("directions must have finite coordinates")
     n = np.sqrt(np.vecdot(V, V))  # np.linalg.norm of each row
     if np.any(n < NORM_TOL):
         raise ValueError("cannot normalize a (near-)zero vector")
@@ -70,7 +64,8 @@ class Direction:
 
     The stored representative has its first nonzero coordinate positive, so
     equal lines compare equal regardless of the sign they were built with.
-    Canonicalization is idempotent.
+    Canonicalization is idempotent; it is the n = 1 view of
+    :func:`canonical_directions`, bit for bit.
     """
 
     __slots__ = ("_v",)
@@ -79,12 +74,7 @@ class Direction:
         a = np.asarray(v, dtype=float)
         if a.ndim != 1 or a.size not in (2, 3):
             raise ValueError(f"direction must be a vector in R^2 or R^3, got shape {a.shape}")
-        n = float(np.linalg.norm(a))
-        if n < NORM_TOL:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        if abs(n - 1.0) > NORM_TOL:  # keep canonicalization bit-for-bit idempotent
-            a = a / n
-        a = canonical_sign(a)
+        a = canonical_directions(a[None])[0]
         a.flags.writeable = False
         self._v = a
 
@@ -145,79 +135,6 @@ def complement_frames(B: np.ndarray) -> np.ndarray:
     if np.any(count < k):
         raise ValueError("failed to build a complement frame")
     return F
-
-
-class Subspace:
-    """An m-dimensional linear subspace of R^d, m in {1, 2}, m < d.
-
-    ``basis`` holds orthonormal columns spanning the subspace; ``frame``
-    holds the canonical orthonormal basis of the orthogonal complement.
-    Cross-section and offset coordinates are always expressed in ``frame``.
-    """
-
-    __slots__ = ("basis", "frame")
-
-    def __init__(self, basis):
-        B = np.asarray(basis, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
-        d, m = B.shape
-        if d not in (2, 3) or m not in (1, 2) or m >= d:
-            raise ValueError(f"subspace must have dimension 1 or 2 inside R^2/R^3, got {m} in R^{d}")
-        if not np.allclose(B.T @ B, np.eye(m), atol=NORM_TOL):
-            raise ValueError("basis columns must be orthonormal within 1e-12")
-        B = B.copy()
-        B.flags.writeable = False
-        self.basis = B
-        F = complement_frames(B[None])[0]
-        F.flags.writeable = False
-        self.frame = F
-
-    @classmethod
-    def line(cls, direction: Direction) -> "Subspace":
-        return cls(direction.vec[:, None])
-
-    @classmethod
-    def plane_with_normal(cls, normal: Direction) -> "Subspace":
-        if normal.dim != 3:
-            raise ValueError("planes exist only in R^3")
-        return cls(complement_frames(normal.vec[None, :, None])[0])
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    def project_onto(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x @ self.basis) @ self.basis.T
-
-    def complement_coords(self, x):
-        """Coordinates, in ``frame``, of the component of x orthogonal to the subspace."""
-        return np.asarray(x, dtype=float) @ self.frame
-
-    def embed_complement(self, u):
-        """Inverse of :meth:`complement_coords` on the complement."""
-        return np.asarray(u, dtype=float) @ self.frame.T
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def subspace_det(xi: Subspace, eta: Direction) -> float:
-    """Volume of the parallelepiped spanned by an orthonormal basis of xi and eta.
-
-    For two lines this is |sin| of the enclosed angle; for a plane and a
-    vector it is |cos| of the angle between the vector and the plane normal.
-    Invariant under the antipodal flip of eta.  Always in [0, 1].
-    """
-    if eta.dim != xi.ambient_dim:
-        raise ValueError("dimension mismatch between subspace and direction")
-    resid = eta.vec - xi.basis @ (xi.basis.T @ eta.vec)
-    return float(np.linalg.norm(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +221,8 @@ class Segment(CrossSection):
     __slots__ = ("half_length",)
 
     def __init__(self, half_length: float):
-        if not half_length > 0:
-            raise ValueError("segment half-length must be positive")
+        if not 0 < half_length < math.inf:
+            raise ValueError("segment half-length must be positive and finite")
         self.half_length = float(half_length)
 
     @property
@@ -388,8 +305,8 @@ class Disc(CrossSection):
     __slots__ = ("radius",)
 
     def __init__(self, radius: float):
-        if not radius > 0:
-            raise ValueError("disc radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ValueError("disc radius must be positive and finite")
         self.radius = float(radius)
 
     @property
@@ -523,6 +440,8 @@ class ConvexPolygon(CrossSection):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise ValueError("polygon needs at least 3 planar vertices")
+        if not np.isfinite(V).all():
+            raise ValueError("polygon vertices must be finite")
         edges = np.roll(V, -1, axis=0) - V
         if np.any(np.linalg.norm(edges, axis=1) < GEOM_TOL):
             raise ValueError("polygon has a degenerate (zero-length) edge")
@@ -562,19 +481,16 @@ class ConvexPolygon(CrossSection):
 
     def distance(self, u):
         u = np.asarray(u, dtype=float)
-        single = u.ndim == 1
-        pts = u[None, :] if single else u
-        inside = self.contains(pts)
+        inside = self.contains(u)
         V = self.vertices
         W = np.roll(V, -1, axis=0)
-        best = np.full(pts.shape[:-1], np.inf)
+        best = np.full(u.shape[:-1], np.inf)
         for a, b in zip(V, W):
             ab = b - a
-            tt = np.clip((pts - a) @ ab / float(ab @ ab), 0.0, 1.0)
+            tt = np.clip((u - a) @ ab / float(ab @ ab), 0.0, 1.0)
             proj = a + tt[..., None] * ab
-            best = np.minimum(best, np.linalg.norm(pts - proj, axis=-1))
-        out = np.where(inside, 0.0, best)
-        return float(out[0]) if single else out
+            best = np.minimum(best, np.linalg.norm(u - proj, axis=-1))
+        return np.where(inside, 0.0, best)[()]
 
     def covariogram(self, t):
         """Area of K n (K + t), 2A - |K u (K + t)|, for lags t (..., 2): the union kernel at the points 0 and -t.

@@ -23,7 +23,6 @@ from .euclid import (
     CrossSection,
     Direction,
     Disc,
-    Subspace,
     canonical_directions,
     complement_frames,
 )
@@ -43,8 +42,6 @@ __all__ = [
     "DiscRadiusLaw",
     "MixtureBase",
     "ProcessSpec",
-    "mean_base_area",
-    "mean_base_perimeter",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -53,6 +50,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # radius law
 # ---------------------------------------------------------------------------
+
+def _check_weights(weights) -> None:
+    """Require the weights of a discrete law to be finite, positive and to sum to 1 within 1e-12."""
+    if not all(0 < w < math.inf for w in weights):
+        raise ValueError("weights must be positive and finite")
+    if abs(sum(weights) - 1.0) > NORM_TOL:
+        raise ValueError("weights must sum to 1 within 1e-12")
+
 
 @dataclass(frozen=True)
 class RadiusLaw:
@@ -66,14 +71,11 @@ class RadiusLaw:
         if not atoms:
             raise ValueError("radius law needs at least one atom")
         radii = [r for r, _ in atoms]
-        if any(r < 0 for r in radii):
-            raise ValueError("radii must be nonnegative")
+        if not all(0 <= r < math.inf for r in radii):
+            raise ValueError("radii must be nonnegative and finite")
         if len(set(radii)) != len(radii):
             raise ValueError("radii must be distinct")
-        if any(q <= 0 for _, q in atoms):
-            raise ValueError("weights must be positive")
-        if abs(sum(q for _, q in atoms) - 1.0) > NORM_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        _check_weights([q for _, q in atoms])
 
     @property
     def mean(self) -> float:
@@ -115,8 +117,6 @@ def haar_vectors(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
 class Isotropic:
     """Haar-uniform directional law."""
 
-    kind = "isotropic"
-
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return canonical_directions(haar_vectors(d, rng, n))
 
@@ -133,8 +133,6 @@ class Isotropic:
 class FixedAxes:
     """Discrete directional law on finitely many axes with positive weights."""
 
-    kind = "fixed_axes"
-
     def __init__(self, axes):
         pairs = tuple((a if isinstance(a, Direction) else Direction(a), float(w)) for a, w in axes)
         if not pairs:
@@ -142,10 +140,7 @@ class FixedAxes:
         dims = {a.dim for a, _ in pairs}
         if len(dims) != 1:
             raise ValueError("all axes must share one ambient dimension")
-        if any(w <= 0 for _, w in pairs):
-            raise ValueError("weights must be positive")
-        if abs(sum(w for _, w in pairs) - 1.0) > NORM_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        _check_weights([w for _, w in pairs])
         self.axes = pairs
 
     @property
@@ -170,8 +165,6 @@ class GirdleBand:
     Every sampled vector u satisfies |<u, axis>| <= sin(delta); the law is
     the Haar measure restricted to that band.
     """
-
-    kind = "girdle"
 
     def __init__(self, axis, delta: float):
         self.axis = axis if isinstance(axis, Direction) else Direction(axis)
@@ -213,8 +206,6 @@ DirectionalDistribution = Isotropic | FixedAxes | GirdleBand
 
 class DeterministicBase:
     """Every cylinder carries the same cross section."""
-
-    kind = "deterministic"
 
     def __init__(self, shape: CrossSection):
         self.shape = shape
@@ -259,7 +250,6 @@ class DiscRadiusLaw:
     accounts for it.
     """
 
-    kind = "disc_radius_law"
     dim = 2
 
     def __init__(self, law: RadiusLaw):
@@ -297,8 +287,6 @@ class DiscRadiusLaw:
 class MixtureBase:
     """Finite mixture of fixed cross sections."""
 
-    kind = "mixture"
-
     def __init__(self, components):
         comps = tuple((shape, float(w)) for shape, w in components)
         if not comps:
@@ -306,10 +294,7 @@ class MixtureBase:
         dims = {shape.dim for shape, _ in comps}
         if len(dims) != 1:
             raise ValueError("mixture components must share one dimension")
-        if any(w <= 0 for _, w in comps):
-            raise ValueError("weights must be positive")
-        if abs(sum(w for _, w in comps) - 1.0) > NORM_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        _check_weights([w for _, w in comps])
         self.components = comps
         self._weights = np.array([w for _, w in comps])
 
@@ -382,15 +367,12 @@ class ProcessSpec:
             if adim != self.d:
                 raise ArgumentError("alpha", "directional law lives in the wrong dimension")
 
-    def subspace_for(self, vec) -> Subspace:
-        """Direction space determined by one sampled direction vector."""
-        direction = vec if isinstance(vec, Direction) else Direction(vec)
-        if self.k == 1:
-            return Subspace.line(direction)
-        return Subspace.plane_with_normal(direction)
-
     def subspace_frames(self, vecs) -> tuple[np.ndarray, np.ndarray]:
-        """Bases (N, d, k) and frames (N, d, d - k) of :meth:`subspace_for` on each row, bit for bit."""
+        """Bases (N, d, k) and complement frames (N, d, d - k) of the direction spaces the rows identify.
+
+        A row is canonicalized first; it spans the line for k = 1 and is
+        the plane's normal for k = d - 1.
+        """
         v = canonical_directions(vecs)[:, :, None]
         if self.k == 1:
             return v, complement_frames(v)
@@ -402,20 +384,6 @@ class ProcessSpec:
         lam_a = self.intensity * self.base.mean_area
         if not lam_a > 0:
             raise ValueError("process is degenerate: intensity * mean base volume must be positive")
-
-
-def mean_base_area(spec: ProcessSpec) -> float:
-    """Exact mean cross-section volume under the base law."""
-    return spec.base.mean_area
-
-
-def mean_base_perimeter(spec: ProcessSpec) -> float:
-    """Exact mean cross-section boundary measure under the base law.
-
-    For disc bases in R^3 this is the mean perimeter 2 pi E[R]; for segment
-    bases it is the two-endpoint counting measure, i.e. exactly 2.
-    """
-    return spec.base.mean_boundary
 
 
 # ---------------------------------------------------------------------------

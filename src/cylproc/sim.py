@@ -69,6 +69,8 @@ class Window:
         hi = tuple(float(x) for x in self.hi)
         if len(lo) != len(hi) or len(lo) not in (2, 3):
             raise ValueError("window must be a box in R^2 or R^3")
+        if not all(math.isfinite(x) for x in lo + hi):
+            raise ValueError("window bounds must be finite")
         if not all(h > l for l, h in zip(lo, hi)):
             raise ValueError("window must have positive extent in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -89,10 +91,6 @@ class Window:
     @property
     def min_side(self) -> float:
         return float(np.min(np.array(self.hi) - np.array(self.lo)))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.array(self.hi) - np.array(self.lo)))
 
     def erode(self, margin) -> "Window":
         m = np.broadcast_to(np.asarray(margin, dtype=float), (self.dim,))

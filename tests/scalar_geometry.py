@@ -5,9 +5,11 @@ route: the convex hull of the projected window corners, the
 point-to-hull distance and a separating-axis overlap test.  The tests
 compare the batched hit test with :func:`hits_window` candidate by
 candidate, and the sampler with :func:`sample_reference`, the
-per-candidate sampler loop built on it.  Frames come from
-:func:`complement_frame`, the one-subspace Gram-Schmidt loop that
-``euclid.complement_frames`` batches.  The query oracles are the
+per-candidate sampler loop built on it.  Directions come from
+:func:`canonical_direction` and frames from :func:`complement_frame`,
+the one-vector loops that ``euclid.canonical_directions`` and
+``euclid.complement_frames`` batch; :func:`subspace` builds the direction
+space of one sampled vector from them.  The query oracles are the
 per-cylinder loops the simulation module used to run.  The quadrature
 oracle, at the end, is the node-by-node loop the analytic module used to
 run, with covariograms one lag at a time from closed forms and, for
@@ -19,9 +21,38 @@ import math
 import numpy as np
 
 from cylproc import analytic
-from cylproc.euclid import _FRAME_TOL, _TANGENT_TOL, GEOM_TOL, Disc, Segment
+from cylproc.euclid import _FRAME_TOL, _TANGENT_TOL, GEOM_TOL, NORM_TOL, Disc, Segment
 from cylproc.model import FixedAxes
 from cylproc.rng import philox_stream
+
+
+def canonical_direction(v) -> np.ndarray:
+    """The canonical representative of one vector v.
+
+    v is divided by its norm unless that is within 1e-12 of one, then
+    flipped so that its first coordinate of magnitude > 1e-12 is positive.
+    """
+    a = np.asarray(v, dtype=float)
+    n = float(np.linalg.norm(a))
+    if n < NORM_TOL:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    if abs(n - 1.0) > NORM_TOL:
+        a = a / n
+    for x in a:
+        if abs(x) > NORM_TOL:
+            return a.copy() if x > 0 else -a
+    raise ValueError("zero vector has no canonical sign")
+
+
+def subspace(spec, vec) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, complement frame) of the direction space one vector identifies, one subspace at a time.
+
+    The canonical vector spans the line for k = 1 and is the plane's
+    normal for k = d - 1.
+    """
+    v = canonical_direction(vec)[:, None]
+    basis = v if spec.k == 1 else complement_frame(v)
+    return basis, complement_frame(basis)
 
 
 def complement_frame(B: np.ndarray) -> np.ndarray:
@@ -56,7 +87,7 @@ def corners(window) -> np.ndarray:
 
 
 def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
-    """(subspace, shape, offset) of each kept cylinder: the sampler's draws, one candidate at a time."""
+    """(basis, frame, shape, offset) of each kept cylinder: the sampler's draws, one candidate at a time."""
     rng = philox_stream(seed, stream)
     m = spec.d - spec.k
     rho = window.circumradius + spec.base.max_circumradius
@@ -77,10 +108,10 @@ def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
     for vec, shape, o in zip(dirs, shapes, offs):
         if shape is None:
             continue
-        L = spec.subspace_for(vec)
-        off = L.complement_coords(window.center) + o
-        if hits_window(L.frame, shape, off, corners(window)):
-            kept.append((L, shape, off))
+        basis, frame = subspace(spec, vec)
+        off = window.center @ frame + o
+        if hits_window(frame, shape, off, corners(window)):
+            kept.append((basis, frame, shape, off))
     return kept
 
 
@@ -253,16 +284,16 @@ def ray_interval_bulk(real, origins, dirs, length: float):
 #
 # The per-node loops ``cylproc.analytic`` ran before its quadrature was
 # batched, kept as the oracle for the batched kernels.  Frames come from
-# the scalar :func:`complement_frame` or :meth:`ProcessSpec.subspace_for`
-# and covariograms from :func:`covariogram`.  The polygon union drops a
-# stretch shared by same-orientation collinear edges twice, and merges
+# the scalar :func:`complement_frame` or :func:`subspace` and covariograms
+# from :func:`covariogram`.  The polygon union drops a stretch shared by
+# same-orientation collinear edges twice, and merges
 # translates up to about 1e-5 times their coordinates apart, so compare
 # only point sets with no collinear or near-coincident configuration.
 
 def law_frames(spec) -> list:
     """(complement frame, weight) of each fixed axis or quadrature node, one subspace at a time."""
     if isinstance(spec.alpha, FixedAxes):
-        return [(spec.subspace_for(direction).frame, w) for direction, w in spec.alpha.axes]
+        return [(subspace(spec, direction.vec)[1], w) for direction, w in spec.alpha.axes]
     return [(complement_frame(omega[:, None]) if spec.k == 1 else omega[:, None], w)
             for omega, w in zip(*analytic._direction_nodes(spec))]
 

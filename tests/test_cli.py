@@ -226,12 +226,25 @@ def test_wrongly_typed_estimator_arguments_exit_1_with_their_path(tmp_path, monk
     (None, {"type": "disc_radius_law", "atoms": [[1.0, 0.5]]}, "spec.base.atoms"),
     (None, {"type": "mixture", "components": [{"weight": 1.0, "shape": {"type": "disc", "radius": 0}}]},
      "spec.base.components[0].shape.radius"),
+    # non-finite numbers, rejected by the constructor that holds them
+    (None, {"type": "disc", "radius": math.inf}, "spec.base.radius"),
+    (None, {"type": "segment", "half_length": math.inf}, "spec.base.half_length"),
+    ({"type": "fixed_axes", "axes": [{"direction": [0, 0, 1], "weight": math.nan}]}, None, "spec.alpha.axes"),
+    (None, {"type": "disc_radius_law", "atoms": [[math.nan, 1.0]]}, "spec.base.atoms"),
+    (None, {"type": "mixture", "components": [{"weight": math.nan, "shape": {"type": "disc", "radius": 1.0}}]},
+     "spec.base.components"),
+    (None, {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, math.inf], [0, 1]]}, "spec.base.vertices"),
+    ({"type": "fixed_axes", "axes": [{"direction": [math.inf, 0, 0], "weight": 1.0}]}, None,
+     "spec.alpha.axes[0].direction"),
 ])
 def test_spec_constructor_errors_name_their_field(tmp_path, capsys, alpha, base, path):
     spec = dict(SPEC3, alpha=alpha or SPEC3["alpha"], base=base or SPEC3["base"])
     cfg = write_config(tmp_path, {"spec": spec})
     assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    if "Infinity" in json.dumps(spec) or "NaN" in json.dumps(spec):
+        assert "finite" in err  # named as what it is, not as a zero or degenerate value
 
 
 def test_analytic_zero_linear_eta_exits_1(tmp_path, capsys):
@@ -306,6 +319,9 @@ OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
     ("simulate", {"spec": dict(SPEC3, alpha={"type": "fixed_axes",
                                              "axes": [{"direction": [1, 0], "weight": 1.0}]}),
                   "window": WINDOW3}, "spec.alpha"),
+    ("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [math.inf, 10, 10]}}, "window"),
+    ("estimate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [math.inf, 10, 10]}, "estimate": ESTIMATE},
+     "window"),
 ])
 def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, config, path):
     cfg = write_config(tmp_path, config)

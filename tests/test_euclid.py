@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cylproc import analytic
 from cylproc.euclid import (
     ConvexPolygon,
     Direction,
     Disc,
     Segment,
-    Subspace,
     ball_constants,
     canonical_directions,
     complement_frames,
     haar_mean_line_det,
-    subspace_det,
 )
-from cylproc.model import DeterministicBase, GirdleBand, Isotropic, ProcessSpec, haar_vectors
+from cylproc.model import DeterministicBase, FixedAxes, GirdleBand, Isotropic, ProcessSpec, haar_vectors
 from cylproc.rng import philox_stream
 import scalar_geometry as scalar
 from scalar_geometry import complement_frame
@@ -48,54 +47,49 @@ def test_direction_canonicalization():
         assert Direction(d1.vec) == d1  # idempotent
     with pytest.raises(ValueError):
         Direction([0.0, 0.0, 0.0])
-
-
-def test_subspace_validation_and_projection():
-    with pytest.raises(ValueError):
-        Subspace(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))  # not orthonormal
-    rng = philox_stream(2, 0)
-    for _ in range(100):
-        d = int(rng.choice([2, 3]))
-        v = rng.normal(size=d)
-        L = Subspace.line(Direction(v))
-        x = rng.normal(size=d)
-        onto = L.project_onto(x)
-        rest = L.embed_complement(L.complement_coords(x))
-        assert np.linalg.norm(onto + rest - x) < 1e-9
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Direction([bad, 0.0, 1.0])
 
 
 def test_project_along_examples():
-    L = Subspace.line(Direction([1.0, 0.0]))
-    assert np.allclose(L.complement_coords([3.0, 4.0]), [4.0])
-    assert np.allclose(L.complement_coords([5.0, 0.0]), [0.0])
-    L3 = Subspace.line(Direction([0.0, 0.0, 1.0]))
-    assert np.allclose(L3.complement_coords([1.0, 1.0, 1.0]), [1.0, 1.0])
+    def complement_coords(axis, x):
+        return np.array(x, dtype=float) @ complement_frames(np.array(axis, dtype=float)[None, :, None])[0]
+
+    assert np.allclose(complement_coords([1.0, 0.0], [3.0, 4.0]), [4.0])
+    assert np.allclose(complement_coords([1.0, 0.0], [5.0, 0.0]), [0.0])
+    assert np.allclose(complement_coords([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]), [1.0, 1.0])
+
+
+def det(axis, eta, k=1) -> float:
+    """[eta, L] for the direction space L that ``axis`` identifies, as analytic takes it under a one-axis law."""
+    d = len(axis)
+    spec = ProcessSpec(d=d, k=k, intensity=1.0, alpha=FixedAxes([(axis, 1.0)]),
+                       base=DeterministicBase(Segment(1.0) if d - k == 1 else Disc(1.0)))
+    return analytic._expect_pr_norm(spec, np.asarray(eta, dtype=float))
 
 
 def test_subspace_det_examples_and_properties():
-    L = Subspace.line(Direction([1.0, 0.0]))
-    assert subspace_det(L, Direction([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert subspace_det(L, Direction([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert subspace_det(L, Direction([1.0, 1.0])) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+    assert det([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert det([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert det([1.0, 0.0], Direction([1.0, 1.0]).vec) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
     rng = philox_stream(3, 0)
     for _ in range(200):
         d = int(rng.choice([2, 3]))
         u = Direction(rng.normal(size=d))
-        e = rng.normal(size=d)
-        eta = Direction(e)
-        Lu = Subspace.line(u)
-        val = subspace_det(Lu, eta)
+        eta = Direction(rng.normal(size=d))
+        val = det(u.vec, eta.vec)
         assert 0.0 <= val <= 1.0 + 1e-12
-        assert val == subspace_det(Lu, Direction(-e))
+        assert val == det(u.vec, -eta.vec)
         expected = math.sqrt(max(0.0, 1.0 - float(u.vec @ eta.vec) ** 2))
         assert val == pytest.approx(expected, abs=1e-12)
 
 
 def test_plane_subspace_det():
-    P = Subspace.plane_with_normal(Direction([0.0, 0.0, 1.0]))
-    assert subspace_det(P, Direction([0.0, 0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert subspace_det(P, Direction([1.0, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert subspace_det(P, Direction([1.0, 0.0, 1.0])) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    normal = [0.0, 0.0, 1.0]
+    assert det(normal, [0.0, 0.0, 1.0], k=2) == pytest.approx(1.0, abs=1e-12)
+    assert det(normal, [1.0, 0.0, 0.0], k=2) == pytest.approx(0.0, abs=1e-12)
+    assert det(normal, Direction([1.0, 0.0, 1.0]).vec, k=2) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_covariogram_disc_values():
@@ -284,6 +278,8 @@ def test_polygon_validation():
         ConvexPolygon([[0, 0], [0, 1], [1, 0]])  # clockwise
     with pytest.raises(ValueError):
         ConvexPolygon([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]])  # nonconvex
+    with pytest.raises(ValueError, match="finite"):
+        ConvexPolygon([[0, 0], [1, 0], [1, math.inf], [0, 1]])
     hexa = ConvexPolygon([[math.cos(a), math.sin(a)] for a in np.linspace(0, 2 * math.pi, 6, endpoint=False)])
     assert hexa.area == pytest.approx(1.5 * math.sqrt(3), rel=1e-12)
     # circumcentre sits at the origin after construction
@@ -297,6 +293,11 @@ def test_segment_and_disc_validation():
         Segment(0.0)
     with pytest.raises(ValueError):
         Disc(-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Segment(bad)
+        with pytest.raises(ValueError, match="finite"):
+            Disc(bad)
     seg = Segment(2.0)
     assert seg.area == 4.0
     assert seg.boundary == 2.0
@@ -336,16 +337,17 @@ def test_batched_frames_match_the_scalar_subspaces_bit_for_bit(kind, d, seed):
     canon = canonical_directions(vecs)
     frames = complement_frames(canon[:, :, None])
     for v, c, f in zip(vecs, canon, frames):
+        # the batched canonicalization and Gram-Schmidt are the scalar one-vector loops, bit for bit
+        assert same_bits(scalar.canonical_direction(v), c)
         assert same_bits(Direction(v).vec, c)
-        # the batched Gram-Schmidt is the scalar one-subspace loop, bit for bit
         assert same_bits(complement_frame(c[:, None]), f)
     for k in range(1, d):
         spec = ProcessSpec(d=d, k=k, intensity=1.0, alpha=Isotropic(),
                            base=DeterministicBase(Segment(1.0) if d - k == 1 else Disc(1.0)))
         bases, frames = spec.subspace_frames(vecs)
         for v, basis, frame in zip(vecs, bases, frames):
-            ref = Subspace.line(Direction(v)) if k == 1 else Subspace.plane_with_normal(Direction(v))
-            assert same_bits(ref.basis, basis) and same_bits(ref.frame, frame)
+            ref_basis, ref_frame = scalar.subspace(spec, v)
+            assert same_bits(ref_basis, basis) and same_bits(ref_frame, frame)
 
 
 def test_batched_frames_reject_what_direction_rejects():

@@ -13,8 +13,6 @@ from cylproc.model import (
     MixtureBase,
     ProcessSpec,
     RadiusLaw,
-    mean_base_area,
-    mean_base_perimeter,
     spec_from_dict,
     spec_to_dict,
 )
@@ -34,6 +32,9 @@ def test_radius_law_validation():
         RadiusLaw(((-1.0, 1.0),))
     with pytest.raises(ValueError):
         RadiusLaw(((0.0, 0.4), (2.0, 0.4)))  # weights do not sum to 1
+    for atoms in (((math.nan, 1.0),), ((math.inf, 1.0),), ((1.0, math.nan),), ((1.0, 0.5), (2.0, math.nan))):
+        with pytest.raises(ValueError, match="finite"):
+            RadiusLaw(atoms)
     law = RadiusLaw(((0.0, 0.5), (2.0, 0.5)))
     assert law.mean == 1.0
     assert law.second_moment == 2.0
@@ -60,7 +61,8 @@ def test_fixed_axes_and_deterministic_base_are_constant():
         vec = spec.alpha.sample_vectors(spec.d, rng, 1)[0]
         (j,) = spec.base.sample_index(rng, 1)
         K = spec.base.atoms()[j][0]
-        assert np.allclose(spec.subspace_for(vec).basis[:, 0], [0, 0, 1])
+        basis, _ = spec.subspace_frames(vec[None])
+        assert np.allclose(basis[0, :, 0], [0, 0, 1])
         assert K == Disc(1.0)
 
 
@@ -76,22 +78,22 @@ def test_girdle_band_constraint():
 
 
 def test_mean_base_moments():
-    assert mean_base_area(iso_disc_spec()) == pytest.approx(math.pi)
-    assert mean_base_perimeter(iso_disc_spec()) == pytest.approx(2 * math.pi)
+    assert iso_disc_spec().base.mean_area == pytest.approx(math.pi)
+    assert iso_disc_spec().base.mean_boundary == pytest.approx(2 * math.pi)
 
     law_spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(),
                            base=DiscRadiusLaw(RadiusLaw(((0.0, 0.5), (2.0, 0.5)))))
-    assert mean_base_area(law_spec) == pytest.approx(2 * math.pi)      # 0.5 * pi * 4
-    assert mean_base_perimeter(law_spec) == pytest.approx(2 * math.pi)  # 0.5 * 2 pi * 2
+    assert law_spec.base.mean_area == pytest.approx(2 * math.pi)      # 0.5 * pi * 4
+    assert law_spec.base.mean_boundary == pytest.approx(2 * math.pi)  # 0.5 * 2 pi * 2
 
     square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
     mix = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(),
                       base=MixtureBase(((square, 0.5), (Disc(1.0), 0.5))))
-    assert mean_base_area(mix) == pytest.approx((1 + math.pi) / 2)
+    assert mix.base.mean_area == pytest.approx((1 + math.pi) / 2)
 
     seg_spec = ProcessSpec(d=2, k=1, intensity=0.5, alpha=Isotropic(),
                            base=DeterministicBase(Segment(1.0)))
-    assert mean_base_perimeter(seg_spec) == 2.0  # endpoint counting measure
+    assert seg_spec.base.mean_boundary == 2.0  # endpoint counting measure
 
 
 def test_empirical_mean_area_matches():

@@ -49,6 +49,7 @@ from scalar_geometry import (
     corners,
     hits_window,
     sample_reference,
+    subspace,
 )
 
 
@@ -61,10 +62,10 @@ def z_axis_discs(offsets):
     spec = ProcessSpec(d=3, k=1, intensity=0.1,
                        alpha=FixedAxes([(Direction([0, 0, 1.0]), 1.0)]),
                        base=DeterministicBase(Disc(1.0)))
-    L = spec.subspace_for(Direction([0, 0, 1.0]))
+    basis, frame = subspace(spec, [0, 0, 1.0])
     n = len(offsets)
-    return Realization(spec, Window((-10, -10, -10), (10, 10, 10)), np.tile(L.basis[:, 0], (n, 1)),
-                       np.tile(L.frame, (n, 1, 1)), offsets, (Disc(1.0),), np.zeros(n, dtype=int), seed=0)
+    return Realization(spec, Window((-10, -10, -10), (10, 10, 10)), np.tile(basis[:, 0], (n, 1)),
+                       np.tile(frame, (n, 1, 1)), offsets, (Disc(1.0),), np.zeros(n, dtype=int), seed=0)
 
 
 def single_cylinder_realization():
@@ -74,9 +75,11 @@ def single_cylinder_realization():
 def test_window_validation_and_geometry():
     with pytest.raises(ValueError):
         Window((0, 0), (0, 1))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Window((0, 0, 0), (bad, 10, 10))
     w = Window((0, 0, 0), (20, 10, 5))
     assert w.min_side == 5
-    assert w.volume == 1000
     assert w.circumradius == pytest.approx(0.5 * math.sqrt(400 + 100 + 25))
     e = w.erode(1.0)
     assert e.lo == (1, 1, 1) and e.hi == (19, 9, 4)
@@ -473,10 +476,10 @@ def test_sampler_matches_the_per_candidate_loop(family, law):
         real = sample_realization(spec, window, seed, stream=1)
         ref = sample_reference(spec, window, seed, stream=1)
         assert real.n_cylinders() == len(ref) > 0
-        for i, (L, shape, off) in enumerate(ref):
+        for i, (basis, frame, shape, off) in enumerate(ref):
             assert real.shapes[real.shape_index[i]] is shape
-            assert same_bits(real.axes[i], L.basis[:, 0] if spec.k == 1 else L.frame[:, 0])
-            assert same_bits(real.frames[i], L.frame)
+            assert same_bits(real.axes[i], basis[:, 0] if spec.k == 1 else frame[:, 0])
+            assert same_bits(real.frames[i], frame)
             assert same_bits(real.offsets[i], off)
 
 
