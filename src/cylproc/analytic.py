@@ -31,14 +31,13 @@ from scipy.special import erfcx
 from .euclid import (
     ConvexPolygon,
     Direction,
-    ball_constants,
     complement_frames,
     crofton_factor,
     gauss_legendre,
     haar_mean_line_det,
     haar_mean_plane_det,
 )
-from .model import FixedAxes, GirdleBand, Isotropic, ProcessSpec
+from .model import ArgumentError, FixedAxes, GirdleBand, Isotropic, ProcessSpec, direction, real, reals
 
 MAX_CAPACITY_POINTS = 16  # inclusion-exclusion / boundary-tracing cost cap
 
@@ -224,10 +223,7 @@ def _law_frames(spec: ProcessSpec):
 
 
 def _expect_gamma(spec: ProcessSpec, h) -> float:
-    """E over the shape law of the base covariogram at the projected lag."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (spec.d,):
-        raise ValueError(f"lag must be a vector in R^{spec.d}")
+    """E over the shape law of the base covariogram at the projected lag h, a vector in R^d."""
     r = float(np.linalg.norm(h))
     if r == 0.0:
         return spec.base.mean_area
@@ -351,6 +347,7 @@ def volume_fraction(spec: ProcessSpec) -> float:
 
 def covariance(spec: ProcessSpec, h) -> float:
     """Two-point coverage probability C(h) = P(o and h both covered)."""
+    h = reals("h", h, (spec.d,))
     lam = spec.intensity
     abar = spec.base.mean_area
     return 1.0 - 2.0 * math.exp(-lam * abar) + math.exp(-2.0 * lam * abar + lam * _expect_gamma(spec, h))
@@ -358,6 +355,7 @@ def covariance(spec: ProcessSpec, h) -> float:
 
 def covariance_2d_isotropic(lam: float, a: float, r: float) -> float:
     """Closed-form covariance of isotropic bands of half-width a in the plane."""
+    lam, a, r = real("lam", lam), real("a", a), real("r", r)
     if lam <= 0 or a <= 0 or r < 0:
         raise ValueError("need lam > 0, a > 0, r >= 0")
     if r <= 2.0 * a:
@@ -377,10 +375,10 @@ def covariance_derivative(spec: ProcessSpec, h_dir) -> float:
     the unit projected direction; the integrand vanishes together with the
     projection when h lies in the direction space.
     """
-    vec = h_dir.vec if isinstance(h_dir, Direction) else np.asarray(h_dir, dtype=float)
+    vec = reals("h_dir", h_dir.vec if isinstance(h_dir, Direction) else h_dir, (spec.d,))
     n = float(np.linalg.norm(vec))
     if abs(n - 1.0) > 1e-9:
-        raise ValueError("h_dir must be a unit vector")
+        raise ArgumentError("h_dir", "h_dir must be a unit vector")
     lam = spec.intensity
     return lam * math.exp(-lam * spec.base.mean_area) * _expect_gamma_prime(spec, vec / n)
 
@@ -392,13 +390,9 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
     Pairs reduce to covariogram inclusion-exclusion; larger sets use exact
     union-of-translates areas (boundary tracing for discs and polygons).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise ValueError("point set must be nonempty")
-    if pts.shape[1] != spec.d:
-        raise ValueError(f"points must live in R^{spec.d}")
-    if len(pts) > MAX_CAPACITY_POINTS:
-        raise ValueError(f"at most {MAX_CAPACITY_POINTS} points supported")
+    pts = reals("points", points, (None, spec.d))
+    if not 0 < len(pts) <= MAX_CAPACITY_POINTS:
+        raise ArgumentError("points", f"the point set must hold 1 to {MAX_CAPACITY_POINTS} points")
     lam = spec.intensity
     abar = spec.base.mean_area
     if len(pts) == 1:
@@ -443,24 +437,16 @@ def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
 
 
 def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:
-    """Linear contact distribution in direction eta.
+    """Linear contact distribution in direction eta, for every base kind.
 
-    1 - exp(-lambda r C_o(eta)) with
-    C_o(eta) = c_{d,k} E[S(K)] * E_alpha[[xi, eta]],
-    c_{d,k} = omega_{d-k+1} / (2 pi omega_{d-k}).
-    Requires a base law that is rotation invariant within the complement
-    (segments or discs); polygon bases are rejected.
+    1 - exp(-lambda r C_o(eta)) with C_o(eta) = -E[gamma'_K(o, u) [eta, L]]:
+    the mean width of the base's shadow across u, the unit projection of
+    eta onto the complement, times the projected length [eta, L].
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if _split_atoms(spec)[1]:
-        raise ValueError("linear contact distribution needs a rotation-invariant base law "
-                         "(disc or segment cross sections)")
+    eta_vec = direction("eta", eta, spec.d).vec
+    r = real("r", r, minimum=0)
     spec.require_positive_volume()
-    m = spec.d - spec.k
-    c_dk = ball_constants(m + 1)[1] / (2.0 * math.pi * ball_constants(m)[1])
-    eta_vec = eta.vec if isinstance(eta, Direction) else Direction(eta).vec
-    c_o = c_dk * spec.base.mean_boundary * _expect_pr_norm(spec, eta_vec)
+    c_o = -_expect_gamma_prime(spec, eta_vec)
     return -math.expm1(-spec.intensity * r * c_o)
 
 
@@ -471,8 +457,7 @@ def spherical_cdf(spec: ProcessSpec, r: float) -> float:
     the cross-section law; for a planar complement
     1 - exp(-lambda (r E[S(K)] + pi r^2)).
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    r = real("r", r, minimum=0)
     spec.require_positive_volume()
     m = spec.d - spec.k
     if m == 1:
@@ -514,6 +499,14 @@ def specific_surface(spec: ProcessSpec) -> float:
     return -lam * crofton_factor(d) * expfac * core
 
 
+def _intensity(lam) -> float:
+    """A positive finite intensity, or an ArgumentError naming lambda."""
+    lam = real("lambda", lam)
+    if lam <= 0:
+        raise ArgumentError("lambda", "intensity must be positive")
+    return lam
+
+
 @dataclass(frozen=True)
 class PoreMoments:
     """First two moments of the pore radius at an uncovered point."""
@@ -532,10 +525,7 @@ def pore_moments(lam: float, c_s: float) -> PoreMoments:
         E H^2 = 1/(pi lam) - c_s erfcx(y) / (2 pi sqrt(lam)).
     erfcx keeps the product exp(y^2) erfc(y) stable for large budgets.
     """
-    if lam <= 0:
-        raise ValueError("intensity must be positive")
-    if c_s < 0:
-        raise ValueError("mean boundary measure must be nonnegative")
+    lam, c_s = _intensity(lam), real("c_s", c_s, minimum=0)
     y = c_s * math.sqrt(lam / (4.0 * math.pi))
     tail = 0.5 * float(erfcx(y))  # exp(c_s^2 lam / 4 pi) * (1 - Phi(c_s sqrt(lam / 2 pi)))
     mean = tail / math.sqrt(lam)
@@ -549,11 +539,11 @@ def variance_bound_cs(lam: float, eps: float) -> float:
     Valid under the standing assumption eps >= 1/(pi lam); any c_s at or
     below the returned value keeps Var H <= eps.
     """
-    if lam <= 0:
-        raise ValueError("intensity must be positive")
+    lam, eps = _intensity(lam), real("epsilon", eps)
     floor = 1.0 / (math.pi * lam)
     if eps < floor:
-        raise ValueError(
+        raise ArgumentError(
+            "epsilon",
             f"variance budget eps={eps} violates the standing assumption "
             f"eps >= 1/(pi lam) = {floor:.12g}"
         )

@@ -15,11 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytic, estimate
-from .euclid import ConvexPolygon, Direction
-from .model import ConfigError, ProcessSpec, check_fields, is_number, number_field, spec_from_dict
+from .model import (ArgumentError, ConfigError, ProcessSpec, _built, check_fields, direction, real, reals,
+                    spec_from_dict)
 from .optimize import DesignProblem, solve_radius_law, solution_to_json, verify_solution
 from .sim import Window, export_realization_csv, sample_realization
 
@@ -45,16 +43,8 @@ def _load_config(path: str) -> dict:
 def _parse_spec(config: dict) -> ProcessSpec:
     if "spec" not in config:
         raise ConfigError("config: missing required field 'spec'")
-    try:
-        spec = spec_from_dict(config["spec"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"spec: {exc}") from exc
-    try:
-        spec.require_positive_volume()
-    except ValueError as exc:
-        raise ConfigError(f"spec: {exc}") from exc
+    spec = spec_from_dict(config["spec"])
+    _built("spec", spec.require_positive_volume)
     return spec
 
 
@@ -63,10 +53,7 @@ def _parse_window(config: dict, spec: ProcessSpec) -> Window:
         raise ConfigError("config: missing required field 'window'")
     doc = config["window"]
     check_fields(doc, "window", ("lo", "hi"))
-    try:
-        window = Window(tuple(doc["lo"]), tuple(doc["hi"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"window: {exc}") from exc
+    window = _built("window", Window, doc["lo"], doc["hi"])
     if window.dim != spec.d:
         raise ConfigError(f"window: a box in R^{window.dim} does not match the spec's R^{spec.d}")
     return window
@@ -84,31 +71,17 @@ def _write(path: Path, text: str):
 _ANALYTIC_KEYS = ("lags", "spherical_radii", "linear_radii", "linear_eta", "pore_moments")
 
 
-def _radii(section: dict, key: str) -> list[float]:
-    value = section.get(key, [])
-    if not (isinstance(value, list) and all(is_number(r) and r >= 0 for r in value)):
-        raise ConfigError(f"analytic.{key}: must be a list of numbers >= 0, got {value!r}")
-    return [float(r) for r in value]
-
-
 def cmd_analytic(config: dict, args) -> int:
     spec = _parse_spec(config)
     section = config.get("analytic", {})
     check_fields(section, "analytic", (), _ANALYTIC_KEYS)
     # every field is checked before any closed form is evaluated
-    lags = section.get("lags", [])
-    if not (isinstance(lags, list) and all(isinstance(h, list) and len(h) == spec.d
-                                           and all(map(is_number, h)) for h in lags)):
-        raise ConfigError(f"analytic.lags: must be a list of vectors in R^{spec.d}, got {lags!r}")
-    spherical, linear = _radii(section, "spherical_radii"), _radii(section, "linear_radii")
-    eta = None
-    if "linear_eta" in section:
-        eta = _direction(section["linear_eta"], "analytic.linear_eta", spec.d)
-    elif linear:
-        raise ConfigError("analytic: 'linear_radii' requires 'linear_eta'")
-    if linear and any(isinstance(shape, ConvexPolygon) for shape, _ in spec.base.atoms()):
-        raise ConfigError("analytic.linear_radii: the linear contact distribution needs disc or "
-                          "segment cross sections")
+    lags = _built("analytic", reals, "lags", section.get("lags", []), (None, spec.d))
+    spherical, linear = (_built("analytic", reals, key, section.get(key, []), (None,), minimum=0)
+                         for key in ("spherical_radii", "linear_radii"))
+    eta = section.get("linear_eta")
+    if len(linear) or eta is not None:
+        eta = _built("analytic", direction, "linear_eta", eta, spec.d)
     pore = bool(section.get("pore_moments"))
     if pore and (spec.d != 3 or spec.k != 1):
         raise ConfigError("analytic.pore_moments: pore moments apply to axial cylinders in R^3")
@@ -116,7 +89,7 @@ def cmd_analytic(config: dict, args) -> int:
     rows = [("volume_fraction", analytic.volume_fraction(spec)),
             ("specific_surface", analytic.specific_surface(spec))]
     rows += [(f"covariance[{','.join(_fmt(float(x)) for x in h)}]",
-              analytic.covariance(spec, np.asarray(h, dtype=float))) for h in lags]
+              analytic.covariance(spec, h)) for h in lags]
     rows += [(f"spherical_cdf[r={_fmt(r)}]", analytic.spherical_cdf(spec, r)) for r in spherical]
     rows += [(f"linear_cdf[r={_fmt(r)}]", analytic.linear_cdf(spec, eta, r)) for r in linear]
     if pore:
@@ -135,52 +108,23 @@ _EST_KEYS = ("quantities", "n_points", "n_replicates", "lags", "radii", "eta",
              "n_rays", "n_lines", "probe_length", "step", "n_dirs", "richardson")
 
 
-def _count(section: dict, key: str, default: int, minimum: int = 1) -> int:
-    return number_field(section, "estimate", key, default, integer=True, minimum=minimum)
-
-
-def _direction(value, path: str, d: int) -> Direction:
-    try:
-        direction = Direction(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if direction.dim != d:
-        raise ConfigError(f"{path}: must be a direction in R^{d}")
-    return direction
-
-
 def _prepare(quantity: str, section: dict, spec: ProcessSpec, window: Window,
              n_points: int) -> estimate.Estimator:
     """One quantity's estimator; bad arguments fail here, before any sampling."""
-    required = {"covariance": ("lags",), "spherical_cdf": ("radii",),
-                "linear_cdf": ("radii", "eta")}.get(quantity, ())
-    if any(key not in section for key in required):
-        raise ConfigError(f"estimate: '{quantity}' requires " + " and ".join(f"'{k}'" for k in required))
-    try:
-        if quantity == "volume_fraction":
-            return estimate.prepare_volume_fraction(spec, window, n_points)
-        if quantity == "covariance":
-            return estimate.prepare_covariance(spec, window, section["lags"], n_points)
-        if quantity == "spherical_cdf":
-            return estimate.prepare_spherical_cdf(spec, window, section["radii"], n_points)
-        if quantity == "linear_cdf":
-            return estimate.prepare_linear_cdf(
-                spec, window, _direction(section["eta"], "estimate.eta", spec.d), section["radii"],
-                _count(section, "n_rays", n_points))
-        if quantity == "surface_linescan":
-            return estimate.prepare_linescan(spec, window, _count(section, "n_lines", n_points),
-                                             section.get("probe_length"))
-        if quantity == "surface_covderiv":
-            return estimate.prepare_covderiv(
-                spec, window, section.get("step", 0.02), _count(section, "n_dirs", 32),
-                n_points, richardson=bool(section.get("richardson", False)))
-    except ConfigError:
-        raise
-    except estimate.ArgumentError as exc:
-        raise ConfigError(f"estimate.{exc.field}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"estimate.quantities: {quantity}: {exc}") from exc
-    raise ConfigError(f"estimate.quantities: unknown quantity '{quantity}'")
+    get = section.get
+    calls = {
+        "volume_fraction": (estimate.prepare_volume_fraction, n_points),
+        "covariance": (estimate.prepare_covariance, get("lags"), n_points),
+        "spherical_cdf": (estimate.prepare_spherical_cdf, get("radii"), n_points),
+        "linear_cdf": (estimate.prepare_linear_cdf, get("eta"), get("radii"), get("n_rays", n_points)),
+        "surface_linescan": (estimate.prepare_linescan, get("n_lines", n_points), get("probe_length")),
+        "surface_covderiv": (estimate.prepare_covderiv, get("step", 0.02), get("n_dirs", 32), n_points,
+                             bool(get("richardson", False))),
+    }
+    if quantity not in calls:
+        raise ConfigError(f"estimate.quantities: unknown quantity '{quantity}'")
+    prepare, *arguments = calls[quantity]
+    return _built("estimate", prepare, spec, window, *arguments)
 
 
 def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
@@ -191,8 +135,8 @@ def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
     quantities = section["quantities"]
     if not (isinstance(quantities, list) and all(isinstance(q, str) for q in quantities)):
         raise ConfigError(f"estimate.quantities: must be a list of quantity names, got {quantities!r}")
-    n_points = _count(section, "n_points", 100_000)
-    n_reps = _count(section, "n_replicates", 50, minimum=2)
+    n_points = _built("estimate", real, "n_points", section.get("n_points", 100_000), minimum=1, integer=True)
+    n_reps = _built("estimate", real, "n_replicates", section.get("n_replicates", 50), minimum=2, integer=True)
     estimators = [_prepare(q, section, spec, window, n_points) for q in quantities]
     return estimate.run_estimators(spec, window, estimators, n_reps, args.seed, args.workers)
 
@@ -239,13 +183,9 @@ def cmd_optimize(config: dict, args) -> int:
         raise ConfigError("config: missing required field 'optimize'")
     section = config["optimize"]
     check_fields(section, "optimize", ("lambda", "epsilon", "r_max"), ("n_verify",))
-    lam, eps, r_max = (number_field(section, "optimize", key) for key in ("lambda", "epsilon", "r_max"))
-    n_verify = number_field(section, "optimize", "n_verify", 0, integer=True, minimum=0)
-    try:
-        prob = DesignProblem(lam, eps, r_max)
-        sol = solve_radius_law(prob)
-    except ValueError as exc:
-        raise ConfigError(f"optimize: {exc}") from exc
+    n_verify = _built("optimize", real, "n_verify", section.get("n_verify", 0), minimum=0, integer=True)
+    prob = _built("optimize", DesignProblem, section["lambda"], section["epsilon"], section["r_max"])
+    sol = _built("optimize", solve_radius_law, prob)
     certified = True
     if n_verify > 0:
         certified = verify_solution(prob, sol, n_verify, args.seed)
@@ -286,12 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"--workers: must be >= 1, got {args.workers}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        real("--workers", args.workers, minimum=1, integer=True)
+        real("--seed", args.seed, minimum=0, integer=True)
+        real("--z-threshold", args.z_threshold, minimum=0)
         config = _load_config(args.config)
         return _COMMANDS[args.command](config, args)
+    except ArgumentError as exc:  # a flag's; the commands map the config's to their paths
+        print(f"error: {exc.field}: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

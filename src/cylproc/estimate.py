@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
+from . import analytic, model
 from .euclid import Direction, crofton_factor
 from .model import ArgumentError, ProcessSpec, haar_vectors
 from .rng import philox_stream
@@ -68,12 +67,6 @@ __all__ = [
     "reports_to_csv",
     "reports_to_json",
 ]
-
-
-def _real(field: str, value) -> float:
-    if not isinstance(value, numbers.Real):
-        raise ArgumentError(field, f"must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -139,6 +132,7 @@ def run_estimators(spec: ProcessSpec, window: Window, estimators, n_reps: int, s
 
 def prepare_volume_fraction(spec: ProcessSpec, window: Window, n_points: int) -> Estimator:
     """Fraction of uniform window points covered by the union set."""
+    n_points = _count("n_points", n_points)
 
     def one(real, gen):
         pts = window.uniform_points(gen, n_points)
@@ -149,14 +143,9 @@ def prepare_volume_fraction(spec: ProcessSpec, window: Window, n_points: int) ->
 
 def prepare_covariance(spec: ProcessSpec, window: Window, lags, n_points: int) -> Estimator:
     """Two-point coverage frequency at each lag, on the lag-eroded window."""
-    try:
-        lags = [np.asarray(h, dtype=float) for h in lags]
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError("lags", f"must be a list of vectors in R^{window.dim}, got {lags!r}") from exc
+    lags, n_points = model.reals("lags", lags, (None, window.dim)), _count("n_points", n_points)
     cap = DEFAULT_LAG_FRACTION * window.min_side
     for h in lags:
-        if h.shape != (window.dim,):
-            raise ArgumentError("lags", f"lag {h} is not a vector in R^{window.dim}")
         if float(np.linalg.norm(h)) >= cap:
             raise ArgumentError("lags", f"lag {h} exceeds the {DEFAULT_LAG_FRACTION:g} * min-side "
                                         f"cap {cap:g}")
@@ -210,21 +199,21 @@ def _uncovered_points(real: Realization, gen, region: Window, n_points: int, p_h
     return np.vstack(out)
 
 
+def _count(field: str, value) -> int:
+    """A positive integer, or an ArgumentError naming ``field``."""
+    return model.real(field, value, minimum=1, integer=True)
+
+
 def _check_radii(radii) -> list[float]:
-    try:
-        radii = [_real("radii", r) for r in radii]
-    except TypeError as exc:
-        raise ArgumentError("radii", f"must be a list of numbers, got {radii!r}") from exc
+    radii = model.reals("radii", radii, (None,), minimum=0).tolist()
     if not radii:
         raise ArgumentError("radii", "at least one radius is required")
-    if min(radii) < 0:
-        raise ArgumentError("radii", "radii must be nonnegative")
     return radii
 
 
 def prepare_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: int) -> Estimator:
     """Empirical distance distribution from uncovered points to the union."""
-    radii = _check_radii(radii)
+    radii, n_points = _check_radii(radii), _count("n_points", n_points)
     r_max = max(radii)
     cap = DEFAULT_LAG_FRACTION * window.min_side
     if r_max > cap:
@@ -234,7 +223,7 @@ def prepare_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: in
                          "with radius-zero atoms")
     p = analytic.volume_fraction(spec)
     if p > 0.999:
-        raise ValueError("complement is too thin for rejection sampling (p > 0.999)")
+        raise ValueError("spherical contact estimation: complement is too thin for rejection sampling (p > 0.999)")
     region = window.erode(r_max)
 
     def one(real, gen):
@@ -249,18 +238,16 @@ def prepare_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: in
 def prepare_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii,
                        n_rays: int) -> Estimator:
     """Empirical first-contact distribution along rays in direction eta."""
-    radii = _check_radii(radii)
-    r_max = max(radii)
-    eta_vec = eta.vec if isinstance(eta, Direction) else Direction(eta).vec
-    if eta_vec.shape != (window.dim,):
-        raise ArgumentError("eta", f"eta is not a direction in R^{window.dim}")
+    eta = model.direction("eta", eta, window.dim)
+    radii, n_rays = _check_radii(radii), _count("n_rays", n_rays)
+    r_max, eta_vec = max(radii), eta.vec
     try:
         region = window.erode_for_lag(r_max * eta_vec)
     except ValueError as exc:
         raise ArgumentError("radii", f"max radius {r_max} leaves no room for rays: {exc}") from exc
     p = analytic.volume_fraction(spec)
     if p > 0.999:
-        raise ValueError("complement is too thin for rejection sampling (p > 0.999)")
+        raise ValueError("linear contact estimation: complement is too thin for rejection sampling (p > 0.999)")
 
     def one(real, gen):
         pts = _uncovered_points(real, gen, region, n_rays, p)
@@ -298,7 +285,8 @@ def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
     straddling the probe start are dropped, which by stationarity keeps the
     count unbiased for intensity * length.
     """
-    length = _real("probe_length", probe_length) if probe_length is not None else 0.8 * window.min_side
+    n_lines = _count("n_lines", n_lines)
+    length = 0.8 * window.min_side if probe_length is None else model.real("probe_length", probe_length)
     if not 0 < length < window.min_side:
         raise ArgumentError("probe_length",
                             "probe length must be positive and below the window min side")
@@ -329,7 +317,7 @@ def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int
     (2 D(h/2) - D(h)), trading a little variance for the O(step) term.
     """
     cap = DEFAULT_LAG_FRACTION * window.min_side
-    step = _real("step", step)
+    step, n_dirs, n_points = model.real("step", step), _count("n_dirs", n_dirs), _count("n_points", n_points)
     if not 0 < step < cap:
         raise ArgumentError("step", f"step must be in (0, {cap:g})")
     factor = crofton_factor(spec.d)

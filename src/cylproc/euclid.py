@@ -484,12 +484,13 @@ class ConvexPolygon(CrossSection):
         inside = self.contains(u)
         V = self.vertices
         W = np.roll(V, -1, axis=0)
+        x, y = u[..., 0], u[..., 1]
         best = np.full(u.shape[:-1], np.inf)
-        for a, b in zip(V, W):
-            ab = b - a
-            tt = np.clip((u - a) @ ab / float(ab @ ab), 0.0, 1.0)
-            proj = a + tt[..., None] * ab
-            best = np.minimum(best, np.linalg.norm(u - proj, axis=-1))
+        for (ax, ay), (bx, by) in zip(V, W):  # edge by edge, in elementwise products that round alike for any n
+            ex, ey = bx - ax, by - ay
+            tt = np.clip(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+            gx, gy = x - (ax + tt * ex), y - (ay + tt * ey)
+            best = np.minimum(best, np.sqrt(gx * gx + gy * gy))
         return np.where(inside, 0.0, best)[()]
 
     def covariogram(self, t):

@@ -13,6 +13,7 @@ the sampled direction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ __all__ = [
     "ArgumentError",
     "ConfigError",
     "check_fields",
-    "is_number",
-    "number_field",
+    "real",
+    "reals",
+    "direction",
     "haar_vectors",
     "RadiusLaw",
     "Isotropic",
@@ -168,9 +170,9 @@ class GirdleBand:
 
     def __init__(self, axis, delta: float):
         self.axis = axis if isinstance(axis, Direction) else Direction(axis)
-        if not 0.0 < delta <= 0.5 * math.pi:
-            raise ValueError("band half-width delta must lie in (0, pi/2]")
-        self.delta = float(delta)
+        self.delta = real("delta", delta)
+        if not 0.0 < self.delta <= 0.5 * math.pi:
+            raise ArgumentError("delta", "band half-width delta must lie in (0, pi/2]")
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if d != self.axis.dim:
@@ -353,12 +355,13 @@ class ProcessSpec:
     base: BaseDistribution
 
     def __post_init__(self):
+        object.__setattr__(self, "d", real("d", self.d, integer=True))
+        object.__setattr__(self, "k", real("k", self.k, integer=True))
+        object.__setattr__(self, "intensity", real("lambda", self.intensity, minimum=0))
         if self.d not in (2, 3):
             raise ArgumentError("d", "ambient dimension must be 2 or 3")
         if self.k not in (1, self.d - 1) or self.k >= self.d:
             raise ArgumentError("k", "flat dimension must be 1 or d-1 and below d")
-        if not (isinstance(self.intensity, (int, float)) and self.intensity >= 0 and math.isfinite(self.intensity)):
-            raise ArgumentError("lambda", "intensity must be a finite nonnegative number")
         m = self.d - self.k
         if self.base.dim != m:
             raise ArgumentError("base", f"base dimension {self.base.dim} does not match d-k = {m}")
@@ -414,20 +417,46 @@ def check_fields(doc, path: str, required=(), optional=()) -> None:
             raise ConfigError(f"{path}: unknown field '{key}'")
 
 
-def is_number(value) -> bool:
-    """A JSON number: an int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def real(field: str, value, minimum: float | None = None, integer: bool = False):
+    """``value`` as a float (an int when ``integer``), or an ArgumentError naming ``field``.
+
+    A bool, a non-number, NaN, +-inf, a fraction where an integer is needed
+    and a value below ``minimum`` are rejected.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (not integer or x.is_integer()) and (minimum is None or x >= minimum)):
+        what = ("an integer" if integer else "a finite number") + ("" if minimum is None else f" >= {minimum:g}")
+        raise ArgumentError(field, f"must be {what}, got {value!r}")
+    return int(value) if integer else x
 
 
-def number_field(doc: dict, path: str, key: str, default=None, integer: bool = False,
-                 minimum: float | None = None):
-    """The number at ``doc[key]`` (``default`` when absent), or a ConfigError naming path.key."""
-    value = doc.get(key, default)
-    if not (is_number(value) and (not integer or float(value).is_integer())
-            and (minimum is None or value >= minimum)):
-        what = ("an integer" if integer else "a number") + ("" if minimum is None else f" >= {minimum}")
-        raise ConfigError(f"{path}.{key}: must be {what}, got {value!r}")
-    return int(value) if integer else float(value)
+def reals(field: str, value, shape: tuple, minimum: float | None = None) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (None matches any length), each entry checked by :func:`real`."""
+    try:
+        items = [real(field, x, minimum) if len(shape) == 1 else reals(field, x, shape[1:], minimum)
+                 for x in value]
+    except TypeError:  # not a list
+        items = None
+    if items is None or shape[0] not in (None, len(items)):
+        what = "finite numbers"
+        for i, n in enumerate(reversed(shape)):
+            what = ("a list of " if i == len(shape) - 1 else "lists of ") + ("" if n is None else f"{n} ") + what
+        raise ArgumentError(field, f"must be {what}, got {value!r}")
+    return np.array(items, dtype=float).reshape(len(items), *shape[1:])
+
+
+def direction(field: str, value, d: int) -> Direction:
+    """``value``, a Direction or a nonzero vector in R^d, as a Direction, or an ArgumentError naming ``field``."""
+    if isinstance(value, Direction) and value.dim == d:
+        return value
+    vec = reals(field, value, (d,))
+    try:
+        return Direction(vec)
+    except ValueError as exc:
+        raise ArgumentError(field, str(exc)) from exc
 
 
 _ALPHA_FIELDS = {"isotropic": (), "fixed_axes": ("axes",), "girdle": ("axis", "delta")}
@@ -445,10 +474,10 @@ def _typed(doc, path: str, fields: dict, what: str) -> str:
     return kind
 
 
-def _built(path: str, make, *args):
-    """``make(*args)``, with its ValueError or TypeError re-raised as a ConfigError naming path (and the field)."""
+def _built(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError or TypeError re-raised as a ConfigError naming path (and the field)."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except ConfigError:
         raise
     except ArgumentError as exc:
@@ -484,10 +513,6 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
 def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
     """Parse a spec document, rejecting missing, unknown and malformed fields with their paths."""
     check_fields(doc, path, ("d", "k", "lambda", "alpha", "base"))
-    d = number_field(doc, path, "d", integer=True)
-    k = number_field(doc, path, "k", integer=True)
-    lam = number_field(doc, path, "lambda")
-
     alpha_doc, apath = doc["alpha"], f"{path}.alpha"
     akind = _typed(alpha_doc, apath, _ALPHA_FIELDS, "directional law")
     if akind == "isotropic":
@@ -500,7 +525,7 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         alpha = _built(f"{apath}.axes", FixedAxes, axes)
     else:
         axis = _built(f"{apath}.axis", Direction, alpha_doc["axis"])
-        alpha = _built(f"{apath}.delta", GirdleBand, axis, number_field(alpha_doc, apath, "delta"))
+        alpha = _built(apath, GirdleBand, axis, alpha_doc["delta"])
 
     base_doc, bpath = doc["base"], f"{path}.base"
     bkind = _typed(base_doc, bpath, _BASE_FIELDS, "base law")
@@ -515,4 +540,4 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         base = _built(f"{bpath}.components", MixtureBase, comps)
     else:
         base = DeterministicBase(_shape_from_dict(base_doc, bpath))
-    return _built(path, ProcessSpec, d, k, lam, alpha, base)
+    return _built(path, ProcessSpec, doc["d"], doc["k"], doc["lambda"], alpha, base)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytic import pore_moments, variance_bound_cs
 from .euclid import ConvexPolygon, Disc, Segment
-from .model import RadiusLaw
+from .model import ArgumentError, RadiusLaw, real
 from .rng import philox_stream
 
 __all__ = [
@@ -43,16 +43,12 @@ class DesignProblem:
     r_max: float
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise ValueError("intensity must be positive")
+        object.__setattr__(self, "intensity", real("lambda", self.intensity))
+        object.__setattr__(self, "eps", real("epsilon", self.eps))
+        object.__setattr__(self, "r_max", real("r_max", self.r_max))
+        variance_bound_cs(self.intensity, self.eps)  # lambda > 0 and the standing assumption on eps
         if self.r_max <= 0:
-            raise ValueError("radius cap must be positive")
-        floor = 1.0 / (math.pi * self.intensity)
-        if self.eps < floor:
-            raise ValueError(
-                f"variance budget eps={self.eps} violates the standing assumption "
-                f"eps >= 1/(pi lam) = {floor:.12g}"
-            )
+            raise ArgumentError("r_max", "radius cap must be positive")
 
     @property
     def mean_radius_cap(self) -> float:

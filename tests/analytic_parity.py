@@ -6,12 +6,12 @@
 The first form evaluates covariance and the mean covariogram
 E gamma_K(Pr h) at five lags, the two- and
 three-point capacity, the covariance derivative, the specific surface and
-(for rotation-invariant bases) the linear contact distribution at two
-radii, over disc, square, triangle, radius-law and mixture bases under
-isotropic, girdle and fixed-axes laws in space, and over slabs and bands
-under the same laws: 318 values, each as ``float.hex``.  The second form
-lists every value that differs between two such files, with its relative
-change, and the count of equal values.
+the linear contact distribution at two radii, over disc, square, triangle,
+radius-law and mixture bases under isotropic, girdle and fixed-axes laws in
+space, and over slabs and bands under the same laws: 336 values, each as
+``float.hex``.  The second form lists every value that differs between two
+such files, with its relative change, and the count of equal values; keys
+only one file holds (a grid that grew) are counted, not compared.
 """
 
 import json
@@ -82,19 +82,19 @@ def values() -> dict:
         out[f"{name}/capacity3"] = analytic.capacity_finite(spec, pts)
         out[f"{name}/covariance_derivative"] = analytic.covariance_derivative(spec, unit)
         out[f"{name}/specific_surface"] = analytic.specific_surface(spec)
-        if not any(isinstance(shape, ConvexPolygon) for shape, _ in spec.base.atoms()):
-            for r in RADII:
-                out[f"{name}/linear_cdf[{r}]"] = analytic.linear_cdf(spec, Direction(unit), r)
+        for r in RADII:
+            out[f"{name}/linear_cdf[{r}]"] = analytic.linear_cdf(spec, Direction(unit), r)
     return {key: float(v).hex() for key, v in out.items()}
 
 
 def compare(old_path: str, new_path: str) -> None:
     old, new = (json.loads(open(p).read()) for p in (old_path, new_path))
-    assert old.keys() == new.keys(), "the two files hold different grids"
-    moved = [(k, float.fromhex(old[k]), float.fromhex(new[k])) for k in old if old[k] != new[k]]
+    common = [k for k in old if k in new]
+    moved = [(k, float.fromhex(old[k]), float.fromhex(new[k])) for k in common if old[k] != new[k]]
     for key, a, b in moved:
         print(f"{key}: {a!r} -> {b!r} (relative {abs(b - a) / abs(a):.2g})")
-    print(f"{len(old) - len(moved)} of {len(old)} values equal bit for bit")
+    print(f"{len(common) - len(moved)} of {len(common)} shared values equal bit for bit; "
+          f"{len(old) - len(common)} only in the first file, {len(new) - len(common)} only in the second")
 
 
 if __name__ == "__main__":

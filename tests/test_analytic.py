@@ -17,6 +17,7 @@ from cylproc.analytic import (
     variance_bound_cs,
     volume_fraction,
 )
+from cylproc.estimate import est_linear_cdf
 from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
 from cylproc.model import (
     DeterministicBase,
@@ -29,6 +30,7 @@ from cylproc.model import (
     RadiusLaw,
 )
 from cylproc.rng import philox_stream
+from cylproc.sim import Window
 
 
 def spec3_iso(lam=0.1, a=1.0):
@@ -262,11 +264,42 @@ def test_linear_cdf_2d_base_independent():
             1 - math.exp(-0.5 * 2 / math.pi), abs=1e-12)
 
 
-def test_linear_cdf_rejects_polygon_bases():
-    spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(),
-                       base=DeterministicBase(ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])))
-    with pytest.raises(ValueError, match="rotation-invariant"):
-        linear_cdf(spec, Direction([1.0, 0, 0]), 1.0)
+@pytest.mark.parametrize("vertices", [[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]],
+                                      [[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]], ids=["square", "triangle"])
+@pytest.mark.parametrize("alpha", [Isotropic(), GirdleBand(Direction([0, 0, 1.0]), 0.4)], ids=["iso", "girdle"])
+def test_linear_cdf_of_polygon_bases_matches_the_estimator(vertices, alpha):
+    spec = ProcessSpec(d=3, k=1, intensity=0.3, alpha=alpha, base=DeterministicBase(ConvexPolygon(vertices)))
+    window = Window((0, 0, 0), (16, 16, 16))
+    reports = est_linear_cdf(spec, window, Direction([1.0, 2.0, 2.0]), [0.5, 2.0], 4000, 20, seed=7)
+    for rep in reports:
+        assert abs(rep.z_score) < 4, rep
+
+
+PUBLIC_ARGUMENTS = {
+    "covariance": lambda spec, bad: covariance(spec, bad),
+    "covariance_derivative": lambda spec, bad: covariance_derivative(spec, bad),
+    "capacity_finite": lambda spec, bad: capacity_finite(spec, [np.zeros(3), bad]),
+    "linear_cdf": lambda spec, bad: linear_cdf(spec, bad, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0],
+                                 [True, 0.0, 0.0], 1.0, "abc"])
+@pytest.mark.parametrize("fn", PUBLIC_ARGUMENTS)
+def test_vector_arguments_of_the_wrong_dimension_or_not_finite_are_rejected(fn, bad):
+    with pytest.raises(ValueError):
+        PUBLIC_ARGUMENTS[fn](spec3_iso(), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, True, "1"])
+def test_number_arguments_that_are_not_finite_or_out_of_range_are_rejected(bad):
+    spec, eta = spec3_iso(), Direction([1.0, 0, 0])
+    for call in (lambda: linear_cdf(spec, eta, bad), lambda: spherical_cdf(spec, bad),
+                 lambda: pore_moments(bad, 1.0), lambda: pore_moments(0.1, bad),
+                 lambda: variance_bound_cs(bad, 4.0), lambda: variance_bound_cs(0.1, bad),
+                 lambda: covariance_2d_isotropic(bad, 1.0, 1.0), lambda: covariance_2d_isotropic(0.5, 1.0, bad)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_spherical_cdf_values():

@@ -190,6 +190,13 @@ def test_compare_shares_one_realization_per_replicate(tmp_path, monkeypatch, wor
     ("n_lines", 0),
     ("n_dirs", 0),
     ("n_replicates", 1),
+    # non-finite numbers and booleans, which no estimator argument may be
+    *[(field, value) for bad in (math.nan, math.inf, -math.inf)
+      for field, value in (("lags", [[bad, 0.0, 0.0]]), ("radii", [bad]), ("eta", [bad, 0.0, 1.0]),
+                           ("step", bad), ("probe_length", bad), ("n_points", bad), ("n_rays", bad),
+                           ("n_lines", bad), ("n_dirs", bad), ("n_replicates", bad))],
+    ("step", True),
+    ("radii", [True]),
 ])
 def test_estimator_argument_errors_exit_1_before_sampling(tmp_path, monkeypatch, capsys,
                                                           field, value):
@@ -254,7 +261,9 @@ def test_analytic_zero_linear_eta_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: analytic.linear_eta: ")
 
 
-@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--seed", "-1"),
+                                         ("--z-threshold", "nan"), ("--z-threshold", "-1"),
+                                         ("--z-threshold", "inf")])
 def test_bad_seed_and_worker_count_exit_1(tmp_path, capsys, flag, value):
     cfg = write_config(tmp_path, {"spec": SPEC3})
     assert main(["analytic", "--config", cfg, flag, value, "--out", str(tmp_path / "out")]) == 1
@@ -268,6 +277,11 @@ def test_bad_seed_and_worker_count_exit_1(tmp_path, capsys, flag, value):
     ("spherical_radii", [-1.0]),
     ("linear_radii", [-1.0]),
     ("linear_eta", [1.0, 0.0]),
+    *[(field, value) for bad in (math.nan, math.inf, -math.inf)
+      for field, value in (("lags", [[bad, 0.0, 0.0]]), ("spherical_radii", [bad]), ("linear_radii", [bad]),
+                           ("linear_eta", [bad, 0.0, 1.0]))],
+    ("spherical_radii", [True]),
+    ("lags", [[True, 0.0, 0.0]]),
 ])
 def test_analytic_field_errors_exit_1_before_any_closed_form(tmp_path, monkeypatch, capsys,
                                                              field, value):
@@ -306,8 +320,8 @@ OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
     ("analytic", {"spec": dict(SPEC3, base="disc")}, "spec.base"),
     ("analytic", {"spec": dict(SPEC3, base={"type": "polygon",
                                             "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}),
-                  "analytic": {"linear_radii": [1.0], "linear_eta": [1.0, 0.0, 0.0]}},
-     "analytic.linear_radii"),
+                  "analytic": {"linear_radii": [1.0], "linear_eta": [math.nan, 0.0, 0.0]}},
+     "analytic.linear_eta"),
     # fields that parse as numbers or objects but that the process spec itself rejects
     ("analytic", {"spec": dict(SPEC3, **{"lambda": -1})}, "spec.lambda"),
     ("analytic", {"spec": dict(SPEC3, **{"lambda": math.inf})}, "spec.lambda"),
@@ -322,6 +336,24 @@ OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
     ("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [math.inf, 10, 10]}}, "window"),
     ("estimate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [math.inf, 10, 10]}, "estimate": ESTIMATE},
      "window"),
+    # non-finite numbers and booleans in every number field of spec, window and optimize
+    *[case for bad in (math.nan, math.inf, -math.inf) for case in (
+        ("analytic", {"spec": dict(SPEC3, d=bad)}, "spec.d"),
+        ("analytic", {"spec": dict(SPEC3, k=bad)}, "spec.k"),
+        ("analytic", {"spec": dict(SPEC3, **{"lambda": bad})}, "spec.lambda"),
+        ("analytic", {"spec": dict(SPEC3, alpha={"type": "girdle", "axis": [0, 0, 1], "delta": bad})},
+         "spec.alpha.delta"),
+        ("analytic", {"spec": dict(SPEC3, base={"type": "disc", "radius": bad})}, "spec.base.radius"),
+        ("simulate", {"spec": SPEC3, "window": {"lo": [bad, 0, 0], "hi": [10, 10, 10]}}, "window"),
+        ("optimize", {"optimize": dict(OPTIMIZE, **{"lambda": bad})}, "optimize.lambda"),
+        ("optimize", {"optimize": dict(OPTIMIZE, epsilon=bad)}, "optimize.epsilon"),
+        ("optimize", {"optimize": dict(OPTIMIZE, r_max=bad)}, "optimize.r_max"),
+        ("optimize", {"optimize": dict(OPTIMIZE, n_verify=bad)}, "optimize.n_verify"))],
+    ("analytic", {"spec": dict(SPEC3, d=True)}, "spec.d"),
+    ("analytic", {"spec": dict(SPEC3, **{"lambda": True})}, "spec.lambda"),
+    ("analytic", {"spec": dict(SPEC3, alpha={"type": "girdle", "axis": [0, 0, 1], "delta": True})},
+     "spec.alpha.delta"),
+    ("optimize", {"optimize": dict(OPTIMIZE, r_max=True)}, "optimize.r_max"),
 ])
 def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, config, path):
     cfg = write_config(tmp_path, config)

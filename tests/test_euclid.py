@@ -199,11 +199,12 @@ def test_kernels_return_one_value_per_row(shape):
 @KINDS
 def test_one_lag_is_its_row_of_a_stack_bit_for_bit(shape):
     T = lags(shape, (6, 8), 14)
-    g = shape.covariogram(T)
-    assert same_bits(shape.covariogram(T.reshape(-1, shape.dim)), g.reshape(-1))
-    for i, j in np.ndindex(g.shape):
-        assert same_bits(shape.covariogram(T[i, j]), g[i, j])
-        assert same_bits(shape.covariogram(T[i, j:j + 1]), g[i, j:j + 1])
+    for kernel in (shape.covariogram, shape.distance):
+        g = kernel(T)
+        assert same_bits(kernel(T.reshape(-1, shape.dim)), g.reshape(-1))
+        for i, j in np.ndindex(g.shape):
+            assert same_bits(kernel(T[i, j]), g[i, j])
+            assert same_bits(kernel(T[i, j:j + 1]), g[i, j:j + 1])
 
 
 @KINDS
