@@ -155,9 +155,7 @@ def prepare_covariance(spec: ProcessSpec, window: Window, lags, n_points: int) -
         vals = []
         for h, sub in zip(lags, subs):
             pts = sub.uniform_points(gen, n_points)
-            hit = covered_mask(real, pts)
-            if float(np.linalg.norm(h)) > 0.0:
-                hit = hit & covered_mask(real, pts + h)
+            hit = covered_mask(real, pts, h[None]).all(axis=0)  # x and x + h covered
             vals.append(float(np.mean(hit)))
         return vals
 
@@ -325,15 +323,17 @@ def prepare_covderiv(spec: ProcessSpec, window: Window, step: float, n_dirs: int
 
     def one(real, gen):
         pts = inner.uniform_points(gen, n_points)
-        base = covered_mask(real, pts)
-        p0 = float(np.mean(base))
         dirs = haar_vectors(spec.d, gen, n_dirs)
+        # the points, then shifted by step * xi and, for Richardson, by 0.5 * step * xi: one call
+        rows = covered_mask(real, pts, np.vstack([step * dirs] + ([0.5 * step * dirs] if richardson else [])))
+        base = rows[0]
+        p0 = float(np.mean(base))
         acc = 0.0
-        for xi in dirs:
-            both = base & covered_mask(real, pts + step * xi)
+        for j in range(n_dirs):
+            both = base & rows[1 + j]
             diff = (float(np.mean(both)) - p0) / step
             if richardson:
-                half = base & covered_mask(real, pts + 0.5 * step * xi)
+                half = base & rows[1 + n_dirs + j]
                 diff = 2.0 * (float(np.mean(half)) - p0) / (0.5 * step) - diff
             acc += diff
         return -factor * acc / n_dirs

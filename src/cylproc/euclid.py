@@ -4,20 +4,23 @@ Exact geometry in R^2 / R^3: directions with antipodal identification,
 deterministic orthonormal frames for the complements of their spans, and
 unit-ball constants.  The cross sections (segment, disc,
 convex polygon) are the only code that knows a base's kind: each has its
-area, boundary, membership and distance tests, the entry and exit times
-of lines, the hit test against a window's shadow, and the tag and
-parameter it is written under, and one batched kernel each for the
+area, boundary, membership and distance tests, the reach of its
+membership test, the ray kernel that returns the non-empty clipped
+intervals of lines, the hit test against a window's shadow, and the tag
+and parameter it is written under, and one batched kernel each for the
 covariogram, its derivative at the origin and the area of a union of
 translates; a single lag or direction is the n = 1 view of a stack, bit
 for bit.  The union kernels share one interval-union routine,
 :func:`_sweep`, which the simulation's probe merge uses too; every
-absolute tolerance is defined here.  Everything is immutable after
-construction and safe to share between workers.
+absolute tolerance is defined here, and so is :func:`number`, the one
+check of a scalar argument.  Everything is immutable after construction
+and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +32,24 @@ _FRAME_TOL = 1e-7     # Gram-Schmidt residual acceptance threshold
 _DEDUPE_TOL = 1e-12   # translates nearer than this times the circumradius coincide
 _JOIN_TOL = 1e-14     # covered pieces of a union of translates nearer than this are joined
 _CHUNK = 1 << 13      # elements per union-kernel temporary (64 KB); bounds the memory of a call
+_REACH_TOL = 1e-6     # relative slack of the circumcircle pre-test of the polygon ray kernel
+
+
+def number(value, name: str = "", minimum: float | None = None, integer: bool = False):
+    """``value`` as a float (an int when ``integer``), or a ValueError whose message starts with ``name``.
+
+    A bool, a non-number, NaN, +-inf, a fraction where an integer is needed
+    and a value below ``minimum`` are rejected.  This is the one check of a
+    scalar: the cross sections call it, and ``model.real`` names its field.
+    """
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and (not integer or x.is_integer()) and (minimum is None or x >= minimum)):
+        what = ("an integer" if integer else "a finite number") + ("" if minimum is None else f" >= {minimum:g}")
+        raise ValueError(f"{name} must be {what}, got {value!r}".lstrip())
+    return int(value) if integer else x
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +242,9 @@ class Segment(CrossSection):
     __slots__ = ("half_length",)
 
     def __init__(self, half_length: float):
-        if not 0 < half_length < math.inf:
+        self.half_length = number(half_length, "segment half-length")
+        if not self.half_length > 0:
             raise ValueError("segment half-length must be positive and finite")
-        self.half_length = float(half_length)
 
     @property
     def area(self) -> float:
@@ -236,6 +257,11 @@ class Segment(CrossSection):
     @property
     def circumradius(self) -> float:
         return self.half_length
+
+    @property
+    def reach(self) -> float:
+        """Radius about the origin of the set that ``contains`` accepts."""
+        return self.half_length + GEOM_TOL
 
     @property
     def diameter(self) -> float:
@@ -257,11 +283,13 @@ class Segment(CrossSection):
         """gamma'(o, u) = -1 for unit u (..., 1), in either direction; the number itself when u is None."""
         return -1.0 if u is None else np.full(np.shape(u)[:-1], -1.0)[()]
 
-    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
-        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 1) through the segment.
+    def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 1) through the segment.
 
-        A line that misses gets an empty interval (lo > hi); one parallel
-        to the segment and inside it gets [0, length].
+        Returns (flat index into (c, n), t_in, t_out), in index order.  A
+        line parallel to the segment and inside it gets [0, length].  Every
+        pair is solved and clipped before the hits are compressed: the
+        solve is as cheap as any miss test would be.
         """
         a = self.half_length
         w0, p0 = w[..., 0], u0[..., 0]
@@ -273,7 +301,7 @@ class Segment(CrossSection):
         hi = np.maximum(t1, t2)
         lo[par] = 0.0
         hi[par] = np.where(np.abs(p0[par]) <= a, length, -1.0)
-        return lo, hi
+        return _clipped(np.arange(lo.size), lo.ravel(), hi.ravel(), length)
 
     def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Whether the segment at each ``off`` overlaps the interval ``centre`` +- half the sum of |gens| (N, d, 1)."""
@@ -305,9 +333,9 @@ class Disc(CrossSection):
     __slots__ = ("radius",)
 
     def __init__(self, radius: float):
-        if not 0 < radius < math.inf:
+        self.radius = number(radius, "disc radius")
+        if not self.radius > 0:
             raise ValueError("disc radius must be positive and finite")
-        self.radius = float(radius)
 
     @property
     def area(self) -> float:
@@ -320,6 +348,11 @@ class Disc(CrossSection):
     @property
     def circumradius(self) -> float:
         return self.radius
+
+    @property
+    def reach(self) -> float:
+        """Radius about the origin of the set that ``contains`` accepts."""
+        return self.radius + GEOM_TOL
 
     @property
     def diameter(self) -> float:
@@ -350,11 +383,14 @@ class Disc(CrossSection):
         """gamma'(o, u) = -2a for unit u (..., 2); the number itself when u is None."""
         return -2.0 * self.radius if u is None else np.full(np.shape(u)[:-1], -2.0 * self.radius)[()]
 
-    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
-        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the disc.
+    def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 2) through the disc.
 
-        A line that misses or grazes gets an empty interval (lo > hi); one
-        parallel to the axis and inside the disc gets [0, length].
+        Returns (flat index into (c, n), t_in, t_out), in index order.  A
+        line that misses or grazes gets none; one parallel to the axis and
+        inside the disc gets [0, length].  The discriminant is formed for
+        every pair; roots, masks and clipping run only on the pairs it
+        keeps.
         """
         a = self.radius
         ww = np.einsum("...j,...j->...", w, w)
@@ -362,16 +398,15 @@ class Disc(CrossSection):
         c = np.einsum("...j,...j->...", u0, u0) - a * a
         par = ww <= _TANGENT_TOL**2
         disc = b * b - ww * c
+        live = np.flatnonzero((disc > _TANGENT_TOL) | par)
+        ww, b, c, par, disc = (np.ravel(x)[live] for x in (ww, b, c, par, disc))
         with np.errstate(divide="ignore", invalid="ignore"):
             root = np.sqrt(np.maximum(disc, 0.0))
             lo = (-b - root) / ww
             hi = (-b + root) / ww
-        miss = disc <= _TANGENT_TOL
-        lo[miss] = 0.0
-        hi[miss] = -1.0
         lo[par] = 0.0
         hi[par] = np.where(c[par] <= 0.0, length, -1.0)
-        return lo, hi
+        return _clipped(live, lo, hi, length)
 
     def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Whether the disc at each ``off`` lies within r of the zonogon at ``centre`` spanned by gens (N, 3, 2)."""
@@ -434,14 +469,15 @@ class ConvexPolygon(CrossSection):
 
     dim = 2
     tag, field, param_shape = "polygon", "vertices", (-1, 2)
-    __slots__ = ("vertices", "_normals", "_offsets", "area", "boundary", "circumradius")
+    __slots__ = ("vertices", "_normals", "_offsets", "area", "boundary", "circumradius", "reach", "_corner",
+                 "_shortest")
 
     def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise ValueError("polygon needs at least 3 planar vertices")
-        if not np.isfinite(V).all():
-            raise ValueError("polygon vertices must be finite")
+        for x in np.asarray(vertices, dtype=object).ravel():
+            number(x, "polygon vertex coordinates")
         edges = np.roll(V, -1, axis=0) - V
         if np.any(np.linalg.norm(edges, axis=1) < GEOM_TOL):
             raise ValueError("polygon has a degenerate (zero-length) edge")
@@ -467,6 +503,10 @@ class ConvexPolygon(CrossSection):
         b.flags.writeable = False
         self._normals = n
         self._offsets = b
+        # an edge line moved out by t moves a corner out by t / cos(theta / 2), theta the turn of the normals there
+        self._corner = 1.0 / math.sqrt(0.5 * (1.0 + float(np.min(np.sum(n * np.roll(n, 1, axis=0), axis=1)))))
+        self._shortest = float(np.min(np.linalg.norm(edges, axis=1)))
+        self.reach = radius + GEOM_TOL * self._corner
 
     @property
     def diameter(self) -> float:
@@ -516,15 +556,28 @@ class ConvexPolygon(CrossSection):
         shadow = (np.vstack([perp, np.zeros(2)]) @ self.vertices.T)[:-1]
         return -(shadow.max(axis=1) - shadow.min(axis=1)).reshape(u.shape[:-1])[()]
 
-    def entry_exit(self, u0: np.ndarray, w: np.ndarray, length: float):
-        """Unclipped entry and exit times (c, n) of the lines u0 + t w (c, n, 2) through the polygon.
+    def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
+        """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 2) through the polygon.
 
-        A line that misses gets an empty interval (lo > hi).
+        Returns (flat index into (c, n), t_in, t_out), in index order.  Only
+        the lines that pass within ``bound`` of the circumcentre are clipped
+        edge by edge (Cyrus-Beck).  ``bound`` exceeds the circumradius by a
+        relative slack for rounding and by how far past an edge the clip
+        lets a line parallel to it pass: GEOM_TOL plus the drift of a
+        parallel line over the probe, over the edge length, widened at the
+        sharpest corner.
         """
+        par_slack = (GEOM_TOL + length * _TANGENT_TOL) / self._shortest
+        bound = self.circumradius * (1.0 + _REACH_TOL) + par_slack * self._corner
+        ww = np.einsum("...j,...j->...", w, w)
+        cross = u0[..., 0] * w[..., 1] - u0[..., 1] * w[..., 0]  # |cross| / |w|: distance of the line from the centre
+        live = np.flatnonzero(cross * cross <= bound * bound * ww)
+        cyl, ray = np.unravel_index(live, ww.shape)
+        u0, w = u0[cyl, ray], w[cyl, ray]
         E = np.roll(self.vertices, -1, axis=0) - self.vertices
-        lo = np.full(u0.shape[:-1], -np.inf)
-        hi = np.full(u0.shape[:-1], np.inf)
-        ok = np.ones(u0.shape[:-1], dtype=bool)
+        lo = np.full(len(live), -np.inf)
+        hi = np.full(len(live), np.inf)
+        ok = np.ones(len(live), dtype=bool)
         for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), self.vertices):
             denom = w @ n_e
             num = (q - u0) @ n_e
@@ -538,7 +591,7 @@ class ConvexPolygon(CrossSection):
             lo = np.where(lower, np.maximum(lo, t), lo)
         lo[~ok] = 0.0
         hi[~ok] = -1.0
-        return lo, hi
+        return _clipped(live, lo, hi, length)
 
     def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Separating-axis test of the polygon at each ``off`` against the zonogon at ``centre`` spanned by gens.
@@ -623,7 +676,7 @@ def shape_from_params(tag: str, values):
     if tag not in SHAPE_TYPES:
         raise ValueError(f"unknown shape tag {tag!r}")
     cls = SHAPE_TYPES[tag]
-    return cls(np.reshape(values, cls.param_shape))
+    return cls(np.reshape(values, cls.param_shape).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +748,14 @@ def _zonogon_distance(gens: np.ndarray, p: np.ndarray) -> np.ndarray:
     gap = q - t[..., None] * edges
     dist = np.sqrt(np.min(np.sum(gap * gap, axis=2), axis=1))
     return np.where(inside, 0.0, dist)
+
+
+def _clipped(index: np.ndarray, lo: np.ndarray, hi: np.ndarray, length: float):
+    """(index, t_in, t_out) of the intervals [lo, hi] that keep a positive length when clipped to [0, length]."""
+    lo = np.maximum(lo, 0.0)
+    hi = np.minimum(hi, length)
+    keep = np.flatnonzero(hi - lo > 0.0)
+    return index[keep], lo[keep], hi[keep]
 
 
 def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:

@@ -13,7 +13,6 @@ the sampled direction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .euclid import (
     Disc,
     canonical_directions,
     complement_frames,
+    number,
 )
 
 __all__ = [
@@ -54,9 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _check_weights(weights) -> None:
-    """Require the weights of a discrete law to be finite, positive and to sum to 1 within 1e-12."""
-    if not all(0 < w < math.inf for w in weights):
-        raise ValueError("weights must be positive and finite")
+    """Require the weights of a discrete law, numbers already, to be positive and to sum to 1 within 1e-12."""
+    if not all(w > 0 for w in weights):
+        raise ValueError("weights must be positive")
     if abs(sum(weights) - 1.0) > NORM_TOL:
         raise ValueError("weights must sum to 1 within 1e-12")
 
@@ -68,13 +68,13 @@ class RadiusLaw:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(r), float(q)) for r, q in self.atoms)
+        atoms = tuple((number(r, "radius"), number(q, "weight")) for r, q in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("radius law needs at least one atom")
         radii = [r for r, _ in atoms]
-        if not all(0 <= r < math.inf for r in radii):
-            raise ValueError("radii must be nonnegative and finite")
+        if not all(r >= 0 for r in radii):
+            raise ValueError("radii must be nonnegative")
         if len(set(radii)) != len(radii):
             raise ValueError("radii must be distinct")
         _check_weights([q for _, q in atoms])
@@ -136,7 +136,7 @@ class FixedAxes:
     """Discrete directional law on finitely many axes with positive weights."""
 
     def __init__(self, axes):
-        pairs = tuple((a if isinstance(a, Direction) else Direction(a), float(w)) for a, w in axes)
+        pairs = tuple((a if isinstance(a, Direction) else Direction(a), number(w, "weight")) for a, w in axes)
         if not pairs:
             raise ValueError("at least one axis required")
         dims = {a.dim for a, _ in pairs}
@@ -290,7 +290,7 @@ class MixtureBase:
     """Finite mixture of fixed cross sections."""
 
     def __init__(self, components):
-        comps = tuple((shape, float(w)) for shape, w in components)
+        comps = tuple((shape, number(w, "weight")) for shape, w in components)
         if not comps:
             raise ValueError("mixture needs at least one component")
         dims = {shape.dim for shape, _ in comps}
@@ -418,19 +418,11 @@ def check_fields(doc, path: str, required=(), optional=()) -> None:
 
 
 def real(field: str, value, minimum: float | None = None, integer: bool = False):
-    """``value`` as a float (an int when ``integer``), or an ArgumentError naming ``field``.
-
-    A bool, a non-number, NaN, +-inf, a fraction where an integer is needed
-    and a value below ``minimum`` are rejected.
-    """
+    """``value`` checked by :func:`~cylproc.euclid.number`, or an ArgumentError naming ``field``."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not (math.isfinite(x) and (not integer or x.is_integer()) and (minimum is None or x >= minimum)):
-        what = ("an integer" if integer else "a finite number") + ("" if minimum is None else f" >= {minimum:g}")
-        raise ArgumentError(field, f"must be {what}, got {value!r}")
-    return int(value) if integer else x
+        return number(value, minimum=minimum, integer=integer)
+    except ValueError as exc:
+        raise ArgumentError(field, str(exc)) from exc
 
 
 def reals(field: str, value, shape: tuple, minimum: float | None = None) -> np.ndarray:

@@ -22,6 +22,10 @@ Each query has one kernel, :func:`covered_mask`, :func:`distance_mask`
 and :func:`ray_interval_bulk`.  It loops over the shape table, projects
 that shape's cylinders in stacks of at most ``_CHUNK`` point-cylinder
 pairs with one ``matmul``, and runs the shape's own test on the stack.
+The kernels finish only the pairs whose answer can change: a shape's ray
+kernel solves only the lines that pass its miss test and returns only
+non-empty intervals, and :func:`covered_mask` with ``shifts`` re-projects
+only the pairs near enough for a shifted point to fall inside.
 No code here depends on a shape's kind.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
 n = 1 views of them that add only the window checks.  Probe intervals are
@@ -47,6 +51,7 @@ from .euclid import (
     _sweep,
     canonical_directions,
     complement_frames,
+    number,
     shape_from_params,
 )
 from .model import ProcessSpec
@@ -65,12 +70,10 @@ class Window:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(x) for x in self.lo)
-        hi = tuple(float(x) for x in self.hi)
+        lo = tuple(number(x, "window bounds") for x in self.lo)
+        hi = tuple(number(x, "window bounds") for x in self.hi)
         if len(lo) != len(hi) or len(lo) not in (2, 3):
             raise ValueError("window must be a box in R^2 or R^3")
-        if not all(math.isfinite(x) for x in lo + hi):
-            raise ValueError("window bounds must be finite")
         if not all(h > l for l, h in zip(lo, hi)):
             raise ValueError("window must have positive extent in every coordinate")
         object.__setattr__(self, "lo", lo)
@@ -213,6 +216,7 @@ def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 14  # point-cylinder pairs per stacked projection; bounds every kernel temporary
+_NEAR_TOL = 1e-9  # relative slack of the near-pair test of shifted membership
 
 
 def _chunks(real: Realization, n: int):
@@ -234,14 +238,36 @@ def _project(frames: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.matmul(frames.transpose(0, 2, 1), pts.T).transpose(0, 2, 1)
 
 
-def covered_mask(real: Realization, points: np.ndarray) -> np.ndarray:
-    """Membership of each point in the union set (no window check; bulk path)."""
+def covered_mask(real: Realization, points: np.ndarray, shifts=None) -> np.ndarray:
+    """Membership of each point in the union set (no window check; bulk path).
+
+    With ``shifts`` (k, d) the result is (1 + k, n): row 0 for the points
+    and row i for ``points + shifts[i - 1]``, bit for bit as separate calls
+    give them.  One pass over all pairs keeps the near pairs, those within
+    the shape's ``reach`` + max |shift| of the cylinder plus a rounding
+    slack relative to the window's coordinates; only they can hold a point
+    or a shifted copy of it.  The shape's test runs on them alone, after the
+    shifted points are projected pair by pair with ``np.vecmat``, which
+    rounds as the stacked projection does.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(len(pts), dtype=bool)
+    moves = np.empty((0, pts.shape[1])) if shifts is None else np.atleast_2d(np.asarray(shifts, dtype=float))
+    if not np.isfinite(moves).all():
+        raise ValueError("shifts must be finite")
+    out = np.zeros((1 + len(moves), len(pts)), dtype=bool)
+    far = float(np.sqrt(np.vecdot(moves, moves)).max(initial=0.0))
+    far += _NEAR_TOL * (far + max(map(abs, real.window.lo + real.window.hi)))
     for shape, sel in _chunks(real, len(pts)):
         u = _project(real.frames[sel], pts) - real.offsets[sel, None]
-        out |= shape.contains(u).any(axis=0)
-    return out
+        cyl, near = np.divmod(np.flatnonzero(np.einsum("...i,...i->...", u, u) <= (shape.reach + far) ** 2),
+                              len(pts))
+        u = u[cyl, near][None]
+        if len(moves):
+            at = sel[cyl]
+            u = np.concatenate([u, np.vecmat(pts[near] + moves[:, None], real.frames[at]) - real.offsets[at]])
+        row, pair = np.nonzero(shape.contains(u))
+        out[row, near[pair]] = True
+    return out[0] if shifts is None else out
 
 
 def contains(real: Realization, x) -> bool:
@@ -310,22 +336,21 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     """Per-cylinder clipped intervals for many probe segments at once.
 
     Returns flat arrays (ray_id, t_in, t_out) with t clipped to [0, length],
-    grouped by shape and then by cylinder; an interval whose unclipped
-    entry lies before 0 is reported with t_in == 0, which marks a
-    component straddling the segment start.
+    grouped by shape, then by cylinder, then by probe; an interval whose
+    unclipped entry lies before 0 is reported with t_in == 0, which marks a
+    component straddling the segment start.  Each shape's kernel returns
+    only the non-empty intervals.
     """
     origins, dirs = np.asarray(origins, dtype=float), np.asarray(dirs, dtype=float)
+    n = len(origins)
     ids_all, tin_all, tout_all = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
-    for shape, sel in _chunks(real, len(origins)):
+    for shape, sel in _chunks(real, n):
         frames = real.frames[sel]
         u0 = _project(frames, origins) - real.offsets[sel, None]
-        lo, hi = shape.entry_exit(u0, _project(frames, dirs), length)
-        lo = np.maximum(lo, 0.0)
-        hi = np.minimum(hi, length)
-        keep = hi - lo > 0.0
-        ids_all.append(np.nonzero(keep)[1])
-        tin_all.append(lo[keep])
-        tout_all.append(hi[keep])
+        pair, t_in, t_out = shape.clipped_intervals(u0, _project(frames, dirs), length)
+        ids_all.append(pair % n)
+        tin_all.append(t_in)
+        tout_all.append(t_out)
     return np.concatenate(ids_all).astype(np.int64), np.concatenate(tin_all), np.concatenate(tout_all)
 
 

@@ -243,6 +243,13 @@ def test_wrongly_typed_estimator_arguments_exit_1_with_their_path(tmp_path, monk
     (None, {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, math.inf], [0, 1]]}, "spec.base.vertices"),
     ({"type": "fixed_axes", "axes": [{"direction": [math.inf, 0, 0], "weight": 1.0}]}, None,
      "spec.alpha.axes[0].direction"),
+    # booleans, read as 1 or 0 by a float conversion
+    (None, {"type": "segment", "half_length": True}, "spec.base.half_length"),
+    (None, {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, True], [0, 1]]}, "spec.base.vertices"),
+    ({"type": "fixed_axes", "axes": [{"direction": [0, 0, 1], "weight": True}]}, None, "spec.alpha.axes"),
+    (None, {"type": "disc_radius_law", "atoms": [[True, 1.0]]}, "spec.base.atoms"),
+    (None, {"type": "mixture", "components": [{"weight": True, "shape": {"type": "disc", "radius": 1.0}}]},
+     "spec.base.components"),
 ])
 def test_spec_constructor_errors_name_their_field(tmp_path, capsys, alpha, base, path):
     spec = dict(SPEC3, alpha=alpha or SPEC3["alpha"], base=base or SPEC3["base"])
@@ -354,6 +361,8 @@ OPTIMIZE = {"lambda": 0.1, "epsilon": 4.0, "r_max": 2.0}
     ("analytic", {"spec": dict(SPEC3, alpha={"type": "girdle", "axis": [0, 0, 1], "delta": True})},
      "spec.alpha.delta"),
     ("optimize", {"optimize": dict(OPTIMIZE, r_max=True)}, "optimize.r_max"),
+    ("analytic", {"spec": dict(SPEC3, base={"type": "disc", "radius": True})}, "spec.base.radius"),
+    ("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, False], "hi": [10, 10, 10]}}, "window"),
 ])
 def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, config, path):
     cfg = write_config(tmp_path, config)

@@ -279,8 +279,9 @@ def test_polygon_validation():
         ConvexPolygon([[0, 0], [0, 1], [1, 0]])  # clockwise
     with pytest.raises(ValueError):
         ConvexPolygon([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]])  # nonconvex
-    with pytest.raises(ValueError, match="finite"):
-        ConvexPolygon([[0, 0], [1, 0], [1, math.inf], [0, 1]])
+    for bad in (math.inf, True):
+        with pytest.raises(ValueError, match="finite"):
+            ConvexPolygon([[0, 0], [1, 0], [1, bad], [0, 1]])
     hexa = ConvexPolygon([[math.cos(a), math.sin(a)] for a in np.linspace(0, 2 * math.pi, 6, endpoint=False)])
     assert hexa.area == pytest.approx(1.5 * math.sqrt(3), rel=1e-12)
     # circumcentre sits at the origin after construction
@@ -294,7 +295,7 @@ def test_segment_and_disc_validation():
         Segment(0.0)
     with pytest.raises(ValueError):
         Disc(-1.0)
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, True, "1"):
         with pytest.raises(ValueError, match="finite"):
             Segment(bad)
         with pytest.raises(ValueError, match="finite"):

@@ -32,7 +32,8 @@ def test_radius_law_validation():
         RadiusLaw(((-1.0, 1.0),))
     with pytest.raises(ValueError):
         RadiusLaw(((0.0, 0.4), (2.0, 0.4)))  # weights do not sum to 1
-    for atoms in (((math.nan, 1.0),), ((math.inf, 1.0),), ((1.0, math.nan),), ((1.0, 0.5), (2.0, math.nan))):
+    for atoms in (((math.nan, 1.0),), ((math.inf, 1.0),), ((1.0, math.nan),), ((1.0, 0.5), (2.0, math.nan)),
+                  ((True, 1.0),), ((1.0, True),)):
         with pytest.raises(ValueError, match="finite"):
             RadiusLaw(atoms)
     law = RadiusLaw(((0.0, 0.5), (2.0, 0.5)))

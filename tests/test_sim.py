@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cylproc import sim
 from cylproc.analytic import capacity_finite, volume_fraction
 from cylproc.euclid import (
+    GEOM_TOL,
     ConvexPolygon,
     Direction,
     Disc,
@@ -57,15 +58,20 @@ def spec3_iso(lam=0.1, a=1.0):
     return ProcessSpec(d=3, k=1, intensity=lam, alpha=Isotropic(), base=DeterministicBase(Disc(a)))
 
 
+def one_direction_realization(d, k, shape, vec, offsets):
+    """Cylinders of one shape on one direction space, at the given offsets, in a side-20 window."""
+    spec = ProcessSpec(d=d, k=k, intensity=0.1, alpha=FixedAxes([(Direction(vec), 1.0)]),
+                       base=DeterministicBase(shape))
+    basis, frame = subspace(spec, vec)
+    n = len(offsets)
+    return Realization(spec, Window((-10.0,) * d, (10.0,) * d), np.tile((basis if k == 1 else frame)[:, 0], (n, 1)),
+                       np.tile(frame, (n, 1, 1)), np.reshape(offsets, (n, d - k)), (shape,),
+                       np.zeros(n, dtype=int), seed=0)
+
+
 def z_axis_discs(offsets):
     """Unit-disc cylinders along the z axis at the given offsets, in a side-20 window."""
-    spec = ProcessSpec(d=3, k=1, intensity=0.1,
-                       alpha=FixedAxes([(Direction([0, 0, 1.0]), 1.0)]),
-                       base=DeterministicBase(Disc(1.0)))
-    basis, frame = subspace(spec, [0, 0, 1.0])
-    n = len(offsets)
-    return Realization(spec, Window((-10, -10, -10), (10, 10, 10)), np.tile(basis[:, 0], (n, 1)),
-                       np.tile(frame, (n, 1, 1)), offsets, (Disc(1.0),), np.zeros(n, dtype=int), seed=0)
+    return one_direction_realization(3, 1, Disc(1.0), [0, 0, 1.0], offsets)
 
 
 def single_cylinder_realization():
@@ -78,6 +84,8 @@ def test_window_validation_and_geometry():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             Window((0, 0, 0), (bad, 10, 10))
+    with pytest.raises(ValueError, match="finite"):
+        Window((0, 0, False), (1, 1, True))  # not the unit box
     w = Window((0, 0, 0), (20, 10, 5))
     assert w.min_side == 5
     assert w.circumradius == pytest.approx(0.5 * math.sqrt(400 + 100 + 25))
@@ -566,11 +574,16 @@ def assert_kernels_match_the_oracle(real, n_points: int, seed: int):
     # Haar directions, and one direction for every probe as first_entry_times passes it: the
     # first coordinate axis, parallel to some cylinders under the fixed-axes law
     for dirs in (dirs, np.broadcast_to(np.eye(real.window.dim)[0], dirs.shape)):
-        runs = ray_interval_bulk(real, origins, dirs, 3.0), oracle.ray_interval_bulk(real, origins, dirs, 3.0)
-        # the kernel groups intervals by shape, the loop by cylinder: compare in (id, t_in, t_out) order
-        got, want = ([a[np.lexsort(x[::-1])] for a in x] for x in runs)
-        for a, b in zip(got, want):
-            assert same_bits(a, b)
+        assert_rays_match_the_oracle(real, origins, dirs, 3.0)
+
+
+def assert_rays_match_the_oracle(real, origins, dirs, length: float):
+    runs = ray_interval_bulk(real, origins, dirs, length), oracle.ray_interval_bulk(real, origins, dirs, length)
+    # the kernel groups intervals by shape, the loop by cylinder: compare in (id, t_in, t_out) order
+    got, want = ([a[np.lexsort(x[::-1])] for a in x] for x in runs)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+    return runs[0]
 
 
 @pytest.mark.parametrize("family, law", PARITY_CASES)
@@ -594,3 +607,119 @@ def test_query_kernels_on_an_empty_realization():
     assert_kernels_match_the_oracle(real, 50, seed=13)
     assert not covered_mask(real, np.ones((4, 3))).any()
     assert np.all(distance_mask(real, np.ones((4, 3))) == np.inf)
+
+
+# ---------------------------------------------------------------------------
+# shifted membership: one pass, each row as its own call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family, law", PARITY_CASES)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), step=st.floats(1e-3, 0.5), long=st.floats(2.0, 12.0))
+def test_shifted_membership_rows_are_the_separate_calls(family, law, seed, step, long):
+    spec = parity_spec(family, law)
+    window = hit_window(spec.d)
+    real = sample_realization(spec, window, seed)
+    gen = philox_stream(seed, 5)
+    around = Window(tuple(x - 3.0 for x in window.lo), tuple(x + 3.0 for x in window.hi))
+    pts = np.vstack([window.uniform_points(gen, 300), around.uniform_points(gen, 100)])  # some outside the window
+    dirs = haar_vectors(spec.d, gen, 4)
+    # a zero shift, the covariance-derivative steps and their Richardson halves, and shifts longer
+    # than every base's circumradius
+    shifts = np.vstack([np.zeros((1, spec.d)), step * dirs, 0.5 * step * dirs, long * dirs[:2]])
+    rows = covered_mask(real, pts, shifts)
+    assert rows.shape == (1 + len(shifts), len(pts))
+    assert same_bits(rows[0], covered_mask(real, pts))
+    for s, row in zip(shifts, rows[1:]):
+        assert same_bits(row, covered_mask(real, pts + s))
+
+
+def test_shifted_membership_on_an_empty_realization():
+    real = empty_realization(parity_spec("mixture3", "isotropic"), hit_window(3))
+    rows = covered_mask(real, np.ones((4, 3)), np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    assert rows.shape == (3, 4) and not rows.any()
+    with pytest.raises(ValueError, match="finite"):
+        covered_mask(real, np.ones((4, 3)), np.array([[math.nan, 0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# ray edge cases: the pruned kernels against the per-cylinder loops
+# ---------------------------------------------------------------------------
+
+def test_rays_tangent_to_a_disc_give_no_interval():
+    # z-axis discs, frame coordinates (x, y): lines at exactly radius 1 from the axes
+    real = one_direction_realization(3, 1, Disc(1.0), [0, 0, 1.0], [[0.0, 0.0], [3.0, 5.0]])
+    origins = np.array([[-5.0, 1.0, 0.3], [-5.0, -1.0, 2.0], [2.0, 1.0, 0.0], [4.0, 1.0, -1.0],
+                        [-5.0, 0.5, 0.0]])
+    dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    ids, _, _ = assert_rays_match_the_oracle(real, origins, dirs, 9.0)
+    assert ids.tolist() == [4]  # only the secant
+
+
+def test_rays_parallel_to_a_disc_axis():
+    real = one_direction_realization(3, 1, Disc(1.0), [0, 0, 1.0], [[0.0, 0.0]])
+    # inside, on the boundary circle, and outside, each along the axis in both senses
+    origins = np.array([[0.3, 0.2, -5.0], [1.0, 0.0, -5.0], [1.5, 0.0, -5.0], [0.0, -0.9, 5.0]])
+    dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    ids, tins, touts = assert_rays_match_the_oracle(real, origins, dirs, 8.0)
+    assert ids.tolist() == [0, 1, 3] and tins.tolist() == [0.0] * 3 and touts.tolist() == [8.0] * 3
+
+
+def test_rays_parallel_to_a_slab():
+    real = one_direction_realization(3, 2, Segment(0.3), [0, 0, 1.0], [[0.0], [2.0]])
+    # inside, on either face, and between the slabs, in two directions of the plane
+    z = np.array([0.1, 0.3, -0.3, 0.5, 1.9, 2.3])
+    origins = np.column_stack([np.full(12, -4.0), np.full(12, -3.0), np.tile(z, 2)])
+    dirs = np.repeat([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]], len(z), axis=0)
+    ids, _, _ = assert_rays_match_the_oracle(real, origins, dirs, 6.0)
+    assert sorted(ids.tolist()) == [0, 1, 2, 4, 5, 6, 7, 8, 10, 11]
+
+
+@pytest.mark.parametrize("shape", [SQUARE, TRIANGLE], ids=["square", "triangle"])
+def test_rays_through_a_polygon_vertex(shape):
+    real = one_direction_realization(3, 1, shape, [0, 0, 1.0], [[0.0, 0.0], [0.25, -0.1]])
+    gen = philox_stream(23, 0)
+    corners = np.vstack([shape.vertices, shape.vertices + [0.25, -0.1]])
+    length = 6.0
+    # along each edge, tangent to the circumcircle at each corner, and at random angles through it
+    edges = np.roll(shape.vertices, -1, axis=0) - shape.vertices
+    angles = np.concatenate([np.arctan2(edges[:, 1], edges[:, 0]),
+                             np.arctan2(shape.vertices[:, 0], -shape.vertices[:, 1]),
+                             gen.uniform(0.0, 2.0 * math.pi, 24)])
+    v = np.column_stack([np.cos(angles), np.sin(angles)])
+    at = np.repeat(corners, len(v), axis=0)
+    dirs = np.column_stack([np.tile(v, (len(corners), 1)), np.zeros(len(at))])
+    origins = np.column_stack([at, gen.uniform(-1.0, 1.0, len(at))]) - 0.5 * length * dirs
+    ids, _, _ = assert_rays_match_the_oracle(real, origins, dirs, length)
+    assert len(ids) > 0
+
+
+def test_a_ray_the_clip_lets_past_a_short_edge_is_kept():
+    # a 1e-4 edge on the circumcircle: the clip keeps a line parallel to an edge up to GEOM_TOL / |e|
+    # outside it, so this line, 5e-6 outside the edge and the circumcircle, still gets an interval
+    angles = np.array([0.0, 0.5 * math.pi, 0.5 * math.pi + 1e-4, math.pi, 1.5 * math.pi])
+    shape = ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+    a, b = shape.vertices[1], shape.vertices[2]
+    w = (b - a) / np.linalg.norm(b - a)
+    length = 4.0
+    at = 0.5 * (a + b) + 0.5 * GEOM_TOL / np.linalg.norm(b - a) * np.array([w[1], -w[0]]) - 0.5 * length * w
+    assert abs(at[0] * w[1] - at[1] * w[0]) > shape.circumradius
+    real = one_direction_realization(3, 1, shape, [0, 0, 1.0], [[0.0, 0.0]])
+    ids, _, _ = assert_rays_match_the_oracle(real, np.array([[*at, 0.0]]), np.array([[*w, 0.0]]), length)
+    assert ids.tolist() == [0]
+
+
+@pytest.mark.parametrize("shape", [SQUARE, TRIANGLE, Disc(0.7)], ids=["square", "triangle", "disc"])
+def test_membership_at_the_rim_of_a_base(shape):
+    # points on the rim, and just outside it within the membership tolerance, which a sharp corner widens
+    real = one_direction_realization(3, 1, shape, [0, 0, 1.0], [[0.0, 0.0], [2.0, -1.0]])
+    rim = shape.vertices if isinstance(shape, ConvexPolygon) else 0.7 * np.eye(2)
+    out = rim / np.linalg.norm(rim, axis=1, keepdims=True)
+    pts = np.vstack([rim, rim + 0.5 * GEOM_TOL * out, rim + 1e-6 * out, rim + [2.0, -1.0]])
+    pts = np.column_stack([pts, np.linspace(-1.0, 1.0, len(pts))])
+    got = covered_mask(real, pts)
+    assert same_bits(got, oracle.covered_mask(real, pts))
+    assert got.tolist() == [True] * (2 * len(rim)) + [False] * len(rim) + [True] * len(rim)
+    back = pts - [0.25, 0.0, 0.0]
+    rows = covered_mask(real, back, np.array([[0.25, 0.0, 0.0]]))
+    assert same_bits(rows[1], covered_mask(real, back + [0.25, 0.0, 0.0]))
