@@ -149,9 +149,8 @@ def _expect_over_alpha_2d(spec: ProcessSpec, f_of_angle, targets, r: float, psi:
 
 def _girdle_expect_3d(alpha: GirdleBand, h: np.ndarray, f_of_dot, dot_targets, nz: int = 96) -> float:
     """Band average of f(<h, omega>) with piecewise handling of dot kinks."""
-    axis = alpha.axis.vec
+    axis, frame = alpha.axis.vec, alpha.frame
     s = math.sin(alpha.delta)
-    frame = complement_frames(axis[None, :, None])[0]
     c0 = float(h @ axis)
     cp = math.hypot(float(h @ frame[:, 0]), float(h @ frame[:, 1]))
     z_nodes, z_weights = gauss_legendre(nz, -s, s)
@@ -186,8 +185,7 @@ def _hemisphere_nodes(nz: int = 64, nphi: int = 128):
 
 def _band_nodes(alpha: GirdleBand, nz: int = 48, nphi: int = 96):
     s = math.sin(alpha.delta)
-    axis = alpha.axis.vec
-    frame = complement_frames(axis[None, :, None])[0]
+    axis, frame = alpha.axis.vec, alpha.frame
     z, wz = gauss_legendre(nz, -s, s)
     phi, wphi = gauss_legendre(nphi, 0.0, 2.0 * math.pi)
     zz, pp = np.meshgrid(z, phi, indexing="ij")

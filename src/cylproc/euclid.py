@@ -219,7 +219,9 @@ class CrossSection:
 
     A kind is written, in CSV and JSON alike, under its ``tag`` with one
     parameter: the attribute named ``field``, which the constructor takes
-    back.  ``param_shape`` arranges a flat list of numbers into it.
+    back.  ``param_shape`` arranges a flat list of numbers into it.  Two
+    cross sections are equal when they are of one kind with equal
+    parameters.
     """
 
     __slots__ = ()
@@ -228,6 +230,16 @@ class CrossSection:
     def param(self):
         """The parameter as a number or nested lists of numbers."""
         return np.asarray(getattr(self, self.field)).tolist()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.param == self.param
+
+    def __hash__(self):
+        # + 0.0 folds -0.0 into 0.0, which compares equal to it
+        return hash((self.tag, (np.asarray(getattr(self, self.field), dtype=float) + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.field}={self.param!r})"
 
 
 class Segment(CrossSection):
@@ -267,9 +279,9 @@ class Segment(CrossSection):
     def diameter(self) -> float:
         return 2.0 * self.half_length
 
-    def contains(self, u, tol: float = GEOM_TOL):
+    def contains(self, u):
         u = np.asarray(u, dtype=float)
-        return np.abs(u[..., 0]) <= self.half_length + tol
+        return np.abs(u[..., 0]) <= self.half_length + GEOM_TOL
 
     def distance(self, u):
         u = np.asarray(u, dtype=float)
@@ -315,15 +327,6 @@ class Segment(CrossSection):
         s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
         return np.cumsum(np.where(new, _run_ends(new, R) - s, 0.0), axis=-1)[..., -1]
 
-    def __repr__(self):
-        return f"Segment(half_length={self.half_length})"
-
-    def __eq__(self, other):
-        return isinstance(other, Segment) and other.half_length == self.half_length
-
-    def __hash__(self):
-        return hash(("Segment", self.half_length))
-
 
 class Disc(CrossSection):
     """Disc of radius a centred at the origin of the complement frame."""
@@ -358,9 +361,9 @@ class Disc(CrossSection):
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, u, tol: float = GEOM_TOL):
+    def contains(self, u):
         u = np.asarray(u, dtype=float)
-        return np.einsum("...i,...i->...", u, u) <= (self.radius + tol) ** 2
+        return np.einsum("...i,...i->...", u, u) <= (self.radius + GEOM_TOL) ** 2
 
     def distance(self, u):
         u = np.asarray(u, dtype=float)
@@ -449,15 +452,6 @@ class Disc(CrossSection):
 
         return _chunked(chunk, C, 2 * n * n)
 
-    def __repr__(self):
-        return f"Disc(radius={self.radius})"
-
-    def __eq__(self, other):
-        return isinstance(other, Disc) and other.radius == self.radius
-
-    def __hash__(self):
-        return hash(("Disc", self.radius))
-
 
 class ConvexPolygon(CrossSection):
     """Convex polygon base, counterclockwise vertices, circumcentre at the origin.
@@ -514,10 +508,10 @@ class ConvexPolygon(CrossSection):
         d2 = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=-1)
         return float(np.sqrt(np.max(d2)))
 
-    def contains(self, u, tol: float = GEOM_TOL):
+    def contains(self, u):
         u = np.asarray(u, dtype=float)
         vals = u @ self._normals.T - self._offsets
-        return np.all(vals <= tol, axis=-1)
+        return np.all(vals <= GEOM_TOL, axis=-1)
 
     def distance(self, u):
         u = np.asarray(u, dtype=float)
@@ -653,19 +647,6 @@ class ConvexPolygon(CrossSection):
             return 0.5 * np.sum(np.where(keep[:, :, None], cross * np.sum(g1 - g0, axis=-1), 0.0), axis=(1, 2))
 
         return _chunked(chunk, C, (n * m) ** 2)
-
-    def __repr__(self):
-        return f"ConvexPolygon({self.vertices.shape[0]} vertices, area={self.area:.6g})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConvexPolygon)
-            and other.vertices.shape == self.vertices.shape
-            and np.array_equal(other.vertices, self.vertices)
-        )
-
-    def __hash__(self):
-        return hash(("ConvexPolygon", self.vertices.tobytes()))
 
 
 SHAPE_TYPES = {cls.tag: cls for cls in (Segment, Disc, ConvexPolygon)}

@@ -40,6 +40,7 @@ __all__ = [
     "Isotropic",
     "FixedAxes",
     "GirdleBand",
+    "BaseDistribution",
     "DeterministicBase",
     "DiscRadiusLaw",
     "MixtureBase",
@@ -173,9 +174,14 @@ class GirdleBand:
         self.delta = real("delta", delta)
         if not 0.0 < self.delta <= 0.5 * math.pi:
             raise ArgumentError("delta", "band half-width delta must lie in (0, pi/2]")
+        self.frame = complement_frames(self.axis.vec[None, :, None])[0]  # d x (d - 1) frame orthogonal to the axis
+
+    @property
+    def dim(self) -> int:
+        return self.axis.dim
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
-        if d != self.axis.dim:
+        if d != self.dim:
             raise ValueError("dimension mismatch")
         if d == 2:
             # angle to the axis within [pi/2 - delta, pi/2 + delta]
@@ -187,11 +193,10 @@ class GirdleBand:
             s = math.sin(self.delta)
             z = rng.uniform(-s, s, n)
             phi = rng.uniform(0.0, 2.0 * math.pi, n)
-            f = complement_frames(self.axis.vec[None, :, None])[0]  # 3 x 2 frame of the girdle plane
             rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
             u = (
                 z[:, None] * self.axis.vec[None, :]
-                + rad[:, None] * (np.cos(phi)[:, None] * f[:, 0] + np.sin(phi)[:, None] * f[:, 1])
+                + rad[:, None] * (np.cos(phi)[:, None] * self.frame[:, 0] + np.sin(phi)[:, None] * self.frame[:, 1])
             )
         return canonical_directions(u)
 
@@ -206,132 +211,83 @@ DirectionalDistribution = Isotropic | FixedAxes | GirdleBand
 # base distributions
 # ---------------------------------------------------------------------------
 
-class DeterministicBase:
-    """Every cylinder carries the same cross section."""
+class BaseDistribution:
+    """Discrete law Q of the cross section: atoms ((K_1, q_1), ...), q_i > 0, sum q_i = 1.
 
-    def __init__(self, shape: CrossSection):
-        self.shape = shape
-
-    @property
-    def dim(self) -> int:
-        return self.shape.dim
-
-    @property
-    def mean_area(self) -> float:
-        return self.shape.area
-
-    @property
-    def mean_boundary(self) -> float:
-        return self.shape.boundary
-
-    @property
-    def max_circumradius(self) -> float:
-        return self.shape.circumradius
-
-    @property
-    def has_zero_mass(self) -> bool:
-        return False
-
-    def atoms(self):
-        return ((self.shape, 1.0),)
-
-    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Indices into :meth:`atoms` of n draws; this law draws nothing."""
-        return np.zeros(n, dtype=np.intp)
-
-    def __repr__(self):
-        return f"DeterministicBase({self.shape!r})"
-
-
-class DiscRadiusLaw:
-    """Disc bases whose radius follows a discrete law (atoms at radius 0 allowed).
-
-    A radius-0 atom describes a cylinder that degenerates to its axis; it
-    contributes nothing to volume but keeps its weight in the radius
-    moments, which is exactly how the surface budget of the design problem
-    accounts for it.
+    Every formula reads the base only through this law's moments and
+    draws.  A ``None`` atom is a disc of radius 0: its cylinder degenerates
+    to its axis, carries no volume and is never placed, but keeps its
+    weight, which is exactly how the surface budget of the design problem
+    accounts for it.  The law lives in the dimension of its atoms, a
+    ``None`` counting as planar.
     """
 
-    dim = 2
-
-    def __init__(self, law: RadiusLaw):
-        self.law = law
-        self._shapes = tuple(Disc(r) if r > 0 else None for r, _ in law.atoms)
-        self._weights = np.array([q for _, q in law.atoms])
+    def __init__(self, atoms):
+        atoms = tuple((shape, number(w, "weight")) for shape, w in atoms)
+        if not atoms:
+            raise ValueError("base law needs at least one atom")
+        dims = {2 if shape is None else shape.dim for shape, _ in atoms}
+        if len(dims) != 1:
+            raise ValueError("the atoms of a base law must share one dimension")
+        _check_weights([w for _, w in atoms])
+        self._atoms = atoms
+        self._weights = np.array([w for _, w in atoms])
+        self.dim = dims.pop()
 
     @property
     def mean_area(self) -> float:
-        return math.pi * self.law.second_moment
+        return sum(w * shape.area for shape, w in self._atoms if shape is not None)
 
     @property
     def mean_boundary(self) -> float:
-        return 2.0 * math.pi * self.law.mean
+        return sum(w * shape.boundary for shape, w in self._atoms if shape is not None)
 
     @property
     def max_circumradius(self) -> float:
-        return self.law.max_radius
+        return max(0.0 if shape is None else shape.circumradius for shape, _ in self._atoms)
 
     @property
     def has_zero_mass(self) -> bool:
-        return self.law.has_zero_atom
+        return any(shape is None for shape, _ in self._atoms)
 
     def atoms(self):
-        return tuple(zip(self._shapes, self._weights.tolist()))
+        return self._atoms
 
     def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Indices into :meth:`atoms` of n draws."""
-        return rng.choice(len(self._shapes), size=n, p=self._weights)
+        """Indices into :meth:`atoms` of n draws; a one-atom law draws nothing."""
+        if len(self._atoms) == 1:
+            return np.zeros(n, dtype=np.intp)
+        return rng.choice(len(self._atoms), size=n, p=self._weights)
 
     def __repr__(self):
-        return f"DiscRadiusLaw({self.law.atoms})"
+        return f"{type(self).__name__}({self._atoms!r})"
 
 
-class MixtureBase:
+class DiscRadiusLaw(BaseDistribution):
+    """Disc bases whose radius follows a discrete law; a radius-0 atom is a ``None`` atom."""
+
+    def __init__(self, law: RadiusLaw):
+        super().__init__((Disc(r) if r > 0 else None, q) for r, q in law.atoms)
+        self.law = law
+
+
+class MixtureBase(BaseDistribution):
     """Finite mixture of fixed cross sections."""
 
     def __init__(self, components):
-        comps = tuple((shape, number(w, "weight")) for shape, w in components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        dims = {shape.dim for shape, _ in comps}
-        if len(dims) != 1:
-            raise ValueError("mixture components must share one dimension")
-        _check_weights([w for _, w in comps])
-        self.components = comps
-        self._weights = np.array([w for _, w in comps])
-
-    @property
-    def dim(self) -> int:
-        return self.components[0][0].dim
-
-    @property
-    def mean_area(self) -> float:
-        return sum(shape.area * w for shape, w in self.components)
-
-    @property
-    def mean_boundary(self) -> float:
-        return sum(shape.boundary * w for shape, w in self.components)
-
-    @property
-    def max_circumradius(self) -> float:
-        return max(shape.circumradius for shape, _ in self.components)
-
-    @property
-    def has_zero_mass(self) -> bool:
-        return False
-
-    def atoms(self):
-        return self.components
-
-    def sample_index(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Indices into :meth:`atoms` of n draws."""
-        return rng.choice(len(self.components), size=n, p=self._weights)
-
-    def __repr__(self):
-        return f"MixtureBase({self.components!r})"
+        components = tuple(components)
+        for shape, _ in components:
+            if not isinstance(shape, CrossSection):
+                raise ValueError(f"a base shape must be a cross section, got {shape!r}")
+        super().__init__(components)
 
 
-BaseDistribution = DeterministicBase | DiscRadiusLaw | MixtureBase
+class DeterministicBase(MixtureBase):
+    """Every cylinder carries the same cross section: the one-component mixture."""
+
+    def __init__(self, shape: CrossSection):
+        super().__init__(((shape, 1.0),))
+        self.shape = shape
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +321,8 @@ class ProcessSpec:
         m = self.d - self.k
         if self.base.dim != m:
             raise ArgumentError("base", f"base dimension {self.base.dim} does not match d-k = {m}")
-        if isinstance(self.alpha, (FixedAxes, GirdleBand)):
-            adim = self.alpha.dim if isinstance(self.alpha, FixedAxes) else self.alpha.axis.dim
-            if adim != self.d:
-                raise ArgumentError("alpha", "directional law lives in the wrong dimension")
+        if getattr(self.alpha, "dim", self.d) != self.d:
+            raise ArgumentError("alpha", "directional law lives in the wrong dimension")
 
     def subspace_frames(self, vecs) -> tuple[np.ndarray, np.ndarray]:
         """Bases (N, d, k) and complement frames (N, d, d - k) of the direction spaces the rows identify.
@@ -497,7 +451,7 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
     else:
         base = {
             "type": "mixture",
-            "components": [{"weight": w, "shape": {"type": s.tag, s.field: s.param}} for s, w in spec.base.components],
+            "components": [{"weight": w, "shape": {"type": s.tag, s.field: s.param}} for s, w in spec.base.atoms()],
         }
     return {"d": spec.d, "k": spec.k, "lambda": spec.intensity, "alpha": alpha, "base": base}
 

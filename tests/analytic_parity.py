@@ -6,10 +6,11 @@
 The first form evaluates covariance and the mean covariogram
 E gamma_K(Pr h) at five lags, the two- and
 three-point capacity, the covariance derivative, the specific surface and
-the linear contact distribution at two radii, over disc, square, triangle,
-radius-law and mixture bases under isotropic, girdle and fixed-axes laws in
-space, and over slabs and bands under the same laws: 336 values, each as
-``float.hex``.  The second form lists every value that differs between two
+the linear and spherical contact distributions at two radii, over disc,
+square, triangle, two radius-law and mixture bases under isotropic, girdle
+and fixed-axes laws in space, and over slabs and bands under the same laws:
+432 values, each as ``float.hex``.  The second radius law is one whose
+moments round differently as sum q pi r^2 and as pi sum q r^2.  The second form lists every value that differs between two
 such files, with its relative change, and the count of equal values; keys
 only one file holds (a grid that grew) are counted, not compared.
 """
@@ -50,6 +51,7 @@ BASES = {
     "square": DeterministicBase(SQUARE),
     "triangle": DeterministicBase(TRIANGLE),
     "radius_law": DiscRadiusLaw(RadiusLaw(((0.0, 0.2), (0.6, 0.3), (1.1, 0.5)))),
+    "radius_pair": DiscRadiusLaw(RadiusLaw(((0.2, 0.5), (0.4, 0.5)))),
     "mixture": MixtureBase([(Disc(0.7), 0.5), (SQUARE, 0.5)]),
 }
 LAGS = ((0.3, 0.1, 0.2), (0.7, -0.4, 0.5), (1.2, 0.3, -0.6), (2.5, 1.0, 0.3), (0.05, 0.0, 0.9))
@@ -84,6 +86,7 @@ def values() -> dict:
         out[f"{name}/specific_surface"] = analytic.specific_surface(spec)
         for r in RADII:
             out[f"{name}/linear_cdf[{r}]"] = analytic.linear_cdf(spec, Direction(unit), r)
+            out[f"{name}/spherical_cdf[{r}]"] = analytic.spherical_cdf(spec, r)
     return {key: float(v).hex() for key, v in out.items()}
 
 

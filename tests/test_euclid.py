@@ -290,6 +290,18 @@ def test_polygon_validation():
     assert sq.circumradius == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
+def test_cross_sections_are_equal_by_kind_and_parameter():
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert Disc(1) == Disc(1.0) and hash(Disc(1)) == hash(Disc(1.0))
+    assert Disc(1.0) != Disc(2.0) and Disc(1.0) != Segment(1.0)
+    assert ConvexPolygon(square) == ConvexPolygon(square)
+    assert hash(ConvexPolygon(square)) == hash(ConvexPolygon([[2, 2], [3, 2], [3, 3], [2, 3]]))
+    assert ConvexPolygon(square) != ConvexPolygon([[0, 0], [1, 0], [0, 1]])
+    assert len({Disc(0.5), Disc(0.5), Segment(0.5)}) == 2
+    assert repr(Disc(1.0)) == "Disc(radius=1.0)"
+    assert repr(Segment(0.5)) == "Segment(half_length=0.5)"
+
+
 def test_segment_and_disc_validation():
     with pytest.raises(ValueError):
         Segment(0.0)

@@ -107,6 +107,16 @@ def test_empirical_mean_area_matches():
     assert abs(areas.mean() - base.mean_area) < 3 * se
 
 
+def test_mixture_rejects_what_is_not_a_cross_section():
+    for component in (None, 1.0, "disc"):
+        with pytest.raises(ValueError, match="must be a cross section"):
+            MixtureBase([(component, 1.0)])
+        with pytest.raises(ValueError, match="must be a cross section"):
+            DeterministicBase(component)
+    with pytest.raises(ValueError, match="share one dimension"):
+        MixtureBase([(Disc(1.0), 0.5), (Segment(1.0), 0.5)])
+
+
 def test_base_pairing_rejected():
     with pytest.raises(ValueError):
         ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DeterministicBase(Segment(1.0)))
@@ -152,6 +162,9 @@ def test_spec_json_round_trip():
         ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(),
                     base=MixtureBase(((ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.5),
                                       (Disc(1.0), 0.5)))),
+        # one-atom forms of the radius law and the mixture keep their own JSON form
+        ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DiscRadiusLaw(RadiusLaw(((1.0, 1.0),)))),
+        ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=MixtureBase([(Disc(1.0), 1.0)])),
     ]
     for spec in specs:
         doc = spec_to_dict(spec)

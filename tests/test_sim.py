@@ -510,6 +510,20 @@ def test_csv_round_trip_is_exact(tmp_path_factory, family, law, seed):
         assert same_bits(getattr(real, name), getattr(back, name))
 
 
+def test_one_atom_laws_sample_as_their_shape(tmp_path):
+    # a one-atom law draws nothing for the base, whichever form states it
+    window = Window((0.0, 0.0, 0.0), (10.0, 10.0, 10.0))
+    bases = {"deterministic": DeterministicBase(Disc(1.0)), "mixture": MixtureBase([(Disc(1.0), 1.0)]),
+             "radius_law": DiscRadiusLaw(RadiusLaw(((1.0, 1.0),)))}
+    written = {}
+    for name, base in bases.items():
+        spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=base)
+        export_realization_csv(sample_realization(spec, window, seed=5), tmp_path / f"{name}.csv")
+        written[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert written["mixture"] == written["deterministic"]
+    assert written["radius_law"] == written["deterministic"]
+
+
 def test_csv_round_trip_of_an_empty_realization(tmp_path):
     for family in ("slab3", "disc3"):
         spec = hit_spec(family, "isotropic")
