@@ -153,10 +153,10 @@ class FixedAxes:
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if d != self.dim:
             raise ValueError("dimension mismatch")
-        weights = np.array([w for _, w in self.axes])
-        idx = rng.choice(len(self.axes), size=n, p=weights)
         vecs = np.array([a.vec for a, _ in self.axes])
-        return vecs[idx]
+        if len(self.axes) == 1:  # one axis draws nothing, as a one-atom base law
+            return vecs[np.zeros(n, dtype=np.intp)]
+        return vecs[rng.choice(len(self.axes), size=n, p=np.array([w for _, w in self.axes]))]
 
     def __repr__(self):
         return f"FixedAxes({[(a.vec.tolist(), w) for a, w in self.axes]})"

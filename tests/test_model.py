@@ -148,6 +148,13 @@ def test_sampling_reproducibility():
     assert np.array_equal(spec.base.sample_index(a, 5), spec.base.sample_index(b, 5))
 
 
+def test_one_axis_law_draws_nothing():
+    law = FixedAxes([(Direction([0.0, 0.0, 1.0]), 1.0)])
+    rng, untouched = philox_stream(7, 0), philox_stream(7, 0)
+    assert np.array_equal(law.sample_vectors(3, rng, 10), np.tile([0.0, 0.0, 1.0], (10, 1)))
+    assert rng.random() == untouched.random()
+
+
 def test_spec_json_round_trip():
     specs = [
         iso_disc_spec(),
