@@ -10,9 +10,11 @@ the linear and spherical contact distributions at two radii, over disc,
 square, triangle, two radius-law and mixture bases under isotropic, girdle
 and fixed-axes laws in space, and over slabs and bands under the same laws:
 432 values, each as ``float.hex``.  The second radius law is one whose
-moments round differently as sum q pi r^2 and as pi sum q r^2.  The second form lists every value that differs between two
-such files, with its relative change, and the count of equal values; keys
-only one file holds (a grid that grew) are counted, not compared.
+moments round differently as sum q pi r^2 and as pi sum q r^2.  The
+second form lists every value that differs between two such files, with
+its relative change, and the count of equal values; keys only one file
+holds (a grid that grew) are counted, not compared.  It exits 1 when a
+shared value differs and 0 otherwise.
 """
 
 import json
@@ -90,7 +92,8 @@ def values() -> dict:
     return {key: float(v).hex() for key, v in out.items()}
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> bool:
+    """Print what differs between two files; True when every shared key is equal."""
     old, new = (json.loads(open(p).read()) for p in (old_path, new_path))
     common = [k for k in old if k in new]
     moved = [(k, float.fromhex(old[k]), float.fromhex(new[k])) for k in common if old[k] != new[k]]
@@ -98,11 +101,12 @@ def compare(old_path: str, new_path: str) -> None:
         print(f"{key}: {a!r} -> {b!r} (relative {abs(b - a) / abs(a):.2g})")
     print(f"{len(common) - len(moved)} of {len(common)} shared values equal bit for bit; "
           f"{len(old) - len(common)} only in the first file, {len(new) - len(common)} only in the second")
+    return not moved
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:4])
+        sys.exit(0 if compare(*sys.argv[2:4]) else 1)
     else:
         json.dump(values(), sys.stdout, indent=1)
         print()

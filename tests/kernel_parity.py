@@ -13,7 +13,8 @@ circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
 Haar and axis-parallel probes, and ``count_component_entries`` of those
 intervals: each entry is a SHA-256 of the arrays' bytes.  The second form
 lists every entry that differs between two such files and the count of
-equal entries; keys only one file holds are counted, not compared.
+equal entries; keys only one file holds are counted, not compared.  It
+exits 1 when a shared entry differs and 0 otherwise.
 """
 
 import hashlib
@@ -88,7 +89,8 @@ def values() -> dict:
     return out
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> bool:
+    """Print what differs between two files; True when every shared key is equal."""
     old, new = (json.loads(open(p).read()) for p in (old_path, new_path))
     common = [k for k in old if k in new]
     moved = [k for k in common if old[k] != new[k]]
@@ -96,11 +98,12 @@ def compare(old_path: str, new_path: str) -> None:
         print(f"{key}: differs")
     print(f"{len(common) - len(moved)} of {len(common)} shared entries equal bit for bit; "
           f"{len(old) - len(common)} only in the first file, {len(new) - len(common)} only in the second")
+    return not moved
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:4])
+        sys.exit(0 if compare(*sys.argv[2:4]) else 1)
     else:
         json.dump(values(), sys.stdout, indent=1)
         print()
