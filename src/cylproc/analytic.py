@@ -5,12 +5,16 @@ its directional derivative, linear and spherical contact distributions,
 specific surface area, and the pore-radius moments used by the design
 module.
 
-Expectations over continuous directional laws of segment and disc bases
-are evaluated with piecewise Gauss-Legendre rules whose pieces are split
-at the analytically known kink angles of the integrand (covariograms are
-only piecewise smooth); they reach machine precision on the isotropic
-worked cases.  Polygon bases, and capacities of three or more points in
-space, use product rules that are not split at kinks: 64 x 128 nodes on
+The directional law enters only through its own members (see
+``cylproc.model``): ``radial_mean``, the mean of f(|Pr h|) split at the
+kinks of f, serves the segment and disc atoms, whose covariogram depends
+on |t| alone, and the mean projected length E[h, L]; ``frames`` gives the
+complement frames and weights of its fixed axes or product-rule nodes,
+``discrete`` says whether those are summed in order, and ``arcs`` gives
+its line-angle intervals in the plane.  No law or shape class is named
+here.  The split rules reach machine precision on the isotropic worked
+cases.  Polygon atoms, and capacities of three or more points in space,
+use the product rules, which are not split at kinks: 64 x 128 nodes on
 the hemisphere, 48 x 96 on a girdle band.  For the unit square these
 differ from rules twice as fine per axis by up to 1.7e-4 relative in the
 covariance and its derivative (on the girdle band) and 3.7e-5 in the
@@ -29,15 +33,14 @@ import numpy as np
 from scipy.special import erfcx
 
 from .euclid import (
-    ConvexPolygon,
     Direction,
-    complement_frames,
+    _angle_breakpoints,
+    _piecewise_gl,
     crofton_factor,
-    gauss_legendre,
     haar_mean_line_det,
     haar_mean_plane_det,
 )
-from .model import ArgumentError, FixedAxes, GirdleBand, Isotropic, ProcessSpec, direction, real, reals
+from .model import ArgumentError, ProcessSpec, direction, real, reals
 
 MAX_CAPACITY_POINTS = 16  # inclusion-exclusion / boundary-tracing cost cap
 
@@ -57,167 +60,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# piecewise quadrature helpers
-# ---------------------------------------------------------------------------
-
-def _piecewise_gl(f, a: float, b: float, breaks, n: int = 48) -> float:
-    """Integrate f over [a, b] with Gauss-Legendre on each smooth piece."""
-    if b <= a:
-        return 0.0
-    cuts = sorted({float(c) for c in breaks if a + 1e-14 < c < b - 1e-14})
-    edges = [a, *cuts, b]
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(n, lo, hi)
-        total += float(np.sum(w * f(x)))
-    return total
-
-
-def _angle_breakpoints(r: float, psi: float, targets, lo: float, hi: float):
-    """Angles in (lo, hi) where r*|cos(phi - psi)| crosses one of the targets.
-
-    Includes the |cos| kink itself (target 0).  The function is pi-periodic,
-    so each solution is replicated by multiples of pi into the window.
-    """
-    out = []
-    for t in set(float(x) for x in targets) | {0.0}:
-        if t > r or r <= 0.0:
-            continue
-        a0 = math.acos(min(1.0, max(0.0, t / r)))
-        for x in (a0, -a0):
-            base = (psi + x) % math.pi
-            k0 = math.floor((lo - base) / math.pi)
-            for k in (k0, k0 + 1, k0 + 2):
-                c = base + k * math.pi
-                if lo < c < hi:
-                    out.append(c)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# base-law aggregates
+# expectations over the base and directional laws
 # ---------------------------------------------------------------------------
 
 def _split_atoms(spec: ProcessSpec):
-    """(rotation-invariant, polygon) atoms as (shape, weight) lists; zero atoms drop out."""
+    """(radial, polygon) atoms as (shape, weight) lists; zero atoms drop out."""
     radial, polys = [], []
     for shape, w in spec.base.atoms():
         if shape is not None:
-            (polys if isinstance(shape, ConvexPolygon) else radial).append((shape, w))
+            (radial if shape.radial else polys).append((shape, w))
     return radial, polys
-
-
-def _radial_gamma(spec: ProcessSpec):
-    """Mean covariogram over rotation-invariant atoms as a function of |t|.
-
-    Returns (g, targets): g is vectorized over arrays of distances, targets
-    are the distances where g has a kink (each atom's diameter).
-    """
-    radial, _ = _split_atoms(spec)
-
-    def g(q):
-        q = np.asarray(q, dtype=float)
-        t = np.zeros(q.shape + (spec.d - spec.k,))
-        t[..., 0] = q
-        return sum(w * shape.covariogram(t) for shape, w in radial)
-
-    return g, [shape.diameter for shape, _ in radial]
-
-
-# ---------------------------------------------------------------------------
-# directional expectations
-# ---------------------------------------------------------------------------
-
-def _alpha_intervals_2d(spec: ProcessSpec):
-    """Line-angle intervals carrying the 2-D directional law, with densities."""
-    alpha = spec.alpha
-    if isinstance(alpha, Isotropic):
-        return [(0.0, math.pi, 1.0 / math.pi)]
-    if isinstance(alpha, GirdleBand):
-        c = math.atan2(alpha.axis.vec[1], alpha.axis.vec[0]) + 0.5 * math.pi
-        return [(c - alpha.delta, c + alpha.delta, 1.0 / (2.0 * alpha.delta))]
-    raise TypeError("discrete laws are summed exactly, not integrated")
-
-
-def _expect_over_alpha_2d(spec: ProcessSpec, f_of_angle, targets, r: float, psi: float) -> float:
-    total = 0.0
-    for lo, hi, dens in _alpha_intervals_2d(spec):
-        brk = _angle_breakpoints(r, psi, targets, lo, hi)
-        total += dens * _piecewise_gl(f_of_angle, lo, hi, brk)
-    return total
-
-
-def _girdle_expect_3d(alpha: GirdleBand, h: np.ndarray, f_of_dot, dot_targets, nz: int = 96) -> float:
-    """Band average of f(<h, omega>) with piecewise handling of dot kinks."""
-    axis, frame = alpha.axis.vec, alpha.frame
-    s = math.sin(alpha.delta)
-    c0 = float(h @ axis)
-    cp = math.hypot(float(h @ frame[:, 0]), float(h @ frame[:, 1]))
-    z_nodes, z_weights = gauss_legendre(nz, -s, s)
-    total = 0.0
-    for z, wz in zip(z_nodes, z_weights):
-        amp = math.sqrt(max(0.0, 1.0 - z * z)) * cp
-        mid = z * c0
-
-        def inner(u):
-            return f_of_dot(mid + amp * np.cos(u))
-
-        brk = []
-        if amp > 0.0:
-            for t in dot_targets:
-                x = (t - mid) / amp
-                if -1.0 <= x <= 1.0:
-                    brk.append(math.acos(x))
-        total += wz / (2.0 * s) * (1.0 / math.pi) * _piecewise_gl(inner, 0.0, math.pi, brk)
-    return total
-
-
-def _hemisphere_nodes(nz: int = 64, nphi: int = 128):
-    """Product nodes covering the upper half sphere with the uniform law."""
-    z, wz = gauss_legendre(nz, 0.0, 1.0)
-    phi, wphi = gauss_legendre(nphi, 0.0, 2.0 * math.pi)
-    zz, pp = np.meshgrid(z, phi, indexing="ij")
-    ww = np.outer(wz, wphi) / (2.0 * math.pi)
-    s = np.sqrt(np.maximum(0.0, 1.0 - zz**2))
-    dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1)
-    return dirs.reshape(-1, 3), ww.reshape(-1)
-
-
-def _band_nodes(alpha: GirdleBand, nz: int = 48, nphi: int = 96):
-    s = math.sin(alpha.delta)
-    axis, frame = alpha.axis.vec, alpha.frame
-    z, wz = gauss_legendre(nz, -s, s)
-    phi, wphi = gauss_legendre(nphi, 0.0, 2.0 * math.pi)
-    zz, pp = np.meshgrid(z, phi, indexing="ij")
-    ww = np.outer(wz, wphi) / (2.0 * s * 2.0 * math.pi)
-    rad = np.sqrt(np.maximum(0.0, 1.0 - zz**2))
-    dirs = (
-        zz[..., None] * axis
-        + (rad * np.cos(pp))[..., None] * frame[:, 0]
-        + (rad * np.sin(pp))[..., None] * frame[:, 1]
-    )
-    return dirs.reshape(-1, 3), ww.reshape(-1)
-
-
-def _direction_nodes(spec: ProcessSpec):
-    """Quadrature nodes and weights on the sphere for the 3-D directional law."""
-    if isinstance(spec.alpha, Isotropic):
-        return _hemisphere_nodes()
-    if isinstance(spec.alpha, GirdleBand):
-        return _band_nodes(spec.alpha)
-    raise TypeError("discrete laws are summed exactly, not integrated")
-
-
-def _law_frames(spec: ProcessSpec):
-    """Complement frames (N, d, d - k) and their weights: the fixed axes, or the nodes in R^3.
-
-    A slab's frame is its quadrature node itself, the normal of its plane.
-    """
-    if isinstance(spec.alpha, FixedAxes):
-        vecs, ww = zip(*((v.vec, w) for v, w in spec.alpha.axes))
-        return spec.subspace_frames(np.array(vecs))[1], np.array(ww)
-    dirs, ww = _direction_nodes(spec)
-    return complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None], ww
 
 
 def _expect_gamma(spec: ProcessSpec, h) -> float:
@@ -225,80 +77,24 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
     r = float(np.linalg.norm(h))
     if r == 0.0:
         return spec.base.mean_area
-
-    alpha = spec.alpha
-    if isinstance(alpha, FixedAxes):
-        return _frame_gamma_mean(spec, [(s, w) for s, w in spec.base.atoms() if s is not None], h)
-
     radial, polys = _split_atoms(spec)
-    g, targets = _radial_gamma(spec)
+
+    def g(q):  # the radial atoms' mean covariogram at |t| = q, for arrays of q
+        t = np.zeros(np.shape(q) + (spec.d - spec.k,))
+        t[..., 0] = q
+        return sum(w * shape.covariogram(t) for shape, w in radial)
+
     total = 0.0
-
-    if spec.d == 2:
-        psi = math.atan2(-h[0], h[1])  # <h, normal(phi)> = r cos(phi - psi)
-
-        def f(phi):
-            return g(r * np.abs(np.cos(phi - psi)))
-
-        return _expect_over_alpha_2d(spec, f, targets, r, psi)
-
-    if spec.k == 1:
-        # radial part: |Pr_L(h)| = r sqrt(1 - dot^2) with dot = <h/r, omega>
-        if radial:
-            if isinstance(alpha, Isotropic):
-                brk = [math.asin(min(1.0, t / r)) for t in targets if t < r]
-
-                def f_theta(theta):
-                    return g(r * np.sin(theta)) * np.sin(theta)
-
-                total += _piecewise_gl(f_theta, 0.0, 0.5 * math.pi, brk)
-            else:
-                xs = {math.sqrt(max(0.0, 1.0 - (t / r) ** 2)) for t in targets if t <= r} | {1.0}
-                total += _girdle_expect_3d(
-                    alpha, h / r,
-                    lambda dot: g(r * np.sqrt(np.maximum(0.0, 1.0 - dot**2))),
-                    sorted({s * x for x in xs for s in (1.0, -1.0)}),
-                )
-        if polys:
-            total += _frame_gamma_mean(spec, polys, h)
-        return total
-
-    # k = d-1: the position space is the normal line, |t| = |<h, normal>|
-    if isinstance(alpha, Isotropic):
-        brk = [t / r for t in targets if t < r]
-
-        def f_z(z):
-            return g(r * z)
-
-        return _piecewise_gl(f_z, 0.0, 1.0, brk)
-    dot_targets = sorted({s * t / r for t in targets if t <= r for s in (1.0, -1.0)} | {0.0})
-    return _girdle_expect_3d(alpha, h / r, lambda dot: g(r * np.abs(dot)), dot_targets)
+    if radial:  # g kinks where the projected lag reaches an atom's diameter
+        total += spec.alpha.radial_mean(spec, h, r, g, [shape.diameter for shape, _ in radial])
+    if polys:
+        total += _frame_gamma_mean(spec, polys, h)
+    return total
 
 
 def _expect_pr_norm(spec: ProcessSpec, unit_h: np.ndarray) -> float:
-    """E over the directional law of [h, L], the projected length of a unit h."""
-    alpha = spec.alpha
-    if isinstance(alpha, FixedAxes):
-        frames, ww = _law_frames(spec)
-        t = np.vecmat(unit_h, frames)
-        return float(np.cumsum(ww * np.sqrt(np.vecdot(t, t)))[-1])  # axis by axis, in order
-
-    if spec.d == 2:
-        psi = math.atan2(-unit_h[0], unit_h[1])
-
-        def f(phi):
-            return np.abs(np.cos(phi - psi))
-
-        return _expect_over_alpha_2d(spec, f, [], 1.0, psi)
-
-    if spec.k == 1:
-        if isinstance(alpha, Isotropic):
-            return haar_mean_line_det(3)
-        return _girdle_expect_3d(alpha, unit_h, lambda dot: np.sqrt(np.maximum(0.0, 1.0 - dot**2)),
-                                 (-1.0, 1.0))
-    if isinstance(alpha, Isotropic):
-        return haar_mean_plane_det()
-    return _girdle_expect_3d(alpha, unit_h, lambda dot: np.abs(dot), (0.0,))
+    """E over the directional law of [h, L], the projected length of a unit h: the radial mean of q itself."""
+    return spec.alpha.radial_mean(spec, unit_h, 1.0, lambda q: q, ())
 
 
 def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
@@ -317,15 +113,15 @@ def _frame_gamma_mean(spec: ProcessSpec, atoms, h: np.ndarray) -> float:
 
     Fixed axes are summed in order, quadrature nodes by one dot product.
     """
-    frames, ww = _law_frames(spec)
+    frames, ww = spec.alpha.frames(spec)
     t = np.vecmat(h, frames)
     gam = sum(w * shape.covariogram(t) for shape, w in atoms)
-    return float(np.cumsum(ww * gam)[-1] if isinstance(spec.alpha, FixedAxes) else ww @ gam)
+    return float(np.cumsum(ww * gam)[-1] if spec.alpha.discrete else ww @ gam)
 
 
 def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
     """E over the directional law of [h, L] gamma'_K(o, u) for the polygon atoms; u is the unit projected lag."""
-    frames, ww = _law_frames(spec)
+    frames, ww = spec.alpha.frames(spec)
     t = np.vecmat(unit_h, frames)
     nt = np.sqrt(np.vecdot(t, t))
     ok = nt > 1e-14  # [h, L] vanishes together with the projection
@@ -399,9 +195,9 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
         vol = 2.0 * abar - _expect_gamma(spec, pts[1] - pts[0])
         return -math.expm1(-lam * vol)
 
-    if spec.d == 2 and not isinstance(spec.alpha, FixedAxes):
+    if spec.d == 2 and not spec.alpha.discrete:
         # kinks occur where a projected pairwise gap matches an atom diameter (a gap of 0 has none)
-        _, targets = _radial_gamma(spec)
+        targets = [shape.diameter for shape, _ in _split_atoms(spec)[0]]
         gaps = [(float(np.linalg.norm(dv)), math.atan2(-dv[0], dv[1]))
                 for dv in (pts[i] - pts[j] for i in range(len(pts)) for j in range(i))]
 
@@ -410,7 +206,7 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
             return _union_volumes(spec, np.matvec(pts, normals)[:, :, None])
 
         total = 0.0
-        for lo, hi, dens in _alpha_intervals_2d(spec):
+        for lo, hi, dens in spec.alpha.arcs():
             brk = []
             for rr, psi in gaps:
                 brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
@@ -421,7 +217,7 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
 
 def _mean_union_volume(spec: ProcessSpec, pts: np.ndarray) -> float:
     """E over the directional and base laws of the volume of union_i (p_i - K), in R^3 or on fixed axes."""
-    frames, ww = _law_frames(spec)
+    frames, ww = spec.alpha.frames(spec)
     return float(np.cumsum(ww * _union_volumes(spec, np.matmul(pts, frames)))[-1])  # in order, as a loop adds
 
 

@@ -1,9 +1,10 @@
 """Low-dimensional Euclidean primitives and the per-shape kernels.
 
 Exact geometry in R^2 / R^3: directions with antipodal identification,
-deterministic orthonormal frames for the complements of their spans, and
-unit-ball constants.  The cross sections (segment, disc,
-convex polygon) are the only code that knows a base's kind: each has its
+deterministic orthonormal frames for the complements of their spans,
+unit-ball constants, and Gauss-Legendre rules, piecewise between given
+kinks.  The cross sections (segment, disc, convex polygon) are the only
+code that knows a base's kind: each has its
 area, boundary, membership and distance tests, the reach of its
 membership test, the ray kernel that returns the non-empty clipped
 intervals of lines, the hit test against a window's shadow, and the tag
@@ -195,6 +196,40 @@ def gauss_legendre(n: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
+def _piecewise_gl(f, a: float, b: float, breaks, n: int = 48) -> float:
+    """Integrate f over [a, b] with Gauss-Legendre on each smooth piece."""
+    if b <= a:
+        return 0.0
+    cuts = sorted({float(c) for c in breaks if a + 1e-14 < c < b - 1e-14})
+    edges = [a, *cuts, b]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(n, lo, hi)
+        total += float(np.sum(w * f(x)))
+    return total
+
+
+def _angle_breakpoints(r: float, psi: float, targets, lo: float, hi: float):
+    """Angles in (lo, hi) where r*|cos(phi - psi)| crosses one of the targets.
+
+    Includes the |cos| kink itself (target 0).  The function is pi-periodic,
+    so each solution is replicated by multiples of pi into the window.
+    """
+    out = []
+    for t in set(float(x) for x in targets) | {0.0}:
+        if t > r or r <= 0.0:
+            continue
+        a0 = math.acos(min(1.0, max(0.0, t / r)))
+        for x in (a0, -a0):
+            base = (psi + x) % math.pi
+            k0 = math.floor((lo - base) / math.pi)
+            for k in (k0, k0 + 1, k0 + 2):
+                c = base + k * math.pi
+                if lo < c < hi:
+                    out.append(c)
+    return out
+
+
 def haar_mean_line_det(d: int) -> float:
     """Haar mean of [xi', L] over lines xi' for a fixed line L in R^d."""
     if d == 2:
@@ -219,8 +254,9 @@ class CrossSection:
 
     A kind is written, in CSV and JSON alike, under its ``tag`` with one
     parameter: the attribute named ``field``, which the constructor takes
-    back.  ``param_shape`` arranges a flat list of numbers into it.  Two
-    cross sections are equal when they are of one kind with equal
+    back.  ``param_shape`` arranges a flat list of numbers into it.  The
+    covariogram of a ``radial`` kind depends on the lag's length alone.
+    Two cross sections are equal when they are of one kind with equal
     parameters.
     """
 
@@ -249,7 +285,7 @@ class Segment(CrossSection):
     endpoints, so ``boundary`` is 2 regardless of the half-length.
     """
 
-    dim = 1
+    dim, radial = 1, True
     tag, field, param_shape = "segment", "half_length", ()
     __slots__ = ("half_length",)
 
@@ -331,7 +367,7 @@ class Segment(CrossSection):
 class Disc(CrossSection):
     """Disc of radius a centred at the origin of the complement frame."""
 
-    dim = 2
+    dim, radial = 2, True
     tag, field, param_shape = "disc", "radius", ()
     __slots__ = ("radius",)
 
@@ -461,7 +497,7 @@ class ConvexPolygon(CrossSection):
     origin, which is the canonical placement for cylinder bases.
     """
 
-    dim = 2
+    dim, radial = 2, False
     tag, field, param_shape = "polygon", "vertices", (-1, 2)
     __slots__ = ("vertices", "_normals", "_offsets", "area", "boundary", "circumradius", "reach", "_corner",
                  "_shortest")

@@ -8,6 +8,14 @@ the direction space: the axis direction when k = 1, the normal when
 k = d - 1.  Base sets are centred so the circumcentre sits at the origin
 of the canonical complement frame, and the base law does not depend on
 the sampled direction.
+
+Each directional law owns what depends on its kind: its draws and its
+quadrature.  The continuous laws integrate over their
+line-angle ``arcs`` in the plane and over the ``nodes`` of a product
+Gauss-Legendre rule in space; every law gives the complement ``frames``
+and weights of those nodes (or of its fixed axes) and one
+``radial_mean``, the mean of f(|Pr h|) over its direction spaces, split
+at the kinks of f.
 """
 
 from __future__ import annotations
@@ -23,8 +31,11 @@ from .euclid import (
     CrossSection,
     Direction,
     Disc,
+    _angle_breakpoints,
+    _piecewise_gl,
     canonical_directions,
     complement_frames,
+    gauss_legendre,
     number,
 )
 
@@ -117,11 +128,81 @@ def haar_vectors(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
 
 
-class Isotropic:
+def _zone_nodes(axis: np.ndarray, frame: np.ndarray, lo: float, hi: float, nz: int, nphi: int):
+    """Product Gauss-Legendre rule for the Haar law on the zone lo <= <u, axis> <= hi of the sphere in R^3.
+
+    Returns the directions (nz * nphi, 3) and their weights; ``frame``
+    spans the plane orthogonal to the axis.
+    """
+    z, wz = gauss_legendre(nz, lo, hi)
+    phi, wphi = gauss_legendre(nphi, 0.0, 2.0 * math.pi)
+    zz, pp = np.meshgrid(z, phi, indexing="ij")
+    ww = np.outer(wz, wphi) / ((hi - lo) * 2.0 * math.pi)
+    rad = np.sqrt(np.maximum(0.0, 1.0 - zz**2))
+    rc, rs = rad * np.cos(pp), rad * np.sin(pp)
+    dirs = np.stack([zz * a + rc * f0 + rs * f1 for a, (f0, f1) in zip(axis, frame)], axis=-1)
+    return dirs.reshape(-1, 3), ww.reshape(-1)
+
+
+_POLE = np.array([0.0, 0.0, 1.0])
+_POLE_FRAME = complement_frames(_POLE[None, :, None])[0]
+
+
+class _ContinuousLaw:
+    """A directional law with a density: integrated over its 2-D arcs or its 3-D product rule.
+
+    Each law supplies ``arcs()``, the line-angle intervals that carry it in
+    the plane with their densities, ``nodes()``, its product rule in space,
+    and ``_radial_mean_3d``.
+    """
+
+    discrete = False
+
+    def frames(self, spec):
+        """Complement frames (N, 3, 3 - k) of the product rule's nodes, and their weights.
+
+        A slab's frame is its node itself, the normal of its plane.
+        """
+        dirs, ww = self.nodes()
+        return complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None], ww
+
+    def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
+        """E over the law of f(|Pr h|), Pr the projection onto the complement of the direction space.
+
+        r is the length of the lag h, passed so that a unit lag counts as
+        exactly 1.  f is vectorized and kinks where its argument meets one
+        of the targets; the rules are split there.
+        """
+        if spec.d == 3:
+            return self._radial_mean_3d(spec.k, h, r, f, targets)
+        psi = math.atan2(-h[0], h[1])  # <h, normal(phi)> = r cos(phi - psi)
+        total = 0.0
+        for lo, hi, dens in self.arcs():
+            brk = _angle_breakpoints(r, psi, targets, lo, hi)
+            total += dens * _piecewise_gl(lambda phi: f(r * np.abs(np.cos(phi - psi))), lo, hi, brk)
+        return total
+
+
+class Isotropic(_ContinuousLaw):
     """Haar-uniform directional law."""
+
+    rule = (64, 128)  # z and azimuth nodes of the product rule on the upper hemisphere
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return canonical_directions(haar_vectors(d, rng, n))
+
+    def nodes(self):
+        return _zone_nodes(_POLE, _POLE_FRAME, 0.0, 1.0, *self.rule)
+
+    def arcs(self):
+        return [(0.0, math.pi, 1.0 / math.pi)]
+
+    def _radial_mean_3d(self, k: int, h, r: float, f, targets) -> float:
+        if k == 1:  # |Pr h| = r sin(theta), theta the angle between h and the axis
+            brk = [math.asin(min(1.0, t / r)) for t in targets if t < r]
+            return _piecewise_gl(lambda theta: f(r * np.sin(theta)) * np.sin(theta), 0.0, 0.5 * math.pi, brk)
+        # k = 2: |Pr h| = r z, with z = |<h / r, normal>| uniform on [0, 1]
+        return _piecewise_gl(lambda z: f(r * z), 0.0, 1.0, [t / r for t in targets if t < r])
 
     def __eq__(self, other):
         return isinstance(other, Isotropic)
@@ -134,7 +215,9 @@ class Isotropic:
 
 
 class FixedAxes:
-    """Discrete directional law on finitely many axes with positive weights."""
+    """Discrete directional law on finitely many axes with positive weights, summed axis by axis."""
+
+    discrete = True
 
     def __init__(self, axes):
         pairs = tuple((a if isinstance(a, Direction) else Direction(a), number(w, "weight")) for a, w in axes)
@@ -145,6 +228,8 @@ class FixedAxes:
             raise ValueError("all axes must share one ambient dimension")
         _check_weights([w for _, w in pairs])
         self.axes = pairs
+        self._vecs = np.array([a.vec for a, _ in pairs])
+        self._weights = np.array([w for _, w in pairs])
 
     @property
     def dim(self) -> int:
@@ -153,21 +238,31 @@ class FixedAxes:
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         if d != self.dim:
             raise ValueError("dimension mismatch")
-        vecs = np.array([a.vec for a, _ in self.axes])
         if len(self.axes) == 1:  # one axis draws nothing, as a one-atom base law
-            return vecs[np.zeros(n, dtype=np.intp)]
-        return vecs[rng.choice(len(self.axes), size=n, p=np.array([w for _, w in self.axes]))]
+            return self._vecs[np.zeros(n, dtype=np.intp)]
+        return self._vecs[rng.choice(len(self.axes), size=n, p=self._weights)]
+
+    def frames(self, spec):
+        """Complement frames (N, d, d - k) of the axes' direction spaces, and the weights."""
+        return spec.subspace_frames(self._vecs)[1], self._weights
+
+    def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
+        """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
+        t = np.vecmat(h, self.frames(spec)[0])
+        return float(np.cumsum(self._weights * f(np.sqrt(np.vecdot(t, t))))[-1])
 
     def __repr__(self):
         return f"FixedAxes({[(a.vec.tolist(), w) for a, w in self.axes]})"
 
 
-class GirdleBand:
+class GirdleBand(_ContinuousLaw):
     """Directions within latitude delta of the great circle orthogonal to ``axis``.
 
     Every sampled vector u satisfies |<u, axis>| <= sin(delta); the law is
     the Haar measure restricted to that band.
     """
+
+    rule = (48, 96)  # z and azimuth nodes of the product rule on the band
 
     def __init__(self, axis, delta: float):
         self.axis = axis if isinstance(axis, Direction) else Direction(axis)
@@ -199,6 +294,38 @@ class GirdleBand:
                 + rad[:, None] * (np.cos(phi)[:, None] * self.frame[:, 0] + np.sin(phi)[:, None] * self.frame[:, 1])
             )
         return canonical_directions(u)
+
+    def nodes(self):
+        s = math.sin(self.delta)
+        return _zone_nodes(self.axis.vec, self.frame, -s, s, *self.rule)
+
+    def arcs(self):
+        c = math.atan2(self.axis.vec[1], self.axis.vec[0]) + 0.5 * math.pi
+        return [(c - self.delta, c + self.delta, 1.0 / (2.0 * self.delta))]
+
+    def _radial_mean_3d(self, k: int, h, r: float, f, targets) -> float:
+        if k == 1:  # |Pr h| = r sqrt(1 - dot^2), dot = <h / r, omega>
+            xs = {math.sqrt(max(0.0, 1.0 - (t / r) ** 2)) for t in targets if t <= r} | {1.0}
+            return self._band_mean(h / r, lambda dot: f(r * np.sqrt(np.maximum(0.0, 1.0 - dot**2))),
+                                   sorted({s * x for x in xs for s in (1.0, -1.0)}))
+        dot_targets = sorted({s * t / r for t in targets if t <= r for s in (1.0, -1.0)} | {0.0})
+        return self._band_mean(h / r, lambda dot: f(r * np.abs(dot)), dot_targets)
+
+    def _band_mean(self, u: np.ndarray, f_of_dot, dot_targets, nz: int = 96) -> float:
+        """Band average of f(<u, omega>), split where the dot meets one of the targets."""
+        s = math.sin(self.delta)
+        c0 = float(u @ self.axis.vec)
+        cp = math.hypot(float(u @ self.frame[:, 0]), float(u @ self.frame[:, 1]))
+        z_nodes, z_weights = gauss_legendre(nz, -s, s)
+        total = 0.0
+        for z, wz in zip(z_nodes, z_weights):
+            amp = math.sqrt(max(0.0, 1.0 - z * z)) * cp
+            mid = z * c0
+            xs = ((t - mid) / amp for t in dot_targets) if amp > 0.0 else ()
+            brk = [math.acos(x) for x in xs if -1.0 <= x <= 1.0]
+            total += wz / (2.0 * s) * (1.0 / math.pi) * _piecewise_gl(
+                lambda v: f_of_dot(mid + amp * np.cos(v)), 0.0, math.pi, brk)
+        return total
 
     def __repr__(self):
         return f"GirdleBand(axis={self.axis.vec.tolist()}, delta={self.delta})"

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from cylproc import analytic
 from cylproc.euclid import _FRAME_TOL, _TANGENT_TOL, GEOM_TOL, NORM_TOL, Disc, Segment
 from cylproc.model import FixedAxes
 from cylproc.rng import philox_stream
@@ -295,7 +294,7 @@ def law_frames(spec) -> list:
     if isinstance(spec.alpha, FixedAxes):
         return [(subspace(spec, direction.vec)[1], w) for direction, w in spec.alpha.axes]
     return [(complement_frame(omega[:, None]) if spec.k == 1 else omega[:, None], w)
-            for omega, w in zip(*analytic._direction_nodes(spec))]
+            for omega, w in zip(*spec.alpha.nodes())]
 
 
 def frame_gamma_mean(spec, atoms, h) -> float:

@@ -163,9 +163,8 @@ def test_segment_union_is_the_scalar_interval_merge_bit_for_bit(centres, half):
 
 def rules(monkeypatch, scale):
     """Scale both sides of the 64x128 hemisphere and 48x96 band rules."""
-    hemisphere, band = analytic._hemisphere_nodes, analytic._band_nodes
-    monkeypatch.setattr(analytic, "_hemisphere_nodes", lambda: hemisphere(int(64 * scale), int(128 * scale)))
-    monkeypatch.setattr(analytic, "_band_nodes", lambda alpha: band(alpha, int(48 * scale), int(96 * scale)))
+    monkeypatch.setattr(Isotropic, "rule", (int(64 * scale), int(128 * scale)))
+    monkeypatch.setattr(GirdleBand, "rule", (int(48 * scale), int(96 * scale)))
 
 
 def scalar_loops(monkeypatch):
