@@ -10,12 +10,11 @@ of the canonical complement frame, and the base law does not depend on
 the sampled direction.
 
 Each directional law owns what depends on its kind: its draws and its
-quadrature.  The continuous laws integrate over their
-line-angle ``arcs`` in the plane and over the ``nodes`` of a product
-Gauss-Legendre rule in space; every law gives the complement ``frames``
-and weights of those nodes (or of its fixed axes) and one
-``radial_mean``, the mean of f(|Pr h|) over its direction spaces, split
-at the kinks of f.
+quadrature.  The continuous laws integrate over their line-angle
+``arcs`` in the plane and over the ``nodes`` of a product Gauss-Legendre
+rule in space.  Every law gives the complement ``frames`` and weights of
+those nodes (or of its fixed axes) and one ``radial_mean``, the mean of
+f(|Pr h|) over its direction spaces, split at the kinks of f.
 """
 
 from __future__ import annotations
