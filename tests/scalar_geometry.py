@@ -13,7 +13,8 @@ space of one sampled vector from them.  The query oracles are the
 per-cylinder loops the simulation module used to run.  The quadrature
 oracle, at the end, is the node-by-node loop the analytic module used to
 run, with covariograms one lag at a time from closed forms and, for
-polygons, from clipping one copy of the polygon by the other.
+polygons, from clipping one copy of the polygon by the other, and the
+axis-by-axis radial mean of fixed axes.
 """
 
 import math
@@ -295,6 +296,11 @@ def law_frames(spec) -> list:
         return [(subspace(spec, direction.vec)[1], w) for direction, w in spec.alpha.axes]
     return [(complement_frame(omega[:, None]) if spec.k == 1 else omega[:, None], w)
             for omega, w in zip(*spec.alpha.nodes())]
+
+
+def radial_mean(spec, h, f) -> float:
+    """E over fixed axes of f(|Pr h|), axis by axis, with f at one projected length at a time."""
+    return sum(w * float(f(float(np.linalg.norm(h @ frame)))) for frame, w in law_frames(spec))
 
 
 def frame_gamma_mean(spec, atoms, h) -> float:

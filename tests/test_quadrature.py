@@ -168,6 +168,8 @@ def rules(monkeypatch, scale):
 
 
 def scalar_loops(monkeypatch):
+    # on fixed axes the segment and disc atoms, and E[h, L], go through the law's radial mean
+    monkeypatch.setattr(FixedAxes, "radial_mean", lambda law, spec, h, r, f, targets: scalar.radial_mean(spec, h, f))
     monkeypatch.setattr(analytic, "_frame_gamma_mean", scalar.frame_gamma_mean)
     monkeypatch.setattr(analytic, "_polygon_slope_mean", scalar.polygon_slope_mean)
     monkeypatch.setattr(analytic, "_mean_union_volume", scalar.mean_union_volume)
