@@ -10,6 +10,7 @@ The directional law enters only through its own members (see
 kinks of f, serves the segment and disc atoms, whose covariogram depends
 on |t| alone, and the mean projected length E[h, L]; ``frames`` gives the
 complement frames and weights of its fixed axes or product-rule nodes,
+which each law builds once per rule and k and holds read-only;
 ``discrete`` says whether those are summed in order, and ``arcs`` gives
 its line-angle intervals in the plane.  No law or shape class is named
 here.  The split rules reach machine precision on the isotropic worked

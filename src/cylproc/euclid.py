@@ -499,8 +499,8 @@ class ConvexPolygon(CrossSection):
 
     dim, radial = 2, False
     tag, field, param_shape = "polygon", "vertices", (-1, 2)
-    __slots__ = ("vertices", "_normals", "_offsets", "area", "boundary", "circumradius", "reach", "_corner",
-                 "_shortest")
+    __slots__ = ("vertices", "_normals", "_offsets", "_widths", "area", "boundary", "circumradius", "reach",
+                 "_corner", "_shortest")
 
     def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
@@ -529,10 +529,12 @@ class ConvexPolygon(CrossSection):
         n = np.column_stack([edges[:, 1], -edges[:, 0]])
         n = n / np.linalg.norm(n, axis=1, keepdims=True)
         b = np.einsum("ij,ij->i", n, V)
-        n.flags.writeable = False
-        b.flags.writeable = False
+        width = b - np.min(n @ V.T, axis=1)  # K's width along each edge normal
+        for a in (n, b, width):
+            a.flags.writeable = False
         self._normals = n
         self._offsets = b
+        self._widths = width
         # an edge line moved out by t moves a corner out by t / cos(theta / 2), theta the turn of the normals there
         self._corner = 1.0 / math.sqrt(0.5 * (1.0 + float(np.min(np.sum(n * np.roll(n, 1, axis=0), axis=1)))))
         self._shortest = float(np.min(np.linalg.norm(edges, axis=1)))
@@ -571,9 +573,8 @@ class ConvexPolygon(CrossSection):
         """
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1, 2)
-        width = self._offsets - np.min(self._normals @ self.vertices.T, axis=1)
         apart = np.zeros(len(flat), dtype=bool)
-        for (nx, ny), w in zip(self._normals, width):  # edge by edge: temporaries of one value per lag
+        for (nx, ny), w in zip(self._normals, self._widths):  # edge by edge: temporaries of one value per lag
             apart |= np.abs(flat[:, 0] * nx + flat[:, 1] * ny) >= w
         union = self.union_areas(np.stack([np.zeros_like(flat), -flat], axis=1))
         return np.where(apart, 0.0, 2.0 * self.area - union).reshape(t.shape[:-1])[()]

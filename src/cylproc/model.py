@@ -14,7 +14,9 @@ quadrature.  The continuous laws integrate over their line-angle
 ``arcs`` in the plane and over the ``nodes`` of a product Gauss-Legendre
 rule in space.  Every law gives the complement ``frames`` and weights of
 those nodes (or of its fixed axes) and one ``radial_mean``, the mean of
-f(|Pr h|) over its direction spaces, split at the kinks of f.
+f(|Pr h|) over its direction spaces, split at the kinks of f.  A law
+builds its frames once per rule and k and holds them read-only for
+every later call; ``nodes`` stays a pure builder.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def _zone_nodes(axis: np.ndarray, frame: np.ndarray, lo: float, hi: float, nz: i
     return dirs.reshape(-1, 3), ww.reshape(-1)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 _POLE = np.array([0.0, 0.0, 1.0])
 _POLE_FRAME = complement_frames(_POLE[None, :, None])[0]
 
@@ -157,13 +164,21 @@ class _ContinuousLaw:
 
     discrete = False
 
-    def frames(self, spec):
-        """Complement frames (N, 3, 3 - k) of the product rule's nodes, and their weights.
+    def __init__(self):
+        self._held = {}  # (rule, k) -> read-only frames and weights
 
-        A slab's frame is its node itself, the normal of its plane.
+    def frames(self, spec):
+        """Complement frames (N, 3, 3 - k) of the product rule's nodes, and their weights, both read-only.
+
+        A slab's frame is its node itself, the normal of its plane.  They
+        are built on the first call for each ``rule`` and k, and held.
         """
-        dirs, ww = self.nodes()
-        return complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None], ww
+        key = (self.rule, spec.k)
+        if key not in self._held:
+            dirs, ww = self.nodes()
+            frames = complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None]
+            self._held[key] = _read_only(frames), _read_only(ww)
+        return self._held[key]
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
         """E over the law of f(|Pr h|), Pr the projection onto the complement of the direction space.
@@ -228,7 +243,8 @@ class FixedAxes:
         _check_weights([w for _, w in pairs])
         self.axes = pairs
         self._vecs = np.array([a.vec for a, _ in pairs])
-        self._weights = np.array([w for _, w in pairs])
+        self._weights = _read_only(np.array([w for _, w in pairs]))
+        self._held = {}  # k -> read-only complement frames
 
     @property
     def dim(self) -> int:
@@ -242,8 +258,13 @@ class FixedAxes:
         return self._vecs[rng.choice(len(self.axes), size=n, p=self._weights)]
 
     def frames(self, spec):
-        """Complement frames (N, d, d - k) of the axes' direction spaces, and the weights."""
-        return spec.subspace_frames(self._vecs)[1], self._weights
+        """Complement frames (N, d, d - k) of the axes' direction spaces, and the weights, both read-only.
+
+        The frames are built on the first call for each k, and held.
+        """
+        if spec.k not in self._held:
+            self._held[spec.k] = _read_only(spec.subspace_frames(self._vecs)[1])
+        return self._held[spec.k], self._weights
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
         """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
@@ -264,6 +285,7 @@ class GirdleBand(_ContinuousLaw):
     rule = (48, 96)  # z and azimuth nodes of the product rule on the band
 
     def __init__(self, axis, delta: float):
+        super().__init__()
         self.axis = axis if isinstance(axis, Direction) else Direction(axis)
         self.delta = real("delta", delta)
         if not 0.0 < self.delta <= 0.5 * math.pi:

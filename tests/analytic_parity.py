@@ -10,8 +10,11 @@ the linear and spherical contact distributions at two radii, over disc,
 square, triangle, two radius-law and mixture bases under isotropic, girdle
 and fixed-axes laws in space, and over slabs and bands under the same laws:
 432 values, each as ``float.hex``.  The second radius law is one whose
-moments round differently as sum q pi r^2 and as pi sum q r^2.  The
-second form lists every value that differs between two such files, with
+moments round differently as sum q pi r^2 and as pi sum q r^2.  It
+evaluates the grid twice, on the same law objects: the second pass reads
+the quadrature frames the first left held, and a value that differs
+between the passes is named on stderr and makes the script exit 1
+without writing the file.  The second form lists every value that differs between two such files, with
 its relative change, and the count of equal values; keys only one file
 holds (a grid that grew) are counted, not compared.  It exits 1 when a
 shared value differs and 0 otherwise.
@@ -107,6 +110,11 @@ def compare(old_path: str, new_path: str) -> bool:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
         sys.exit(0 if compare(*sys.argv[2:4]) else 1)
-    else:
-        json.dump(values(), sys.stdout, indent=1)
-        print()
+    cold, warm = values(), values()
+    moved = [key for key in cold if warm[key] != cold[key]]
+    for key in moved:
+        print(f"{key}: {cold[key]} on the first pass, {warm[key]} on the second", file=sys.stderr)
+    if moved:
+        sys.exit(1)
+    json.dump(cold, sys.stdout, indent=1)
+    print()

@@ -3,7 +3,8 @@
 The kernels are checked against the node-by-node loops in
 ``scalar_geometry`` (the oracle), against exact areas in configurations
 the oracle gets wrong, and against doubled quadrature rules; hypothesis
-checks monotonicity and the bounds of capacity and covariance.
+checks monotonicity and the bounds of capacity and covariance.  Each law
+builds its rule once per rule and k and holds it read-only.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_geometry as scalar
-from cylproc import analytic
+from cylproc import analytic, model
 from cylproc.analytic import (
     capacity_finite,
     covariance,
@@ -219,8 +220,6 @@ def test_other_bases_match_the_scalar_loops(monkeypatch, name):
 QUADRATURE_BOUNDS = {"covariance": 2.0e-4, "covariance_derivative": 2.0e-4, "capacity_finite": 4.5e-5}
 
 
-
-
 @pytest.mark.parametrize("family", ["poly_iso", "poly_girdle"])
 def test_quadrature_error_of_the_default_rules(monkeypatch, family):
     spec = BENCH_SPECS[family]
@@ -235,7 +234,70 @@ def test_quadrature_error_of_the_default_rules(monkeypatch, family):
             fine = getattr(analytic, fn)(spec, arg)
         worst[fn] = max(worst[fn], abs(default - fine) / abs(fine))
     for fn, bound in QUADRATURE_BOUNDS.items():
-        assert worst[fn] <= bound, (fn, worst[fn])
+        # a rule held without its size would compare the default rule with itself
+        assert 0.0 < worst[fn] <= bound, (fn, worst[fn])
+
+
+# ---------------------------------------------------------------------------
+# the rule each law holds
+# ---------------------------------------------------------------------------
+
+FRESH_LAWS = {
+    "iso": Isotropic,
+    "girdle": lambda: GirdleBand(Direction([0.0, 0.0, 1.0]), 0.4),
+    "fixed": lambda: FixedAxes(FIXED.axes),
+}
+
+
+def counted_builds(monkeypatch) -> list:
+    """The calls of the frame builder the laws use, recorded from now on."""
+    builds, build = [], model.complement_frames
+    monkeypatch.setattr(model, "complement_frames", lambda *a: builds.append(a) or build(*a))
+    return builds
+
+
+@pytest.mark.parametrize("law", sorted(FRESH_LAWS))
+def test_a_law_builds_its_frames_once(monkeypatch, law):
+    spec = spec3(FRESH_LAWS[law](), DeterministicBase(SQUARE))
+    h = np.array(POINT_SETS[1][1])
+    builds = counted_builds(monkeypatch)
+    first = covariance(spec, h)
+    assert len(builds) == 1
+    assert covariance(spec, h).hex() == first.hex()
+    assert len(builds) == 1
+    frames, ww = spec.alpha.frames(spec)
+    with pytest.raises(ValueError):
+        frames[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        ww[0] = 0.0
+    # the same law under slabs holds the frames of k = 2 beside those of k = 1
+    slab = ProcessSpec(d=3, k=2, intensity=0.3, alpha=spec.alpha, base=DeterministicBase(Segment(0.5)))
+    assert spec.alpha.frames(slab)[0].shape == frames.shape[:2] + (1,)
+    assert spec.alpha.frames(spec)[0] is frames
+
+
+def bits(frames_and_weights) -> tuple:
+    return tuple(a.tobytes() for a in frames_and_weights)
+
+
+def test_a_changed_rule_is_built_and_the_default_comes_back(monkeypatch):
+    law = Isotropic()
+    spec = spec3(law, DeterministicBase(SQUARE))
+    default = bits(law.frames(spec))
+    with monkeypatch.context() as m:
+        m.setattr(Isotropic, "rule", (32, 64))
+        coarse = law.frames(spec)
+        assert len(coarse[1]) == 2048
+        assert bits(coarse) == bits(Isotropic().frames(spec))
+    assert bits(law.frames(spec)) == default == bits(Isotropic().frames(spec))
+
+
+def test_girdle_bands_of_different_widths_hold_their_own_rules():
+    axis = Direction([0.0, 0.0, 1.0])
+    narrow, wide = GirdleBand(axis, 0.2), GirdleBand(axis, 0.4)
+    got = bits(narrow.frames(spec3(narrow, DeterministicBase(SQUARE))))
+    assert got != bits(wide.frames(spec3(wide, DeterministicBase(SQUARE))))
+    assert got == bits(GirdleBand(axis, 0.2).frames(spec3(narrow, DeterministicBase(SQUARE))))
 
 
 # ---------------------------------------------------------------------------
