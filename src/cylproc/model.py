@@ -16,7 +16,7 @@ rule in space.  Every law gives the complement ``frames`` and weights of
 those nodes (or of its fixed axes) and one ``radial_mean``, the mean of
 f(|Pr h|) over its direction spaces, split at the kinks of f.  A law
 builds its frames once per rule and k and holds them read-only for
-every later call; ``nodes`` stays a pure builder.
+every later call, while ``nodes`` builds the rule anew on each call.
 """
 
 from __future__ import annotations
