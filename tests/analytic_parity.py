@@ -7,9 +7,9 @@ The first form evaluates covariance and the mean covariogram
 E gamma_K(Pr h) at five lags, the two- and
 three-point capacity, the covariance derivative, the specific surface and
 the linear and spherical contact distributions at two radii, over disc,
-square, triangle, two radius-law and mixture bases under isotropic, girdle
+square, triangle, regular hexagon, two radius-law and mixture bases under isotropic, girdle
 and fixed-axes laws in space, and over slabs and bands under the same laws:
-432 values, each as ``float.hex``.  The second radius law is one whose
+486 values, each as ``float.hex``.  The second radius law is one whose
 moments round differently as sum q pi r^2 and as pi sum q r^2.  It
 evaluates the grid twice, on the same law objects: the second pass reads
 the quadrature frames the first left held, and a value that differs
@@ -40,6 +40,8 @@ from cylproc.model import (
 
 SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
 TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+_S = 0.5 * 3.0 ** 0.5  # a regular hexagon of circumradius 1: three pairs of opposite parallel edges
+HEXAGON = ConvexPolygon([[1.0, 0.0], [0.5, _S], [-0.5, _S], [-1.0, 0.0], [-0.5, -_S], [0.5, -_S]])
 LAWS_3D = {
     "iso": Isotropic(),
     "girdle": GirdleBand(Direction([0.0, 0.0, 1.0]), 0.4),
@@ -55,6 +57,7 @@ BASES = {
     "disc": DeterministicBase(Disc(1.0)),
     "square": DeterministicBase(SQUARE),
     "triangle": DeterministicBase(TRIANGLE),
+    "hexagon": DeterministicBase(HEXAGON),
     "radius_law": DiscRadiusLaw(RadiusLaw(((0.0, 0.2), (0.6, 0.3), (1.1, 0.5)))),
     "radius_pair": DiscRadiusLaw(RadiusLaw(((0.2, 0.5), (0.4, 0.5)))),
     "mixture": MixtureBase([(Disc(0.7), 0.5), (SQUARE, 0.5)]),
