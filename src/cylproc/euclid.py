@@ -11,8 +11,10 @@ intervals of lines, the hit test against a window's shadow, and the tag
 and parameter it is written under, and one batched kernel each for the
 covariogram, its derivative at the origin and the area of a union of
 translates; a single lag or direction is the n = 1 view of a stack, bit
-for bit.  The union kernels share one interval-union routine,
-:func:`_sweep`, which the simulation's probe merge uses too; every
+for bit.  A polygon's covariogram and union of translates share one
+primitive, the clip of half-planes over its own fixed edge normals by
+tables built with it.  The union kernels share one interval-union
+routine, :func:`_sweep`, which the simulation's probe merge uses too; every
 absolute tolerance is defined here, and so is :func:`number`, the one
 check of a scalar argument.  Everything is immutable after construction
 and safe to share between workers.
@@ -30,9 +32,9 @@ NORM_TOL = 1e-12      # unit-norm and orthonormality checks
 GEOM_TOL = 1e-9       # geometric predicates: membership, clipping
 _TANGENT_TOL = 1e-12  # quadratic discriminants below this give no interval; probe intervals join within it
 _FRAME_TOL = 1e-7     # Gram-Schmidt residual acceptance threshold
-_DEDUPE_TOL = 1e-12   # translates nearer than this times the circumradius coincide
+_DEDUPE_TOL = 1e-12   # translates, or polygon edge lines, nearer than this times the circumradius coincide
 _JOIN_TOL = 1e-14     # covered pieces of a union of translates nearer than this are joined
-_CHUNK = 1 << 13      # elements per union-kernel temporary (64 KB); bounds the memory of a call
+_CHUNK = 1 << 13      # elements per temporary of a union or polygon covariogram kernel (64 KB); bounds a call's memory
 _REACH_TOL = 1e-6     # relative slack of the circumcircle pre-test of the polygon ray kernel
 
 
@@ -499,8 +501,8 @@ class ConvexPolygon(CrossSection):
 
     dim, radial = 2, False
     tag, field, param_shape = "polygon", "vertices", (-1, 2)
-    __slots__ = ("vertices", "_normals", "_offsets", "_widths", "area", "boundary", "circumradius", "reach",
-                 "_corner", "_shortest")
+    __slots__ = ("vertices", "_normals", "_offsets", "_widths", "_sides", "area", "boundary", "circumradius",
+                 "reach", "_corner", "_shortest")
 
     def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
@@ -535,6 +537,14 @@ class ConvexPolygon(CrossSection):
         self._normals = n
         self._offsets = b
         self._widths = width
+        # clip tables: side g bounds the edge line f of {x : n_g . x <= H_g}, x = H_f n_f + s d_f, where
+        # s A[f, g] <= H_g - H_f B[f, g]; per edge, the sides it enters, then those it leaves, then its opposites
+        A, B = np.column_stack([-n[:, 1], n[:, 0]]) @ n.T, n @ n.T
+        par = np.abs(A) <= 1e-12
+        sides = [(f, np.concatenate([np.flatnonzero(~par[f] & (A[f] < 0.0)), np.flatnonzero(~par[f] & (A[f] > 0.0))]))
+                 for f in range(len(n)) if not np.any(par[f, :f] & (B[f, :f] > 0.0))]  # a repeated normal adds no edge
+        self._sides = tuple((f, g, A[f, g, None], B[f, g, None], int(np.sum(A[f, g] < 0.0)),
+                             np.flatnonzero(par[f] & (B[f] < 0.0))) for f, g in sides)
         # an edge line moved out by t moves a corner out by t / cos(theta / 2), theta the turn of the normals there
         self._corner = 1.0 / math.sqrt(0.5 * (1.0 + float(np.min(np.sum(n * np.roll(n, 1, axis=0), axis=1)))))
         self._shortest = float(np.min(np.linalg.norm(edges, axis=1)))
@@ -565,19 +575,38 @@ class ConvexPolygon(CrossSection):
             best = np.minimum(best, np.sqrt(gx * gx + gy * gy))
         return np.where(inside, 0.0, best)[()]
 
-    def covariogram(self, t):
-        """Area of K n (K + t), 2A - |K u (K + t)|, for lags t (..., 2): the union kernel at the points 0 and -t.
+    def _clip(self, H):
+        """Span (lo, hi) along d_f of each edge line f of {x : n_g . x <= H_g}, H (m, ...), by Cyrus-Beck.
 
-        A lag off the interior of K - K, where |n . t| reaches K's width
-        along some edge normal n, gives exactly 0.
+        An opposite parallel side g empties line f unless H_f + H_g >= 0; a repeated normal spans (0, 0).
+        """
+        shape, H = H.shape, H.reshape(len(H), -1)
+        lo, hi = np.zeros_like(H), np.zeros_like(H)
+        for f, g, a, b, enter, opposite in self._sides:
+            r = (H[g] - b * H[f]) / a
+            lo[f], hi[f] = np.max(r[:enter], axis=0), np.min(r[enter:], axis=0)
+            hi[f][np.any(H[opposite] + H[f] < 0.0, axis=0)] = -np.inf
+        return lo.reshape(shape), hi.reshape(shape)
+
+    def covariogram(self, t):
+        """Area of K n (K + t) for lags t (..., 2): 1/2 sum_f H_f |edge f| of the clip at H = b + min(0, n . t).
+
+        It is exactly 0 off the interior of K - K, where |n . t| reaches K's width along an edge normal n.
         """
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1, 2)
         apart = np.zeros(len(flat), dtype=bool)
         for (nx, ny), w in zip(self._normals, self._widths):  # edge by edge: temporaries of one value per lag
             apart |= np.abs(flat[:, 0] * nx + flat[:, 1] * ny) >= w
-        union = self.union_areas(np.stack([np.zeros_like(flat), -flat], axis=1))
-        return np.where(apart, 0.0, 2.0 * self.area - union).reshape(t.shape[:-1])[()]
+        nx, ny = self._normals.T[:, :, None]
+
+        def chunk(T):  # elementwise products, and a sum side by side, round alike for any number of lags
+            H = self._offsets[:, None] + np.minimum(0.0, nx * T[:, 0] + ny * T[:, 1])
+            lo, hi = self._clip(H)
+            return 0.5 * np.cumsum(H * np.maximum(hi - lo, 0.0), axis=0)[-1]
+
+        area = np.maximum(_chunked(chunk, flat, len(self._offsets)), 0.0)
+        return np.where(apart, 0.0, area).reshape(t.shape[:-1])[()]
 
     def covariogram_derivative(self, u):
         """gamma'(o, u) for unit u (..., 2): minus the width of K's shadow on the line orthogonal to u."""
@@ -642,48 +671,32 @@ class ConvexPolygon(CrossSection):
         return ~np.any(apart, axis=1)
 
     def union_areas(self, C: np.ndarray) -> np.ndarray:
-        """Area of union_i (c_i - K) for each row of points C (N, n, 2): the translates c_i + P of P = -K.
+        """Area of union_i (c_i - K) for each row of points C (N, n, 2): 1/2 sum_{i,f} H_if |exposed edge f of i|.
 
-        Exposed-edge tracing: Cyrus-Beck clips every edge of every translate
-        against every other translate, and the Green line integrals over the
-        parts no other translate covers sum to the area.  Where edges of two
-        translates overlap with the same orientation, the stretch is counted
-        once, on the lower-index translate; overlapping opposite edges lie
-        inside the union and are covered from both sides.
+        c_i - K = {x : -n_f . x <= H_if = b_f - n_f . c_i} has K's clip tables.  The clip of a pair i < j at
+        min(H_i, H_j) covers edge f of the translate inner there; a tie within the dedupe tolerance goes to
+        the lower index, so a shared stretch of one orientation counts once, while touching opposite edges
+        cover each other.  One sort-and-sweep per (f, i) leaves the exposed length.
         """
-        W = -self.vertices  # P = -K, counterclockwise like K
-        n, m = C.shape[1], len(W)
-        D = np.roll(W, -1, axis=0) - W
-        nrm = np.column_stack([D[:, 1], -D[:, 0]])  # outward, |nrm| = edge length
-        den = nrm @ D.T  # [f, k]: rate at which edge k crosses side f
-        gap = np.sum(nrm * W, axis=1)[:, None] - nrm @ W.T  # [f, k]: nrm_f . (W_f - W_k) >= 0
-        size = np.linalg.norm(nrm, axis=1)
-        par = np.abs(den) <= 1e-12 * np.outer(size, size)
-        radius = float(np.max(np.linalg.norm(W, axis=1)))
-        tol = (_DEDUPE_TOL * radius * size)[:, None]  # within tol of side f counts as on its line
-        # tables indexed [f, node, i, j, k], sides first so that reductions over them run along the
-        # leading axis; tie: an edge on the line of a same-orientation side of j is covered only if j < i
-        tie = np.tri(n, k=-1, dtype=bool)[None, None, :, :, None] | ~(par & (nrm @ nrm.T > 0.0))[:, None, None, None]
-        enters, leaves, free, den, gap, tol = (x[:, None, None, None] for x in (
-            ~par & (den < 0.0), ~par & (den > 0.0), ~par, np.where(par, 1.0, den), gap, tol))
-        others = ~np.eye(n, dtype=bool)[:, :, None]
+        n, m = C.shape[1], len(self._offsets)
+        I, J = np.triu_indices(n, 1)
+        slots = np.argsort(np.concatenate([I, J]), kind="stable").reshape(n, n - 1)  # the pair pieces of each i
+        nx, ny = self._normals.T[:, :, None, None]
 
         def chunk(C):
             C = C - C[:, :1]  # the area is translation invariant; small coordinates keep Green's sum exact
-            keep = _distinct(C, _DEDUPE_TOL * radius)
-            delta = C[:, None, :, :] - C[:, :, None, :]  # delta[:, i, j] = c_j - c_i
-            num = np.moveaxis(delta @ nrm.T, -1, 0)[..., None] + gap  # edge k of i keeps side f of j while t den <= num
-            ratio = num / den
-            lo = np.maximum(np.max(np.where(enters, ratio, -np.inf), axis=0), 0.0)
-            hi = np.minimum(np.min(np.where(leaves, ratio, np.inf), axis=0), 1.0)
-            on_side = (num > tol) | ((num >= -tol) & tie)
-            cover = (np.all(on_side | free, axis=0) & (lo < hi) & others
-                     & keep[:, :, None, None] & keep[:, None, :, None])
-            g0, g1 = _gaps(np.where(cover, lo, 0.0).swapaxes(2, 3), np.where(cover, hi, 0.0).swapaxes(2, 3), 0.0, 1.0)
-            cross = (C[:, :, None, 0] + W[:, 0]) * D[:, 1] - (C[:, :, None, 1] + W[:, 1]) * D[:, 0]
-            return 0.5 * np.sum(np.where(keep[:, :, None], cross * np.sum(g1 - g0, axis=-1), 0.0), axis=(1, 2))
+            H = self._offsets[:, None, None] - (nx * C[..., 0] + ny * C[..., 1])  # [f, node, i]
+            lo, hi = self._clip(np.concatenate([H, np.minimum(H[..., I], H[..., J])], axis=-1))
+            inner = H[..., I] < H[..., J] - _DEDUPE_TOL * self.circumradius
+            s, e = np.where(lo[..., n:] < hi[..., n:], lo[..., n:], np.inf), hi[..., n:]  # an empty clip covers nothing
+            s = np.concatenate([np.where(inner, s, np.inf), np.where(inner, np.inf, s)], axis=-1)[..., slots]
+            rows = (H.size, n - 1)  # the sweep runs on two axes, one row per (f, node, i)
+            g0, g1 = _gaps(s.reshape(rows), np.concatenate([e, e], axis=-1)[..., slots].reshape(rows),
+                           lo[..., :n].reshape(-1, 1), hi[..., :n].reshape(-1, 1))
+            exposed = np.sum(g1 - g0, axis=-1).reshape(H.shape)
+            return 0.5 * np.cumsum(np.cumsum(H * exposed, axis=0)[-1], axis=-1)[:, -1]  # side by side, then i by i
 
-        return _chunked(chunk, C, (n * m) ** 2)
+        return _chunked(chunk, C, m * n * n)
 
 
 SHAPE_TYPES = {cls.tag: cls for cls in (Segment, Disc, ConvexPolygon)}
@@ -782,8 +795,10 @@ def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
     return np.concatenate([kernel(C[a:a + step]) for a in range(0, len(C), step)])
 
 
-def _sweep(s, e, lo: float, hi: float, tol: float = _JOIN_TOL):
+def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
     """Sort pieces [s, e] along the last axis by start, after clipping them to [lo, hi]: the interval union.
+
+    lo and hi are numbers, or arrays (..., 1) with the bounds of each row.
 
     Returns the sorted starts, the running maximum R of the ends before
     each piece (from lo, with one more entry after the last piece), and
@@ -806,7 +821,7 @@ def _run_ends(new, R):
     return np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _gaps(s, e, lo: float, hi: float):
+def _gaps(s, e, lo, hi):
     """Pieces of [lo, hi] the pieces [s, e] leave uncovered, in order, as (start, end) arrays.
 
     One slot before each sorted piece and one after the last; a slot

@@ -108,8 +108,13 @@ def test_covariogram_square_closed_form():
         assert sq.covariogram(t) == pytest.approx(expected, abs=1e-10)
 
 
+# a regular hexagon of circumradius 1: three pairs of opposite parallel edges
+_S = 0.5 * math.sqrt(3.0)
+HEXAGON = ConvexPolygon([[1.0, 0.0], [0.5, _S], [-0.5, _S], [-1.0, 0.0], [-0.5, -_S], [0.5, -_S]])
+
+
 @pytest.mark.parametrize("shape", [Disc(0.8), Segment(1.5),
-                                   ConvexPolygon([[0, 0], [2, 0], [2.5, 1], [1, 2], [-0.5, 1]])])
+                                   ConvexPolygon([[0, 0], [2, 0], [2.5, 1], [1, 2], [-0.5, 1]]), HEXAGON])
 def test_covariogram_properties(shape):
     rng = philox_stream(5, 0)
     area = shape.area
@@ -240,7 +245,8 @@ def off_interior_lags(shape) -> np.ndarray:
     return T
 
 
-@pytest.mark.parametrize("shape", KERNEL_SHAPES + [SQUARE], ids=["segment", "disc", "polygon", "square"])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [SQUARE, HEXAGON],
+                         ids=["segment", "disc", "polygon", "square", "hexagon"])
 def test_covariogram_is_exactly_zero_off_the_interior_of_k_minus_k(shape):
     beyond = units(shape, (400,), 16) * shape.diameter * philox_stream(17, 0).uniform(1.0, 3.0, (400, 1))
     assert np.all(shape.covariogram(beyond) == 0.0)
@@ -264,6 +270,31 @@ def test_covariogram_matches_its_closed_form_or_the_clip_oracle(shape):
         assert same_bits(g, want)
     else:
         assert np.max(np.abs(g - want)) <= 1e-15 * shape.area
+
+
+TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+
+
+def special_lags(poly) -> np.ndarray:
+    """Lags along every edge direction up to one diameter, and every difference of two vertices."""
+    V = poly.vertices
+    E = np.roll(V, -1, axis=0) - V
+    steps = np.linspace(-1.0, 1.0, 17)[:, None, None] * poly.diameter / np.linalg.norm(E, axis=1)[None, :, None]
+    return np.concatenate([(steps * E).reshape(-1, 2), (V[:, None, :] - V[None, :, :]).reshape(-1, 2)])
+
+
+@pytest.mark.parametrize("poly", [SQUARE, TRIANGLE, HEXAGON], ids=["square", "triangle", "hexagon"])
+def test_polygon_covariogram_is_the_scalar_clip_on_edge_directions_and_vertex_differences(poly):
+    T = special_lags(poly)
+    g = poly.covariogram(T)
+    want = np.array([scalar.polygon_covariogram(poly, t) for t in T])
+    assert np.max(np.abs(g - want)) <= 1e-15 * poly.area
+    assert np.all(g >= 0.0)
+    for t, gt in zip(T, g):  # one lag is its row of the stack, bit for bit
+        assert same_bits(poly.covariogram(t), gt)
+    # translates that touch along an edge or at a corner meet in a null set
+    assert SQUARE.covariogram(np.array([1.0, 0.0])) == 0.0
+    assert np.all(SQUARE.covariogram(np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, -1.0]])) == 0.0)
 
 
 def test_grassmann_average_det():

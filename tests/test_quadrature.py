@@ -8,13 +8,14 @@ builds its rule once per rule and k and holds it read-only.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_geometry as scalar
-from cylproc import analytic, model
+from cylproc import analytic, euclid, model
 from cylproc.analytic import (
     capacity_finite,
     covariance,
@@ -36,6 +37,8 @@ from cylproc.rng import philox_stream
 
 SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
 TRIANGLE = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+HEX_S = 0.5 * math.sqrt(3.0)  # a regular hexagon of circumradius 1: three pairs of opposite parallel edges
+HEXAGON = ConvexPolygon([[1.0, 0.0], [0.5, HEX_S], [-0.5, HEX_S], [-1.0, 0.0], [-0.5, -HEX_S], [0.5, -HEX_S]])
 ISO = Isotropic()
 GIRDLE = GirdleBand(Direction([0.0, 0.0, 1.0]), 0.4)
 FIXED = FixedAxes([(Direction([0.0, 0.0, 1.0]), 0.5), (Direction([0.6, 0.0, 0.8]), 0.3),
@@ -108,12 +111,22 @@ def test_coincident_translates_count_once():
 
 def test_polygon_union_matches_the_scalar_loop_on_generic_centres():
     rng = philox_stream(61, 0)
-    for poly in (SQUARE, TRIANGLE):
-        for n in (2, 3, 5, 8):
+    for poly in (SQUARE, TRIANGLE, HEXAGON):
+        for n in (2, 3, 5, 8, analytic.MAX_CAPACITY_POINTS):
             for _ in range(10):
                 centres = rng.uniform(-1.5, 1.5, size=(n, 2))
                 want = scalar.union_area_polygons([c + poly.vertices for c in centres])
                 assert poly.union_areas(-centres[None])[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_a_vertex_inside_an_edge_changes_no_area():
+    # two edges on one line share one normal: the clip must count their line once
+    split = ConvexPolygon([[-0.5, -0.5], [0.0, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    rng = philox_stream(63, 0)
+    C = rng.uniform(-1.0, 1.0, (200, 3, 2))
+    T = rng.uniform(-1.2, 1.2, (200, 2))
+    assert np.allclose(split.union_areas(C), SQUARE.union_areas(C), rtol=1e-14, atol=0.0)
+    assert np.allclose(split.covariogram(T), SQUARE.covariogram(T), rtol=0.0, atol=1e-15)
 
 
 def intersection_area(poly, shifts) -> float:
@@ -124,17 +137,35 @@ def intersection_area(poly, shifts) -> float:
     return scalar.polygon_area(V)
 
 
-# multiples of 1/4: edges of translates of the square meet, overlap and coincide
+# multiples of 1/4: edges of translates of the square meet, overlap and coincide; half steps of the
+# hexagonal tiling do the same for the hexagon
 quarters = st.integers(-6, 6).map(lambda i: 0.25 * i)
+half_tiles = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda ij: (0.75 * ij[0], HEX_S * (0.5 * ij[0] + ij[1])))
 
 
-@settings(max_examples=60, deadline=None)
-@given(poly=st.sampled_from([SQUARE, TRIANGLE]), centres=st.lists(st.tuples(quarters, quarters), min_size=3, max_size=3))
+@settings(max_examples=90, deadline=None)
+@given(poly=st.sampled_from([SQUARE, TRIANGLE, HEXAGON]),
+       centres=st.lists(st.one_of(st.tuples(quarters, quarters), half_tiles), min_size=3, max_size=3))
 def test_polygon_union_of_three_is_inclusion_exclusion(poly, centres):
     c = np.array(centres)
     pairs = sum(intersection_area(poly, c[[i, j]]) for i, j in ((0, 1), (0, 2), (1, 2)))
     want = 3.0 * poly.area - pairs + intersection_area(poly, c)
     assert poly.union_areas(-c[None])[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel, rows", [("union_areas", (8192, 16, 2)), ("covariogram", (8192, 2))])
+def test_polygon_kernels_keep_their_temporaries_chunked(kernel, rows):
+    # every temporary holds at most _CHUNK values; a table over all rows at once would be 16x or more
+    # larger than this bound, which leaves room for the input's chunks, the output and a few temporaries
+    X = philox_stream(62, 0).uniform(-1.0, 1.0, rows)
+    tracemalloc.start()
+    try:
+        getattr(SQUARE, kernel)(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * euclid._CHUNK * 8
 
 
 # quarters for tangent, coincident and wrapping arcs, thousandths for the rest; two
