@@ -22,7 +22,10 @@ covariance and its derivative (on the girdle band) and 3.7e-5 in the
 three-point capacity; tests/test_quadrature.py holds those bounds.  The
 base enters only through each shape's batched ``covariogram``,
 ``covariogram_derivative`` and ``union_areas``, called once for all the
-nodes or fixed axes; no shape formula lives here.
+nodes or fixed axes; no shape formula lives here.  For a polygon the
+covariogram and the union both run on its one fixed-normal clip.  scipy
+serves only ``pore_moments`` and is imported there, on first use, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .euclid import (
     Direction,
@@ -319,7 +321,11 @@ def pore_moments(lam: float, c_s: float) -> PoreMoments:
         E H   = erfcx(y) / (2 sqrt(lam)),
         E H^2 = 1/(pi lam) - c_s erfcx(y) / (2 pi sqrt(lam)).
     erfcx keeps the product exp(y^2) erfc(y) stable for large budgets.
+    scipy is imported here, on first use, so that importing the package
+    does not load it.
     """
+    from scipy.special import erfcx
+
     lam, c_s = _intensity(lam), real("c_s", c_s, minimum=0)
     y = c_s * math.sqrt(lam / (4.0 * math.pi))
     tail = 0.5 * float(erfcx(y))  # exp(c_s^2 lam / 4 pi) * (1 - Phi(c_s sqrt(lam / 2 pi)))

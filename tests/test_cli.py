@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylproc
 from cylproc.cli import main
 from cylproc.model import spec_from_dict
 from cylproc.sim import Window, covered_mask, import_realization_csv
@@ -370,3 +375,12 @@ def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, conf
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err and "unknown quantity" not in err
+
+
+def test_importing_the_package_and_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special serves the pore moments alone and loads on their first call; a fresh
+    # interpreter shows what an import costs, whatever this process has loaded already
+    code = "import sys, cylproc, cylproc.cli; sys.exit(3 if 'scipy.special' in sys.modules else 0)"
+    path = [str(Path(cylproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
