@@ -576,9 +576,10 @@ class ConvexPolygon(CrossSection):
         return np.where(inside, 0.0, best)[()]
 
     def _clip(self, H):
-        """Span (lo, hi) along d_f of each edge line f of {x : n_g . x <= H_g}, H (m, ...), by Cyrus-Beck.
+        """Span (lo, hi) of each edge line f of {x : n_g . x <= H_g}, H (m, ...), by Cyrus-Beck.
 
-        An opposite parallel side g empties line f unless H_f + H_g >= 0; a repeated normal spans (0, 0).
+        The span is along d_f, n_f turned counterclockwise by a right angle.  An opposite parallel side g
+        empties line f unless H_f + H_g >= 0; a repeated normal spans (0, 0).
         """
         shape, H = H.shape, H.reshape(len(H), -1)
         lo, hi = np.zeros_like(H), np.zeros_like(H)
@@ -680,7 +681,7 @@ class ConvexPolygon(CrossSection):
         """
         n, m = C.shape[1], len(self._offsets)
         I, J = np.triu_indices(n, 1)
-        slots = np.argsort(np.concatenate([I, J]), kind="stable").reshape(n, n - 1)  # the pair pieces of each i
+        slots = np.argsort(np.concatenate([I, J]), kind="stable").reshape(n, n - 1)  # i's pieces of the 2P
         nx, ny = self._normals.T[:, :, None, None]
 
         def chunk(C):
