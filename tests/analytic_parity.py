@@ -4,12 +4,15 @@
     PYTHONPATH=src python3 tests/analytic_parity.py --compare old.json new.json
 
 The first form evaluates covariance and the mean covariogram
-E gamma_K(Pr h) at five lags, the two- and
-three-point capacity, the covariance derivative, the specific surface and
+E gamma_K(Pr h) at five lags, the two-, three- and
+eight-point capacity, the covariance derivative, the specific surface and
 the linear and spherical contact distributions at two radii, over disc,
 square, triangle, regular hexagon, two radius-law and mixture bases under isotropic, girdle
 and fixed-axes laws in space, and over slabs and bands under the same laws:
-486 values, each as ``float.hex``.  The second radius law is one whose
+513 values, each as ``float.hex``.  Eight points put eight or more pieces
+on an edge's or a circle's sweep, where a sum over a contiguous axis adds
+pairwise and one over an outer axis adds in sequence, so only they show a
+reordered sum.  The second radius law is one whose
 moments round differently as sum q pi r^2 and as pi sum q r^2.  It
 evaluates the grid twice, on the same law objects: the second pass reads
 the quadrature frames the first left held, and a value that differs
@@ -64,6 +67,7 @@ BASES = {
 }
 LAGS = ((0.3, 0.1, 0.2), (0.7, -0.4, 0.5), (1.2, 0.3, -0.6), (2.5, 1.0, 0.3), (0.05, 0.0, 0.9))
 POINTS = ((0.0, 0.0, 0.0), (0.4, -0.5, 0.3), (-0.3, 0.2, 0.6))
+POINTS8 = POINTS + ((0.7, 0.3, 0.2), (0.2, -0.6, 0.5), (0.9, 0.1, -0.2), (0.1, 0.8, 0.1), (0.6, -0.1, 0.4))
 DIRECTION = (1.0, 2.0, 2.0)
 RADII = (0.5, 2.0)
 
@@ -90,6 +94,7 @@ def values() -> dict:
             out[f"{name}/mean_covariogram{list(h[:d])}"] = analytic._expect_gamma(spec, np.array(h[:d]))
         out[f"{name}/capacity2"] = analytic.capacity_finite(spec, pts[:2])
         out[f"{name}/capacity3"] = analytic.capacity_finite(spec, pts)
+        out[f"{name}/capacity8"] = analytic.capacity_finite(spec, np.array(POINTS8)[:, :d])
         out[f"{name}/covariance_derivative"] = analytic.covariance_derivative(spec, unit)
         out[f"{name}/specific_surface"] = analytic.specific_surface(spec)
         for r in RADII:
