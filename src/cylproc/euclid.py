@@ -750,7 +750,7 @@ def _min_enclosing_circle(V):
 
 def _circumcentre(a, b, c):
     d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14 * max(1.0, np.max(np.abs([a, b, c])) ** 2):
+    if abs(d) < 1e-14 * np.max(np.abs([a, b, c])) ** 2:  # relative: twice the area against the squared extent
         return None
     ux = ((a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])) / d
     uy = ((a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])) / d

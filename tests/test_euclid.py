@@ -319,6 +319,15 @@ def test_polygon_validation():
     assert sq.circumradius == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
+@pytest.mark.parametrize("j", [-27, -20, 0, 20])
+def test_polygon_construction_scales_by_powers_of_two_bit_for_bit(j):
+    # an acute triangle's enclosing circle is its circumcircle, whose test must be relative to the scale
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+    unit, scaled = ConvexPolygon(triangle), ConvexPolygon(math.ldexp(1.0, j) * triangle)
+    assert np.array_equal(scaled.vertices, math.ldexp(1.0, j) * unit.vertices)
+    assert scaled.circumradius == math.ldexp(unit.circumradius, j)
+
+
 def test_cross_sections_are_equal_by_kind_and_parameter():
     square = [[0, 0], [1, 0], [1, 1], [0, 1]]
     assert Disc(1) == Disc(1.0) and hash(Disc(1)) == hash(Disc(1.0))
