@@ -14,10 +14,12 @@ translates; a single lag or direction is the n = 1 view of a stack, bit
 for bit.  A polygon's covariogram and union of translates share one
 primitive, the clip of half-planes over its own fixed edge normals by
 tables built with it.  The union kernels share one interval-union
-routine, :func:`_sweep`, which the simulation's probe merge uses too; every
-absolute tolerance is defined here, and so is :func:`number`, the one
-check of a scalar argument.  Everything is immutable after construction
-and safe to share between workers.
+routine, :func:`_sweep`, which the simulation's probe merge uses too; it
+takes the pieces of each union on axis 0, and the union kernels put the
+quadrature node last, so each operation runs over a chunk's nodes as one
+contiguous row.  Every absolute tolerance is defined here, and so is
+:func:`number`, the one check of a scalar argument.  Everything is
+immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -361,9 +363,9 @@ class Segment(CrossSection):
 
     def union_areas(self, C: np.ndarray) -> np.ndarray:
         """Length of union_i (c_i - K) for each row of points C (N, n, 1), summed run by run in order."""
-        c, a = C[:, :, 0], self.half_length
+        c, a = C[:, :, 0].T, self.half_length
         s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
-        return np.cumsum(np.where(new, _run_ends(new, R) - s, 0.0), axis=-1)[..., -1]
+        return np.cumsum(np.where(new, _run_ends(new, R) - s, 0.0), axis=0)[-1]
 
 
 class Disc(CrossSection):
@@ -460,33 +462,40 @@ class Disc(CrossSection):
         union on its left, so summing the Green line integrals over exposed
         arcs gives the area, holes included.  Angles come from ``math``: numpy's
         vectorized acos and atan2 may round differently from the C library.
+        The distances are symmetric bit for bit, so acos runs once per pair.
         """
         a = self.radius
         n = C.shape[1]
         two_pi = 2.0 * math.pi
-        others = ~np.eye(n, dtype=bool)
+        others = ~np.eye(n, dtype=bool)[:, :, None]
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
 
         def chunk(C):
-            keep = _distinct(C, _DEDUPE_TOL * a)
-            dv = C[:, None, :, :] - C[:, :, None, :]  # dv[:, i, j] = c_j - c_i
+            X, Y = np.ascontiguousarray(C.transpose(2, 1, 0))  # (n, N): one row per centre
+            dx, dy = X[:, None] - X, Y[:, None] - Y  # [j, i] = c_j - c_i
+            dv = np.stack([dx, dy], axis=-1)
             dist = np.sqrt(np.vecdot(dv, dv))
-            hit = keep[:, :, None] & keep[:, None, :] & others & (dist < 2.0 * a)
+            keep = np.ones(X.shape, dtype=bool)  # centre i lies farther than the tolerance from earlier kept ones
+            for i in range(1, n):
+                keep[i] = ~np.any((dist[i, :i] <= _DEDUPE_TOL * a) & keep[:i], axis=0)
+            hit = keep[:, None] & keep & others & (dist < 2.0 * a)
             beta, theta = np.zeros(dist.shape), np.zeros(dist.shape)
-            beta[hit] = [math.acos(x) for x in (dist[hit] / (2.0 * a)).tolist()]
-            theta[hit] = [math.atan2(y, x) for x, y in dv[hit].tolist()]
+            pair = np.nonzero(hit & upper)
+            beta[pair] = beta[pair[1], pair[0], pair[2]] = np.fromiter(
+                map(math.acos, (dist[pair] / (2.0 * a)).tolist()), float, len(pair[0]))
+            theta[hit] = np.fromiter(map(math.atan2, dy[hit].tolist(), dx[hit].tolist()), float, np.count_nonzero(hit))
             s = theta - beta  # covered arc [s, s + span] of circle i
             span = (theta + beta) - s
             s %= two_pi
             e = s + span
             wrap = hit & (e > two_pi)  # an arc past 2 pi is split in two
-            g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)], axis=-1),
-                           np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0),
-                                           np.where(wrap, e - two_pi, 0.0)], axis=-1), 0.0, two_pi)
-            cx, cy = C[:, :, 0, None], C[:, :, 1, None]
-            green = 0.5 * (cx * a * (np.sin(g1) - np.sin(g0)) - cy * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
-            green = np.where(keep[:, :, None], green, 0.0).reshape(len(C), -1)
-            total = np.cumsum(green, axis=-1)[:, -1]  # arc by arc, as a loop adds
-            return np.where(keep.sum(axis=1) == 1, math.pi * a * a, total)
+            g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)]),
+                           np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0), np.where(wrap, e - two_pi, 0.0)]),
+                           0.0, two_pi)
+            green = 0.5 * (X * a * (np.sin(g1) - np.sin(g0)) - Y * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
+            green = np.where(keep, green, 0.0).transpose(1, 0, 2).reshape(-1, X.shape[1])
+            total = np.cumsum(green, axis=0)[-1]  # arc by arc, as a loop adds
+            return np.where(keep.sum(axis=0) == 1, math.pi * a * a, total)
 
         return _chunked(chunk, C, 2 * n * n)
 
@@ -682,20 +691,20 @@ class ConvexPolygon(CrossSection):
         n, m = C.shape[1], len(self._offsets)
         I, J = np.triu_indices(n, 1)
         slots = np.argsort(np.concatenate([I, J]), kind="stable").reshape(n, n - 1)  # i's pieces of the 2P
+        gather = np.arange(m)[:, None], slots.T[:, None]  # pieces (n - 1, f, i) of the (f, 2P) tables
         nx, ny = self._normals.T[:, :, None, None]
 
         def chunk(C):
-            C = C - C[:, :1]  # the area is translation invariant; small coordinates keep Green's sum exact
-            H = self._offsets[:, None, None] - (nx * C[..., 0] + ny * C[..., 1])  # [f, node, i]
-            lo, hi = self._clip(np.concatenate([H, np.minimum(H[..., I], H[..., J])], axis=-1))
-            inner = H[..., I] < H[..., J] - _DEDUPE_TOL * self.circumradius
-            s, e = np.where(lo[..., n:] < hi[..., n:], lo[..., n:], np.inf), hi[..., n:]  # an empty clip covers nothing
-            s = np.concatenate([np.where(inner, s, np.inf), np.where(inner, np.inf, s)], axis=-1)[..., slots]
-            rows = (H.size, n - 1)  # the sweep runs on two axes, one row per (f, node, i)
-            g0, g1 = _gaps(s.reshape(rows), np.concatenate([e, e], axis=-1)[..., slots].reshape(rows),
-                           lo[..., :n].reshape(-1, 1), hi[..., :n].reshape(-1, 1))
-            exposed = np.sum(g1 - g0, axis=-1).reshape(H.shape)
-            return 0.5 * np.cumsum(np.cumsum(H * exposed, axis=0)[-1], axis=-1)[:, -1]  # side by side, then i by i
+            X, Y = np.ascontiguousarray(C.transpose(2, 1, 0))  # (n, N): one row per translate
+            X, Y = X - X[0], Y - Y[0]  # the area is translation invariant; small coordinates keep Green's sum exact
+            H = self._offsets[:, None, None] - (nx * X + ny * Y)  # [f, i, node]
+            lo, hi = self._clip(np.concatenate([H, np.minimum(H[:, I], H[:, J])], axis=1))
+            inner = H[:, I] < H[:, J] - _DEDUPE_TOL * self.circumradius
+            s, e = np.where(lo[:, n:] < hi[:, n:], lo[:, n:], np.inf), hi[:, n:]  # an empty clip covers nothing
+            s = np.concatenate([np.where(inner, s, np.inf), np.where(inner, np.inf, s)], axis=1)
+            g0, g1 = _gaps(s[gather], np.concatenate([e, e], axis=1)[gather], lo[:, :n], hi[:, :n])
+            exposed = np.sum(g1 - g0, axis=0)
+            return 0.5 * np.cumsum(np.cumsum(H * exposed, axis=0)[-1], axis=0)[-1]  # side by side, then i by i
 
         return _chunked(chunk, C, m * n * n)
 
@@ -797,47 +806,42 @@ def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
 
 
 def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
-    """Sort pieces [s, e] along the last axis by start, after clipping them to [lo, hi]: the interval union.
+    """Sort pieces [s, e] along axis 0 by start, after clipping them to [lo, hi]: the interval union.
 
-    lo and hi are numbers, or arrays (..., 1) with the bounds of each row.
+    The pieces of one union lie on axis 0 and the unions side by side on
+    the axes after it; lo and hi are numbers, or arrays that broadcast
+    against one piece's slot s[0], with the bounds of each union.
 
     Returns the sorted starts, the running maximum R of the ends before
     each piece (from lo, with one more entry after the last piece), and
     whether each piece starts a new covered run (s > R + tol).  Pieces
     outside [lo, hi] become empty pieces at lo, which change nothing.
+    Start and end sort together as one complex number, so tied starts come
+    in the order of their ends; that moves only where an empty slot falls.
     """
     inside = (e > lo) & (s < hi)
-    s = np.where(inside, np.maximum(s, lo), lo)
-    e = np.where(inside, np.minimum(e, hi), lo)
-    order = np.argsort(s, axis=-1)
-    s, e = np.take_along_axis(s, order, -1), np.take_along_axis(e, order, -1)
-    R = np.maximum.accumulate(np.concatenate([np.full(s.shape[:-1] + (1,), lo), e], axis=-1), axis=-1)
-    return s, R, s > R[..., :-1] + tol
+    z = np.empty(np.shape(s), dtype=complex)
+    z.real = np.where(inside, np.maximum(s, lo), lo)
+    z.imag = np.where(inside, np.minimum(e, hi), lo)
+    z.sort(axis=0)
+    s = z.real
+    R = np.maximum.accumulate(np.concatenate([np.broadcast_to(lo, (1, *s.shape[1:])), z.imag]), axis=0)
+    return s, R, s > R[:-1] + tol
 
 
 def _run_ends(new, R):
     """For each sorted piece of :func:`_sweep`, the end of the covered run it belongs to."""
     # a run ends at R where the next run starts (or after the last piece)
-    ends = np.where(np.concatenate([new[..., 1:], np.ones_like(new[..., :1])], axis=-1), R[..., 1:], math.inf)
-    return np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
+    ends = np.where(np.concatenate([new[1:], np.ones_like(new[:1])]), R[1:], math.inf)
+    return np.minimum.accumulate(ends[::-1], axis=0)[::-1]
 
 
 def _gaps(s, e, lo, hi):
-    """Pieces of [lo, hi] the pieces [s, e] leave uncovered, in order, as (start, end) arrays.
+    """Pieces of [lo, hi] the pieces [s, e] (axis 0) leave uncovered, in order, as (start, end) arrays.
 
     One slot before each sorted piece and one after the last; a slot
     without a gap has start == end.
     """
     s, R, new = _sweep(s, e, lo, hi)
-    last = R[..., -1:]
-    return R, np.concatenate([np.where(new, s, R[..., :-1]), np.where(last < hi - _JOIN_TOL, hi, last)], axis=-1)
-
-
-def _distinct(C: np.ndarray, tol: float) -> np.ndarray:
-    """keep[:, i]: centre i lies farther than tol from every earlier kept centre of its row."""
-    dv = C[:, :, None, :] - C[:, None, :, :]
-    near = np.sqrt(np.vecdot(dv, dv)) <= tol
-    keep = np.ones(C.shape[:2], dtype=bool)
-    for i in range(1, C.shape[1]):
-        keep[:, i] = ~np.any(near[:, i, :i] & keep[:, :i], axis=1)
-    return keep
+    last = R[-1:]
+    return R, np.concatenate([np.where(new, s, R[:-1]), np.where(last < hi - _JOIN_TOL, hi, last)])

@@ -30,7 +30,8 @@ No code here depends on a shape's kind.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
 n = 1 views of them that add only the window checks.  Probe intervals are
 merged in one place, :func:`_probe_sweep`, by the interval-union routine
-of the union-of-translates kernels with one row per probe.
+of the union-of-translates kernels, which takes the pieces of each union
+on axis 0: one column per probe.
 """
 
 from __future__ import annotations
@@ -355,10 +356,10 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
 
 
 def _probe_sweep(ids, tins, touts):
-    """Stacks of probes: their ids and the interval sweep of each one's intervals as one row.
+    """Stacks of probes: their ids and the interval sweep of each one's intervals as one column.
 
     The intervals are stable-sorted by probe id and padded with -inf into
-    one row per probe, so the sweep joins intervals within the tangent
+    one column per probe, so the sweep joins intervals within the tangent
     tolerance of each other inside a probe and never across probes.  A
     stack holds at most ``_CHUNK`` cells, which bounds the temporaries.
     """
@@ -368,13 +369,13 @@ def _probe_sweep(ids, tins, touts):
     step = max(1, _CHUNK // width)
     for a in range(0, len(probes), step):
         n = counts[a:a + step]
-        row = np.repeat(np.arange(len(n)), n)
-        col = np.arange(len(row)) - (first[a:a + step] - first[a])[row]
-        sel = order[first[a]:first[a] + len(row)]
-        S = np.full((len(n), width), -np.inf)
+        lane = np.repeat(np.arange(len(n)), n)  # each interval's probe in the stack
+        slot = np.arange(len(lane)) - (first[a:a + step] - first[a])[lane]
+        sel = order[first[a]:first[a] + len(lane)]
+        S = np.full((width, len(n)), -np.inf)
         E = S.copy()
-        S[row, col] = tins[sel]
-        E[row, col] = touts[sel]
+        S[slot, lane] = tins[sel]
+        E[slot, lane] = touts[sel]
         yield probes[a:a + step], *_sweep(S, E, -np.inf, np.inf, _TANGENT_TOL)
 
 
@@ -382,9 +383,10 @@ def _probe_components(ids, tins, touts):
     """Merged components of the union along each probe, as (probe id, t_in, t_out)."""
     out = [[ids[:0]], [tins[:0]], [touts[:0]]]
     for probes, s, R, new in _probe_sweep(ids, tins, touts):
+        ends, new = _run_ends(new, R).T, new.T  # probe by probe, as the intervals came
         out[0].append(probes[np.nonzero(new)[0]])
-        out[1].append(s[new])
-        out[2].append(_run_ends(new, R)[new])
+        out[1].append(s.T[new])
+        out[2].append(ends[new])
     return tuple(np.concatenate(parts) for parts in out)
 
 

@@ -154,18 +154,55 @@ def test_polygon_union_of_three_is_inclusion_exclusion(poly, centres):
     assert poly.union_areas(-c[None])[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel, rows", [("union_areas", (8192, 16, 2)), ("covariogram", (8192, 2))])
-def test_polygon_kernels_keep_their_temporaries_chunked(kernel, rows):
+@pytest.mark.parametrize("shape, kernel, rows", [(SQUARE, "union_areas", (8192, 16, 2)),
+                                                  (SQUARE, "covariogram", (8192, 2)),
+                                                  (Disc(1.0), "union_areas", (8192, 16, 2))],
+                         ids=["square-union_areas", "square-covariogram", "disc-union_areas"])
+def test_polygon_kernels_keep_their_temporaries_chunked(shape, kernel, rows):
     # every temporary holds at most _CHUNK values; a table over all rows at once would be 16x or more
     # larger than this bound, which leaves room for the input's chunks, the output and a few temporaries
     X = philox_stream(62, 0).uniform(-1.0, 1.0, rows)
     tracemalloc.start()
     try:
-        getattr(SQUARE, kernel)(X)
+        getattr(shape, kernel)(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * euclid._CHUNK * 8
+
+
+# starts on a grid of quarters tie and pieces of length 0 are empty; +inf starts and -inf padding are
+# the empty pieces of the polygon kernel and of the probe merge
+sweep_piece = st.one_of(st.tuples(quarters, st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0])).map(
+    lambda sl: (sl[0], sl[0] + sl[1])), st.just((math.inf, math.inf)), st.just((-math.inf, -math.inf)))
+sweep_row = st.tuples(st.lists(sweep_piece, max_size=7), st.integers(-8, 4).map(lambda i: 0.25 * i),
+                      st.integers(1, 12).map(lambda i: 0.25 * i))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=st.lists(sweep_row, min_size=1, max_size=4))
+def test_sweep_is_the_scalar_interval_merge_row_by_row(rows):
+    # pieces on axis 0, one union per column, padded with -inf; ties sort by end, which may move an
+    # empty slot but never a gap, a run or a sum
+    width = max(1, *(len(pieces) for pieces, _, _ in rows))
+    S, E = np.full((2, width, len(rows)), -math.inf)
+    for r, (pieces, _, _) in enumerate(rows):
+        S[:len(pieces), r], E[:len(pieces), r] = np.reshape(pieces, (-1, 2)).T
+    lo, hi = (np.array([row[1] + k * row[2] for row in rows]) for k in (0, 1))
+    g0, g1 = euclid._gaps(S, E, lo, hi)
+    s, R, new = euclid._sweep(S, E, -math.inf, math.inf)
+    ends = euclid._run_ends(new, R)
+    lengths = np.cumsum(np.where(new, ends - s, 0.0), axis=0)[-1]
+    uncovered = np.cumsum(g1 - g0, axis=0)[-1]
+    for r, (pieces, _, _) in enumerate(rows):
+        real = [p for p in pieces if p[0] > -math.inf]
+        gaps = scalar.uncovered(real, lo[r], hi[r])
+        assert [(a, b) for a, b in zip(g0[:, r], g1[:, r]) if b > a] == gaps
+        assert np.all((g1[:, r] > g0[:, r]) | (g1[:, r] == g0[:, r]))
+        assert uncovered[r] == sum(b - a for a, b in gaps)
+        runs = scalar.union_intervals(real)
+        assert [(a, b) for a, b, k in zip(s[:, r], ends[:, r], new[:, r]) if k] == [tuple(run) for run in runs]
+        assert lengths[r] == sum(b - a for a, b in runs)
 
 
 # quarters for tangent, coincident and wrapping arcs, thousandths for the rest; two
