@@ -820,7 +820,7 @@ def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
     in the order of their ends; that moves only where an empty slot falls.
     """
     inside = (e > lo) & (s < hi)
-    z = np.empty(np.shape(s), dtype=complex)
+    z = np.empty(s.shape, dtype=complex)
     z.real = np.where(inside, np.maximum(s, lo), lo)
     z.imag = np.where(inside, np.minimum(e, hi), lo)
     z.sort(axis=0)
