@@ -10,12 +10,13 @@ The directional law enters only through its own members (see
 kinks of f, serves the segment and disc atoms, whose covariogram depends
 on |t| alone, and the mean projected length E[h, L]; ``frames`` gives the
 complement frames and weights of its fixed axes or product-rule nodes,
-which each law builds once per rule and k and holds read-only;
-``discrete`` says whether those are summed in order, and ``arcs`` gives
-its line-angle intervals in the plane.  No law or shape class is named
-here.  The split rules reach machine precision on the isotropic worked
-cases.  Polygon atoms, and capacities of three or more points in space,
-use the product rules, which are not split at kinks: 64 x 128 nodes on
+which each law builds once per rule and k and holds read-only; and
+``union_mean``, the mean union volume of three or more points, integrates
+over the law's arcs in the plane and sums its frames in order otherwise.
+No law or shape class is named here.  The split rules reach machine
+precision on the isotropic worked cases.  Polygon atoms, and capacities
+of three or more points in space, use the product rules, which are not
+split at kinks: 64 x 128 nodes on
 the hemisphere, 48 x 96 on a girdle band.  For the unit square these
 differ from rules twice as fine per axis by up to 1.7e-4 relative in the
 covariance and its derivative (on the girdle band) and 3.7e-5 in the
@@ -35,17 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euclid import (
-    Direction,
-    _angle_breakpoints,
-    _piecewise_gl,
-    crofton_factor,
-    haar_mean_line_det,
-    haar_mean_plane_det,
-)
+from .euclid import Direction, crofton_factor, haar_mean_line_det, haar_mean_plane_det
 from .model import ArgumentError, ProcessSpec, direction, real, reals
 
-MAX_CAPACITY_POINTS = 16  # inclusion-exclusion / boundary-tracing cost cap
+MAX_CAPACITY_POINTS = 16  # cost cap of the union-of-translates areas
 
 __all__ = [
     "PoreMoments",
@@ -112,14 +106,11 @@ def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
 
 
 def _frame_gamma_mean(spec: ProcessSpec, atoms, h: np.ndarray) -> float:
-    """E over the directional law's frames of the atoms' mean covariogram at the projected lag.
-
-    Fixed axes are summed in order, quadrature nodes by one dot product.
-    """
+    """E over the directional law's frames of the atoms' mean covariogram at the projected lag."""
     frames, ww = spec.alpha.frames(spec)
     t = np.vecmat(h, frames)
     gam = sum(w * shape.covariogram(t) for shape, w in atoms)
-    return float(np.cumsum(ww * gam)[-1] if spec.alpha.discrete else ww @ gam)
+    return float(ww @ gam)
 
 
 def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
@@ -185,7 +176,8 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
 
     1 - exp(-lambda * E[volume of the base-sweep of the projected points]).
     Pairs reduce to covariogram inclusion-exclusion; larger sets use exact
-    union-of-translates areas (boundary tracing for discs and polygons).
+    union-of-translates areas (arc tracing for discs, the fixed-normal
+    clip for polygons), averaged by the law's ``union_mean``.
     """
     pts = reals("points", points, (None, spec.d))
     if not 0 < len(pts) <= MAX_CAPACITY_POINTS:
@@ -197,31 +189,10 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
     if len(pts) == 2:
         vol = 2.0 * abar - _expect_gamma(spec, pts[1] - pts[0])
         return -math.expm1(-lam * vol)
-
-    if spec.d == 2 and not spec.alpha.discrete:
-        # kinks occur where a projected pairwise gap matches an atom diameter (a gap of 0 has none)
-        targets = [shape.diameter for shape, _ in _split_atoms(spec)[0]]
-        gaps = [(float(np.linalg.norm(dv)), math.atan2(-dv[0], dv[1]))
-                for dv in (pts[i] - pts[j] for i in range(len(pts)) for j in range(i))]
-
-        def f(phis):
-            normals = np.column_stack([-np.sin(phis), np.cos(phis)])
-            return _union_volumes(spec, np.matvec(pts, normals)[:, :, None])
-
-        total = 0.0
-        for lo, hi, dens in spec.alpha.arcs():
-            brk = []
-            for rr, psi in gaps:
-                brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
-            total += dens * _piecewise_gl(f, lo, hi, brk, n=32)
-        return -math.expm1(-lam * total)
-    return -math.expm1(-lam * _mean_union_volume(spec, pts))
-
-
-def _mean_union_volume(spec: ProcessSpec, pts: np.ndarray) -> float:
-    """E over the directional and base laws of the volume of union_i (p_i - K), in R^3 or on fixed axes."""
-    frames, ww = spec.alpha.frames(spec)
-    return float(np.cumsum(ww * _union_volumes(spec, np.matmul(pts, frames)))[-1])  # in order, as a loop adds
+    # the union volume kinks where a projected pairwise gap matches an atom diameter
+    targets = [shape.diameter for shape, _ in _split_atoms(spec)[0]]
+    vol = spec.alpha.union_mean(spec, pts, lambda proj: _union_volumes(spec, proj), targets)
+    return -math.expm1(-lam * vol)
 
 
 def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
@@ -263,37 +234,23 @@ def spherical_cdf(spec: ProcessSpec, r: float) -> float:
 
 
 def specific_surface(spec: ProcessSpec) -> float:
-    """Mean boundary measure of the union set per unit volume.
+    """Mean boundary measure of the union set per unit volume: lambda exp(-lambda E[A]) E[S(K)].
 
-    Integrates the covariance derivative over Haar lines; by Fubini and
-    rotation invariance the line average reduces to a one-dimensional
-    integral evaluated in a frame aligned with the direction space, at
-    machine precision.
+    Integrates the covariance derivative over Haar lines.  By Fubini and
+    rotation invariance the line average factorizes into the polar part,
+    the Haar mean of [xi, L], and the mean of gamma'_K(o, u) over unit u in
+    the complement, which is -S(K) / crofton_factor(d - k) by Cauchy's
+    projection formula (Slivnyak-Mecke; Schneider & Weil 2008).  The Haar
+    means and the Crofton factor stay computed, so that their product
+    certifies the identity.
     """
     lam = spec.intensity
     if lam == 0.0:
         return 0.0
-    radial, polys = _split_atoms(spec)
-    expfac = math.exp(-lam * spec.base.mean_area)
     d, k = spec.d, spec.k
     haar = haar_mean_line_det(d) if k == 1 else haar_mean_plane_det()
-    core = sum(w * shape.covariogram_derivative() for shape, w in radial) * haar
-    if polys:
-        # line average of gamma'(unit projection) factorizes into the polar
-        # part (the Haar determinant integral) and an azimuthal mean of the
-        # directional shadow width; the width function kinks where the
-        # supporting vertex switches, i.e. at the edge-normal azimuths
-        for poly, wp in polys:
-            brk = []
-            for e in np.roll(poly.vertices, -1, axis=0) - poly.vertices:
-                phi0 = math.atan2(-e[1], -e[0]) % (2.0 * math.pi)
-                brk += [phi0, (phi0 + math.pi) % (2.0 * math.pi)]
-
-            def slope(phis, _poly=poly):
-                return _poly.covariogram_derivative(np.column_stack([np.cos(phis), np.sin(phis)]))
-
-            core += wp * haar * _piecewise_gl(slope, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
-    return -lam * crofton_factor(d) * expfac * core
+    slope = -spec.base.mean_boundary / crofton_factor(d - k)
+    return -lam * crofton_factor(d) * math.exp(-lam * spec.base.mean_area) * (slope * haar)
 
 
 def _intensity(lam) -> float:

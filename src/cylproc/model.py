@@ -13,10 +13,14 @@ Each directional law owns what depends on its kind: its draws and its
 quadrature.  The continuous laws integrate over their line-angle
 ``arcs`` in the plane and over the ``nodes`` of a product Gauss-Legendre
 rule in space.  Every law gives the complement ``frames`` and weights of
-those nodes (or of its fixed axes) and one ``radial_mean``, the mean of
-f(|Pr h|) over its direction spaces, split at the kinks of f.  A law
-builds its frames once per rule and k and holds them read-only for
-every later call, while ``nodes`` builds the rule anew on each call.
+those nodes (or of its fixed axes), one ``radial_mean``, the mean of
+f(|Pr h|) over its direction spaces, split at the kinks of f, and one
+``union_mean``, the mean of a function of a point set's projections
+onto the complement: over the arcs, split where a projected gap meets
+a target, for a continuous law in the plane, and otherwise over the
+frames, added frame by frame in order.  A law builds its frames once
+per rule and k and holds them read-only for every later call, while
+``nodes`` builds the rule anew on each call.
 """
 
 from __future__ import annotations
@@ -104,10 +108,6 @@ class RadiusLaw:
     def max_radius(self) -> float:
         return max(r for r, _ in self.atoms)
 
-    @property
-    def has_zero_atom(self) -> bool:
-        return any(r == 0.0 for r, _ in self.atoms)
-
 
 # ---------------------------------------------------------------------------
 # directional distributions
@@ -150,6 +150,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frame_sum(spec, pts: np.ndarray, f) -> float:
+    """Sum over the law's frames of weight * f(the points projected on each), added frame by frame in order.
+
+    f maps projections (N, n, d - k) to N values.
+    """
+    frames, ww = spec.alpha.frames(spec)
+    return float(np.cumsum(ww * f(np.matmul(pts, frames)))[-1])  # in order, as a loop adds
+
+
 _POLE = np.array([0.0, 0.0, 1.0])
 _POLE_FRAME = complement_frames(_POLE[None, :, None])[0]
 
@@ -161,8 +170,6 @@ class _ContinuousLaw:
     the plane with their densities, ``nodes()``, its product rule in space,
     and ``_radial_mean_3d``.
     """
-
-    discrete = False
 
     def __init__(self):
         self._held = {}  # (rule, k) -> read-only frames and weights
@@ -194,6 +201,30 @@ class _ContinuousLaw:
         for lo, hi, dens in self.arcs():
             brk = _angle_breakpoints(r, psi, targets, lo, hi)
             total += dens * _piecewise_gl(lambda phi: f(r * np.abs(np.cos(phi - psi))), lo, hi, brk)
+        return total
+
+    def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
+        """E over the law of f(the points projected onto the complement), f mapping (N, n, d - k) to N values.
+
+        In space the product rule's frames are summed in order.  In the
+        plane the arcs are integrated, split where a projected pairwise gap
+        meets one of the targets (a gap of 0 has no kink).
+        """
+        if spec.d == 3:
+            return _frame_sum(spec, pts, f)
+        gaps = [(float(np.linalg.norm(dv)), math.atan2(-dv[0], dv[1]))
+                for dv in (pts[i] - pts[j] for i in range(len(pts)) for j in range(i))]
+
+        def g(phis):
+            normals = np.column_stack([-np.sin(phis), np.cos(phis)])
+            return f(np.matvec(pts, normals)[:, :, None])
+
+        total = 0.0
+        for lo, hi, dens in self.arcs():
+            brk = []
+            for rr, psi in gaps:
+                brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
+            total += dens * _piecewise_gl(g, lo, hi, brk, n=32)
         return total
 
 
@@ -230,8 +261,6 @@ class Isotropic(_ContinuousLaw):
 
 class FixedAxes:
     """Discrete directional law on finitely many axes with positive weights, summed axis by axis."""
-
-    discrete = True
 
     def __init__(self, axes):
         pairs = tuple((a if isinstance(a, Direction) else Direction(a), number(w, "weight")) for a, w in axes)
@@ -270,6 +299,10 @@ class FixedAxes:
         """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
         t = np.vecmat(h, self.frames(spec)[0])
         return float(np.cumsum(self._weights * f(np.sqrt(np.vecdot(t, t))))[-1])
+
+    def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
+        """E over the law of f(the points projected onto the complement), added axis by axis in order."""
+        return _frame_sum(spec, pts, f)
 
     def __repr__(self):
         return f"FixedAxes({[(a.vec.tolist(), w) for a, w in self.axes]})"
@@ -367,7 +400,8 @@ class BaseDistribution:
     to its axis, carries no volume and is never placed, but keeps its
     weight, which is exactly how the surface budget of the design problem
     accounts for it.  The law lives in the dimension of its atoms, a
-    ``None`` counting as planar.
+    ``None`` counting as planar.  The weights are checked once, by the
+    ``RadiusLaw`` of a ``DiscRadiusLaw`` and by ``MixtureBase`` otherwise.
     """
 
     def __init__(self, atoms):
@@ -377,7 +411,6 @@ class BaseDistribution:
         dims = {2 if shape is None else shape.dim for shape, _ in atoms}
         if len(dims) != 1:
             raise ValueError("the atoms of a base law must share one dimension")
-        _check_weights([w for _, w in atoms])
         self._atoms = atoms
         self._weights = np.array([w for _, w in atoms])
         self.dim = dims.pop()
@@ -428,6 +461,7 @@ class MixtureBase(BaseDistribution):
             if not isinstance(shape, CrossSection):
                 raise ValueError(f"a base shape must be a cross section, got {shape!r}")
         super().__init__(components)
+        _check_weights([w for _, w in self._atoms])
 
 
 class DeterministicBase(MixtureBase):

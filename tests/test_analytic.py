@@ -19,7 +19,15 @@ from cylproc.analytic import (
     volume_fraction,
 )
 from cylproc.estimate import est_linear_cdf
-from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
+from cylproc.euclid import (
+    ConvexPolygon,
+    Direction,
+    Disc,
+    Segment,
+    crofton_factor,
+    haar_mean_line_det,
+    haar_mean_plane_det,
+)
 from cylproc.model import (
     DeterministicBase,
     DiscRadiusLaw,
@@ -393,14 +401,35 @@ def test_specific_surface_small_intensity_slope():
         assert specific_surface(spec) / lam == pytest.approx(2 * math.pi, rel=1e-5)
 
 
-def test_specific_surface_polygon_base_via_quadrature():
-    # mean shadow width of a convex polygon is perimeter / pi (Cauchy), so the
-    # polygon path must reproduce the same formula as a disc of equal perimeter
-    square = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
-    spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DeterministicBase(square))
-    expfac = math.exp(-0.1 * square.area)
-    expected = 0.1 * square.boundary * expfac
-    assert specific_surface(spec) == pytest.approx(expected, rel=1e-9)
+SQUARE = ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+HEX_S = 0.5 * math.sqrt(3.0)
+SURFACE_BASES = {
+    "square": DeterministicBase(SQUARE),
+    "triangle": DeterministicBase(ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])),
+    "hexagon": DeterministicBase(ConvexPolygon([[1.0, 0.0], [0.5, HEX_S], [-0.5, HEX_S], [-1.0, 0.0],
+                                                [-0.5, -HEX_S], [0.5, -HEX_S]])),
+    "mixture": MixtureBase([(Disc(0.7), 0.5), (SQUARE, 0.5)]),
+}
+SURFACE_LAWS = {
+    "iso": Isotropic(),
+    "girdle": GirdleBand(Direction([0, 0, 1.0]), 0.4),
+    "fixed": FixedAxes([(Direction([0, 0, 1.0]), 0.5), (Direction([0.6, 0, 0.8]), 0.3), (Direction([0, 1.0, 0]), 0.2)]),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SURFACE_LAWS))
+@pytest.mark.parametrize("base", sorted(SURFACE_BASES))
+def test_specific_surface_polygon_base_via_quadrature(base, law):
+    # the mean shadow width of a convex base is its perimeter / pi (Cauchy), so
+    # S_V = lambda exp(-lambda E[A]) E[S(K)] (Slivnyak-Mecke) under every law
+    spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=SURFACE_LAWS[law], base=SURFACE_BASES[base])
+    expected = 0.1 * math.exp(-0.1 * spec.base.mean_area) * spec.base.mean_boundary
+    assert specific_surface(spec) == pytest.approx(expected, rel=1e-15)
+    # the Haar means and the Crofton factors, all computed, cancel in every setting; the
+    # 64-node Haar rules round to 1.3e-15 off for lines in the plane and planes in space
+    for d, k in ((2, 1), (3, 1), (3, 2)):
+        haar = haar_mean_line_det(d) if k == 1 else haar_mean_plane_det()
+        assert crofton_factor(d) * haar / crofton_factor(d - k) == pytest.approx(1, abs=2e-15)
 
 
 def test_specific_surface_radius_law():

@@ -245,6 +245,13 @@ def test_wrongly_typed_estimator_arguments_exit_1_with_their_path(tmp_path, monk
     (None, {"type": "disc_radius_law", "atoms": [[math.nan, 1.0]]}, "spec.base.atoms"),
     (None, {"type": "mixture", "components": [{"weight": math.nan, "shape": {"type": "disc", "radius": 1.0}}]},
      "spec.base.components"),
+    # weights that do not sum to 1, or a negative one that does
+    (None, {"type": "mixture", "components": [{"weight": 0.5, "shape": {"type": "disc", "radius": 1.0}},
+                                              {"weight": 0.4, "shape": {"type": "disc", "radius": 0.5}}]},
+     "spec.base.components"),
+    (None, {"type": "mixture", "components": [{"weight": -0.5, "shape": {"type": "disc", "radius": 1.0}},
+                                              {"weight": 1.5, "shape": {"type": "disc", "radius": 0.5}}]},
+     "spec.base.components"),
     (None, {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, math.inf], [0, 1]]}, "spec.base.vertices"),
     ({"type": "fixed_axes", "axes": [{"direction": [math.inf, 0, 0], "weight": 1.0}]}, None,
      "spec.alpha.axes[0].direction"),

@@ -10,6 +10,7 @@ from cylproc.euclid import (
     Direction,
     Disc,
     Segment,
+    _piecewise_gl,
     ball_constants,
     canonical_directions,
     complement_frames,
@@ -293,6 +294,25 @@ def test_polygon_covariogram_is_the_scalar_clip_on_edge_directions_and_vertex_di
     for t, gt in zip(T, g):  # one lag is its row of the stack, bit for bit
         assert same_bits(poly.covariogram(t), gt)
     assert SQUARE.covariogram(np.array([1.0, 0.0])) == 0.0  # translates that share an edge meet in a null set
+
+
+SPLIT_SQUARE = ConvexPolygon([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]])  # a vertex inside an edge
+
+
+@pytest.mark.parametrize("poly", [SQUARE, TRIANGLE, HEXAGON, SPLIT_SQUARE],
+                         ids=["square", "triangle", "hexagon", "split_square"])
+def test_mean_shadow_width_is_the_perimeter_over_pi(poly):
+    # Cauchy's formula, by a Gauss-Legendre rule split at the edge normals, where the width kinks
+    brk = []
+    for e in np.roll(poly.vertices, -1, axis=0) - poly.vertices:
+        phi0 = math.atan2(-e[1], -e[0]) % (2.0 * math.pi)
+        brk += [phi0, (phi0 + math.pi) % (2.0 * math.pi)]
+
+    def width(phis):
+        return -poly.covariogram_derivative(np.column_stack([np.cos(phis), np.sin(phis)]))
+
+    mean = _piecewise_gl(width, 0.0, 2.0 * math.pi, brk, n=32) / (2.0 * math.pi)
+    assert mean == pytest.approx(poly.boundary / math.pi, rel=1e-14)
 
 
 def test_grassmann_average_det():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cylproc import model
 from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
 from cylproc.model import (
     DeterministicBase,
@@ -39,7 +40,19 @@ def test_radius_law_validation():
     law = RadiusLaw(((0.0, 0.5), (2.0, 0.5)))
     assert law.mean == 1.0
     assert law.second_moment == 2.0
-    assert law.has_zero_atom
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscRadiusLaw(RadiusLaw(((0.0, 0.5), (2.0, 0.5)))),
+    lambda: MixtureBase([(Disc(0.7), 0.5), (ConvexPolygon([[0, 0], [1, 0], [1, 1], [0, 1]]), 0.5)]),
+    lambda: DeterministicBase(Disc(1.0)),
+], ids=["disc_radius_law", "mixture", "deterministic"])
+def test_a_base_law_checks_its_weights_once(monkeypatch, make):
+    calls = []
+    check = model._check_weights
+    monkeypatch.setattr(model, "_check_weights", lambda weights: calls.append(weights) or check(weights))
+    make()
+    assert len(calls) == 1
 
 
 def test_isotropic_2d_angle_uniformity_ks():

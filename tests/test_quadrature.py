@@ -241,7 +241,8 @@ def scalar_loops(monkeypatch):
     monkeypatch.setattr(FixedAxes, "radial_mean", lambda law, spec, h, r, f, targets: scalar.radial_mean(spec, h, f))
     monkeypatch.setattr(analytic, "_frame_gamma_mean", scalar.frame_gamma_mean)
     monkeypatch.setattr(analytic, "_polygon_slope_mean", scalar.polygon_slope_mean)
-    monkeypatch.setattr(analytic, "_mean_union_volume", scalar.mean_union_volume)
+    # every law in space, and fixed axes in the plane, sum their union volumes frame by frame through one helper
+    monkeypatch.setattr(model, "_frame_sum", lambda spec, pts, f: scalar.mean_union_volume(spec, pts))
 
 
 def batched_and_scalar(monkeypatch, fn, *args):
