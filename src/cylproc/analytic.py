@@ -8,25 +8,25 @@ module.
 The directional law enters only through its own members (see
 ``cylproc.model``): ``radial_mean``, the mean of f(|Pr h|) split at the
 kinks of f, serves the segment and disc atoms, whose covariogram depends
-on |t| alone, and the mean projected length E[h, L]; ``frames`` gives the
-complement frames and weights of its fixed axes or product-rule nodes,
-which each law builds once per rule and k and holds read-only; and
-``union_mean``, the mean union volume of three or more points, integrates
-over the law's arcs in the plane and sums its frames in order otherwise.
-No law or shape class is named here.  The split rules reach machine
-precision on the isotropic worked cases.  Polygon atoms, and capacities
-of three or more points in space, use the product rules, which are not
-split at kinks: 64 x 128 nodes on
-the hemisphere, 48 x 96 on a girdle band.  For the unit square these
-differ from rules twice as fine per axis by up to 1.7e-4 relative in the
-covariance and its derivative (on the girdle band) and 3.7e-5 in the
-three-point capacity; tests/test_quadrature.py holds those bounds.  The
-base enters only through each shape's batched ``covariogram``,
-``covariogram_derivative`` and ``union_areas``, called once for all the
-nodes or fixed axes; no shape formula lives here.  For a polygon the
-covariogram and the union both run on its one fixed-normal clip.  scipy
-serves only ``pore_moments`` and is imported there, on first use, so
-importing the package does not load it.
+on |t| alone, and the mean projected length E[h, L]; ``frames`` gives
+the complement frames and weights of its fixed axes or product-rule
+nodes, which each law builds once per rule and k and holds read-only;
+and ``union_mean``, the mean union volume of three or more points,
+integrates over the law's arcs in the plane and sums its frames in order
+otherwise.  No law or shape class is named here.  The split rules reach
+machine precision on the isotropic worked cases.  Polygon atoms, and
+capacities of three or more points in space, use the product rules,
+which are not split at kinks: 64 x 128 nodes on the hemisphere, 48 x 96
+on a girdle band.  For the unit square these differ from rules twice as
+fine per axis by up to 1.7e-4 relative in the covariance and its
+derivative (on the girdle band) and 3.7e-5 in the three-point capacity;
+tests/test_quadrature.py holds those bounds.  The base enters only
+through each shape's batched ``covariogram``, ``covariogram_derivative``
+and ``union_areas``, called once for all the nodes or fixed axes; no
+shape formula lives here.  For a polygon the covariogram and the union
+both run on its one fixed-normal clip.  scipy serves only
+``pore_moments`` and is imported there, on first use, so importing the
+package does not load it.
 """
 
 from __future__ import annotations

@@ -156,7 +156,7 @@ def _frame_sum(spec, pts: np.ndarray, f) -> float:
     f maps projections (N, n, d - k) to N values.
     """
     frames, ww = spec.alpha.frames(spec)
-    return float(np.cumsum(ww * f(np.matmul(pts, frames)))[-1])  # in order, as a loop adds
+    return float(np.cumsum(ww * f(np.matmul(pts, frames)))[-1])
 
 
 _POLE = np.array([0.0, 0.0, 1.0])
