@@ -17,9 +17,13 @@ tables built with it.  The union kernels share one interval-union
 routine, :func:`_sweep`, which the simulation's probe merge uses too; it
 takes the pieces of each union on axis 0, and the union kernels put the
 quadrature node last, so each operation runs over a chunk's nodes as one
-contiguous row.  Every absolute tolerance is defined here, and so is
-:func:`number`, the one check of a scalar argument.  Everything is
-immutable after construction and safe to share between workers.
+contiguous row.  Their running maxima and minima and their in-order sums
+over axis 0 go row by row, bit for bit numpy's accumulate (:func:`_scan`,
+:func:`_rowsum`).  The disc's angles come from numpy's arccos and arctan2,
+and its sin and cos run on the exposed arcs alone.  Every absolute
+tolerance is defined here, and so is :func:`number`, the one check of a
+scalar argument.  Everything is immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
@@ -365,7 +369,7 @@ class Segment(CrossSection):
         """Length of union_i (c_i - K) for each row of points C (N, n, 1), summed run by run in order."""
         c, a = C[:, :, 0].T, self.half_length
         s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
-        return np.cumsum(np.where(new, _run_ends(new, R) - s, 0.0), axis=0)[-1]
+        return _rowsum(np.where(new, _run_ends(new, R) - s, 0.0))
 
 
 class Disc(CrossSection):
@@ -460,9 +464,11 @@ class Disc(CrossSection):
 
         Each exposed arc, traversed counterclockwise on its own circle, has the
         union on its left, so summing the Green line integrals over exposed
-        arcs gives the area, holes included.  Angles come from ``math``: numpy's
-        vectorized acos and atan2 may round differently from the C library.
-        The distances are symmetric bit for bit, so acos runs once per pair.
+        arcs gives the area, holes included.  The angles come from numpy's
+        arccos and arctan2, which may round differently from the C library's
+        acos and atan2; the distances are symmetric bit for bit, so arccos
+        runs once per pair.  Only the exposed arcs reach sin and cos, and
+        each node adds its arcs circle by circle, in order, as a loop does.
         """
         a = self.radius
         n = C.shape[1]
@@ -481,9 +487,8 @@ class Disc(CrossSection):
             hit = keep[:, None] & keep & others & (dist < 2.0 * a)
             beta, theta = np.zeros(dist.shape), np.zeros(dist.shape)
             pair = np.nonzero(hit & upper)
-            beta[pair] = beta[pair[1], pair[0], pair[2]] = np.fromiter(
-                map(math.acos, (dist[pair] / (2.0 * a)).tolist()), float, len(pair[0]))
-            theta[hit] = np.fromiter(map(math.atan2, dy[hit].tolist(), dx[hit].tolist()), float, np.count_nonzero(hit))
+            beta[pair] = beta[pair[1], pair[0], pair[2]] = np.arccos(dist[pair] / (2.0 * a))
+            theta[hit] = np.arctan2(dy[hit], dx[hit])
             s = theta - beta  # covered arc [s, s + span] of circle i
             span = (theta + beta) - s
             s %= two_pi
@@ -492,9 +497,12 @@ class Disc(CrossSection):
             g0, g1 = _gaps(np.concatenate([np.where(hit, s, 0.0), np.zeros_like(s)]),
                            np.concatenate([np.where(hit, np.minimum(e, two_pi), 0.0), np.where(wrap, e - two_pi, 0.0)]),
                            0.0, two_pi)
-            green = 0.5 * (X * a * (np.sin(g1) - np.sin(g0)) - Y * a * (np.cos(g1) - np.cos(g0)) + a * a * (g1 - g0))
-            green = np.where(keep, green, 0.0).transpose(1, 0, 2).reshape(-1, X.shape[1])
-            total = np.cumsum(green, axis=0)[-1]  # arc by arc, as a loop adds
+            # the exposed arcs as [i, slot, node], arc by arc as a loop adds; every other slot would add an exact 0
+            i, slot, node = np.nonzero(((g1 > g0) & keep).transpose(1, 0, 2))
+            t0, t1 = g0[slot, i, node], g1[slot, i, node]
+            green = 0.5 * (X[i, node] * a * (np.sin(t1) - np.sin(t0)) - Y[i, node] * a * (np.cos(t1) - np.cos(t0))
+                           + a * a * (t1 - t0))
+            total = np.bincount(node, green, X.shape[1])  # adds each node's arcs in the order given
             return np.where(keep.sum(axis=0) == 1, math.pi * a * a, total)
 
         return _chunked(chunk, C, 2 * n * n)
@@ -613,7 +621,7 @@ class ConvexPolygon(CrossSection):
         def chunk(T):  # elementwise products, and a sum side by side, round alike for any number of lags
             H = self._offsets[:, None] + np.minimum(0.0, nx * T[:, 0] + ny * T[:, 1])
             lo, hi = self._clip(H)
-            return 0.5 * np.cumsum(H * np.maximum(hi - lo, 0.0), axis=0)[-1]
+            return 0.5 * _rowsum(H * np.maximum(hi - lo, 0.0))
 
         area = np.maximum(_chunked(chunk, flat, len(self._offsets)), 0.0)
         return np.where(apart, 0.0, area).reshape(t.shape[:-1])[()]
@@ -704,7 +712,7 @@ class ConvexPolygon(CrossSection):
             s = np.concatenate([np.where(inner, s, np.inf), np.where(inner, np.inf, s)], axis=1)
             g0, g1 = _gaps(s[gather], np.concatenate([e, e], axis=1)[gather], lo[:, :n], hi[:, :n])
             exposed = np.sum(g1 - g0, axis=0)
-            return 0.5 * np.cumsum(np.cumsum(H * exposed, axis=0)[-1], axis=0)[-1]  # side by side, then i by i
+            return 0.5 * _rowsum(_rowsum(H * exposed))  # side by side, then i by i
 
         return _chunked(chunk, C, m * n * n)
 
@@ -805,6 +813,28 @@ def _chunked(kernel, C: np.ndarray, per_node: int) -> np.ndarray:
     return np.concatenate([kernel(C[a:a + step]) for a in range(0, len(C), step)])
 
 
+def _scan(ufunc, a, reverse: bool = False):
+    """Running ``ufunc`` (np.maximum or np.minimum) down the rows of a, or up them when ``reverse``, in place.
+
+    Bit for bit ``ufunc.accumulate(a, axis=0)`` (of ``a[::-1]``, read back
+    reversed): each step is ufunc(running row, next row).  A loop over rows
+    runs each step over a whole row, where numpy's accumulate over a short
+    axis 0 runs column by column.
+    """
+    step = 1 if reverse else -1
+    for k in range(len(a) - 2, -1, -1) if reverse else range(1, len(a)):
+        ufunc(a[k + step], a[k], out=a[k])
+    return a
+
+
+def _rowsum(a):
+    """The rows of a added one after another, by a loop over rows: ``np.cumsum(a, axis=0)[-1]`` bit for bit."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
     """Sort pieces [s, e] along axis 0 by start, after clipping them to [lo, hi]: the interval union.
 
@@ -825,7 +855,7 @@ def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
     z.imag = np.where(inside, np.minimum(e, hi), lo)
     z.sort(axis=0)
     s = z.real
-    R = np.maximum.accumulate(np.concatenate([np.broadcast_to(lo, (1, *s.shape[1:])), z.imag]), axis=0)
+    R = _scan(np.maximum, np.concatenate([np.broadcast_to(lo, (1, *s.shape[1:])), z.imag]))
     return s, R, s > R[:-1] + tol
 
 
@@ -833,7 +863,7 @@ def _run_ends(new, R):
     """For each sorted piece of :func:`_sweep`, the end of the covered run it belongs to."""
     # a run ends at R where the next run starts (or after the last piece)
     ends = np.where(np.concatenate([new[1:], np.ones_like(new[:1])]), R[1:], math.inf)
-    return np.minimum.accumulate(ends[::-1], axis=0)[::-1]
+    return _scan(np.minimum, ends, reverse=True)
 
 
 def _gaps(s, e, lo, hi):

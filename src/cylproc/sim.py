@@ -401,12 +401,6 @@ def count_component_entries(ids, tins, touts, length: float) -> int:
     return sum(int(np.count_nonzero(s[new] > 1e-9)) for _, s, _, new in _probe_sweep(ids, tins, touts))
 
 
-def covered_length(ids, tins, touts, length: float) -> float:
-    """Total length of the union of intervals across all probes."""
-    _, t_in, t_out = _probe_components(ids, tins, touts)
-    return float(np.sum(t_out - t_in))
-
-
 def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.ndarray, length: float):
     """Earliest hitting parameter per probe ray (inf when the ray misses)."""
     n = len(origins)

@@ -398,7 +398,11 @@ def union_volume(spec, proj) -> float:
 
 
 def union_area_discs(centers, a: float) -> float:
-    """Area of a union of discs of radius a, by tracing exposed arcs circle by circle."""
+    """Area of a union of discs of radius a, by tracing exposed arcs circle by circle.
+
+    The angles come from numpy's arccos and arctan2, which round alike on one
+    argument and on many; the C library's acos and atan2 may round otherwise.
+    """
     pts = []
     for c in np.asarray(centers, dtype=float):
         if all(np.linalg.norm(c - q) > 1e-12 for q in pts):
@@ -413,8 +417,8 @@ def union_area_discs(centers, a: float) -> float:
             dist = float(np.linalg.norm(dv))
             if j == i or dist >= 2.0 * a:
                 continue
-            beta = math.acos(dist / (2.0 * a))
-            theta_c = math.atan2(dv[1], dv[0])
+            beta = float(np.arccos(dist / (2.0 * a)))  # numpy's, as the kernel: libm's may round differently
+            theta_c = float(np.arctan2(dv[1], dv[0]))
             covered.append((theta_c - beta, theta_c + beta))
         for t1, t2 in complement_arcs(covered):
             total += 0.5 * (ci[0] * a * (math.sin(t2) - math.sin(t1))

@@ -12,7 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scalar_geometry as scalar
 from cylproc import analytic, euclid, model
@@ -192,7 +193,8 @@ def test_sweep_is_the_scalar_interval_merge_row_by_row(rows):
     g0, g1 = euclid._gaps(S, E, lo, hi)
     s, R, new = euclid._sweep(S, E, -math.inf, math.inf)
     ends = euclid._run_ends(new, R)
-    lengths = np.cumsum(np.where(new, ends - s, 0.0), axis=0)[-1]
+    with np.errstate(invalid="ignore"):  # -inf padding: ends - s is NaN there, and the where drops it
+        lengths = np.cumsum(np.where(new, ends - s, 0.0), axis=0)[-1]
     uncovered = np.cumsum(g1 - g0, axis=0)[-1]
     for r, (pieces, _, _) in enumerate(rows):
         real = [p for p in pieces if p[0] > -math.inf]
@@ -203,6 +205,24 @@ def test_sweep_is_the_scalar_interval_merge_row_by_row(rows):
         runs = scalar.union_intervals(real)
         assert [(a, b) for a, b, k in zip(s[:, r], ends[:, r], new[:, r]) if k] == [tuple(run) for run in runs]
         assert lengths[r] == sum(b - a for a, b in runs)
+
+
+# ties on a grid of quarters, signed zeros and the -inf padding of the probe merge; no +inf, so no sum is NaN
+scan_value = st.one_of(st.sampled_from([-math.inf, 0.0, -0.0]), quarters, st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=7), elements=scan_value))
+@example(a=np.array([[-0.0, 0.0, -math.inf, 1.0]]))  # one row
+@example(a=np.array([[0.0, -0.0, -math.inf], [-0.0, 0.0, -math.inf], [0.0, -0.0, 0.25]]))
+def test_row_scans_are_numpys_axis_0_accumulate_bit_for_bit(a):
+    before = a.tobytes()
+    assert euclid._rowsum(a).tobytes() == np.cumsum(a, axis=0)[-1].tobytes()
+    assert a.tobytes() == before
+    for ufunc in (np.maximum, np.minimum):
+        assert euclid._scan(ufunc, a.copy()).tobytes() == ufunc.accumulate(a, axis=0).tobytes()
+        want = ufunc.accumulate(a[::-1], axis=0)[::-1]
+        assert euclid._scan(ufunc, a.copy(), reverse=True).tobytes() == want.tobytes()
 
 
 # quarters for tangent, coincident and wrapping arcs, thousandths for the rest; two

@@ -32,7 +32,6 @@ from cylproc.sim import (
     Window,
     contains,
     count_component_entries,
-    covered_length,
     covered_mask,
     distance_mask,
     distance_to_union,
@@ -52,6 +51,12 @@ from scalar_geometry import (
     sample_reference,
     subspace,
 )
+
+
+def covered_length(ids, tins, touts) -> float:
+    """Total length of the union of intervals across all probes."""
+    _, t_in, t_out = sim._probe_components(ids, tins, touts)
+    return float(np.sum(t_out - t_in))
 
 
 def spec3_iso(lam=0.1, a=1.0):
@@ -263,7 +268,7 @@ def test_component_entry_counting():
     # ray 0: straddling start (dropped) + one merged component -> 1
     # ray 1: two components -> 2
     assert count_component_entries(ids, tins, touts, 10.0) == 3
-    assert covered_length(ids, tins, touts, 10.0) == pytest.approx(1.0 + 2.0 + 1.0 + 1.0)
+    assert covered_length(ids, tins, touts) == pytest.approx(1.0 + 2.0 + 1.0 + 1.0)
 
 
 def test_interval_merge_does_not_depend_on_probe_index():
@@ -275,7 +280,7 @@ def test_interval_merge_does_not_depend_on_probe_index():
     for first in (0, 5000, 99_998):
         ids = np.array([first, first, first + 1, first + 1])
         counts.append(count_component_entries(ids, tins, touts, 10.0))
-        lengths.append(covered_length(ids, tins, touts, 10.0))
+        lengths.append(covered_length(ids, tins, touts))
     assert counts == [3, 3, 3]
     assert lengths[0] == lengths[1] == lengths[2] == pytest.approx(4.0, abs=1e-11)
 
@@ -328,7 +333,7 @@ def test_probe_merge_is_the_per_probe_loop(intervals, chunk):
         got_ids, got_in, got_out = sim._probe_components(ids, tins, touts)
         assert [list(c) for c in zip(got_ids.tolist(), got_in.tolist(), got_out.tolist())] == want
         assert count_component_entries(ids, tins, touts, 10.0) == sum(lo > 1e-9 for _, lo, _ in want)
-        assert covered_length(ids, tins, touts, 10.0) == float(np.sum(np.array([hi - lo for _, lo, hi in want])))
+        assert covered_length(ids, tins, touts) == float(np.sum(np.array([hi - lo for _, lo, hi in want])))
 
 
 def test_section_identity_covered_fraction():
@@ -347,7 +352,7 @@ def test_section_identity_covered_fraction():
         dirs = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
         mids = w.erode(length / 2).uniform_points(gen, n)
         ids, tins, touts = ray_interval_bulk(real, mids - 0.5 * length * dirs, dirs, length)
-        fracs.append(covered_length(ids, tins, touts, length) / (n * length))
+        fracs.append(covered_length(ids, tins, touts) / (n * length))
     fracs = np.array(fracs)
     se = fracs.std(ddof=1) / math.sqrt(len(fracs))
     assert abs(fracs.mean() - p) < 3 * se
