@@ -12,7 +12,7 @@ on |t| alone, and the mean projected length E[h, L]; ``frames`` gives
 the complement frames and weights of its fixed axes or product-rule
 nodes, which each law builds once per rule and k and holds read-only;
 and ``union_mean``, the mean union volume of three or more points,
-integrates over the law's arcs in the plane and sums its frames in order
+integrates over the law's arc in the plane and sums its frames in order
 otherwise.  No law or shape class is named here.  The split rules reach
 machine precision on the isotropic worked cases.  Polygon atoms, and
 capacities of three or more points in space, use the product rules,
@@ -89,16 +89,15 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
     return total
 
 
-def _expect_pr_norm(spec: ProcessSpec, unit_h: np.ndarray) -> float:
-    """E over the directional law of [h, L], the projected length of a unit h: the radial mean of q itself."""
-    return spec.alpha.radial_mean(spec, unit_h, 1.0, lambda q: q, ())
-
-
 def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
-    """E over the shape law of gamma'(o, unit projected lag) * [h, L]."""
+    """E over the shape law of gamma'(o, unit projected lag) * [h, L].
+
+    The radial atoms' slope is a constant, times E[h, L], the radial mean
+    of the projected length q of the unit h itself.
+    """
     radial, polys = _split_atoms(spec)
     const = sum(w * shape.covariogram_derivative() for shape, w in radial)
-    total = const * _expect_pr_norm(spec, unit_h) if const != 0.0 else 0.0
+    total = const * spec.alpha.radial_mean(spec, unit_h, 1.0, lambda q: q, ()) if const != 0.0 else 0.0
 
     if polys:
         total += _polygon_slope_mean(spec, polys, unit_h)

@@ -296,7 +296,7 @@ def prepare_linescan(spec: ProcessSpec, window: Window, n_lines: int,
         mids = inner.uniform_points(gen, n_lines)
         origins = mids - 0.5 * length * dirs
         ids, tins, touts = ray_interval_bulk(real, origins, dirs, length)
-        entries = count_component_entries(ids, tins, touts, length)
+        entries = count_component_entries(ids, tins, touts)
         return factor * entries / (n_lines * length)
 
     return Estimator(["specific_surface_linescan"], n_lines, one,

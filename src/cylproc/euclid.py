@@ -264,7 +264,8 @@ class CrossSection:
     parameter: the attribute named ``field``, which the constructor takes
     back.  ``param_shape`` arranges a flat list of numbers into it.  The
     covariogram of a ``radial`` kind depends on the lag's length alone.
-    Two cross sections are equal when they are of one kind with equal
+    ``reach`` and ``diameter`` follow from the circumradius unless a kind
+    sets its own.  Two cross sections are equal when they are of one kind with equal
     parameters.
     """
 
@@ -284,6 +285,15 @@ class CrossSection:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.field}={self.param!r})"
+
+    @property
+    def reach(self) -> float:
+        """Radius about the origin of the set that ``contains`` accepts."""
+        return self.circumradius + GEOM_TOL
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.circumradius
 
 
 class Segment(CrossSection):
@@ -313,15 +323,6 @@ class Segment(CrossSection):
     @property
     def circumradius(self) -> float:
         return self.half_length
-
-    @property
-    def reach(self) -> float:
-        """Radius about the origin of the set that ``contains`` accepts."""
-        return self.half_length + GEOM_TOL
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.half_length
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
@@ -395,15 +396,6 @@ class Disc(CrossSection):
     @property
     def circumradius(self) -> float:
         return self.radius
-
-    @property
-    def reach(self) -> float:
-        """Radius about the origin of the set that ``contains`` accepts."""
-        return self.radius + GEOM_TOL
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
 
     def contains(self, u):
         u = np.asarray(u, dtype=float)
@@ -528,7 +520,8 @@ class ConvexPolygon(CrossSection):
         for x in np.asarray(vertices, dtype=object).ravel():
             number(x, "polygon vertex coordinates")
         edges = np.roll(V, -1, axis=0) - V
-        if np.any(np.linalg.norm(edges, axis=1) < GEOM_TOL):
+        lengths = np.linalg.norm(edges, axis=1)
+        if np.any(lengths < GEOM_TOL):
             raise ValueError("polygon has a degenerate (zero-length) edge")
         cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
         scale = float(np.max(np.abs(V))) or 1.0
@@ -542,11 +535,10 @@ class ConvexPolygon(CrossSection):
         V.flags.writeable = False
         self.vertices = V
         self.area = area
-        self.boundary = float(np.sum(np.linalg.norm(edges, axis=1)))
+        self.boundary = float(np.sum(lengths))
         self.circumradius = radius
         # outward edge normals: inside means n . x <= b for every edge
-        n = np.column_stack([edges[:, 1], -edges[:, 0]])
-        n = n / np.linalg.norm(n, axis=1, keepdims=True)
+        n = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
         b = np.einsum("ij,ij->i", n, V)
         width = b - np.min(n @ V.T, axis=1)  # K's width along each edge normal
         for a in (n, b, width):
@@ -564,7 +556,7 @@ class ConvexPolygon(CrossSection):
                              np.flatnonzero(par[f] & (B[f] < 0.0))) for f, g in sides)
         # an edge line moved out by t moves a corner out by t / cos(theta / 2), theta the turn of the normals there
         self._corner = 1.0 / math.sqrt(0.5 * (1.0 + float(np.min(np.sum(n * np.roll(n, 1, axis=0), axis=1)))))
-        self._shortest = float(np.min(np.linalg.norm(edges, axis=1)))
+        self._shortest = float(np.min(lengths))
         self.reach = radius + GEOM_TOL * self._corner
 
     @property

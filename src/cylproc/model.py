@@ -10,13 +10,13 @@ of the canonical complement frame, and the base law does not depend on
 the sampled direction.
 
 Each directional law owns what depends on its kind: its draws and its
-quadrature.  The continuous laws integrate over their line-angle
-``arcs`` in the plane and over the ``nodes`` of a product Gauss-Legendre
+quadrature.  The continuous laws integrate over their one line-angle
+``arc`` in the plane and over the ``nodes`` of a product Gauss-Legendre
 rule in space.  Every law gives the complement ``frames`` and weights of
 those nodes (or of its fixed axes), one ``radial_mean``, the mean of
 f(|Pr h|) over its direction spaces, split at the kinks of f, and one
 ``union_mean``, the mean of a function of a point set's projections
-onto the complement: over the arcs, split where a projected gap meets
+onto the complement: over the arc, split where a projected gap meets
 a target, for a continuous law in the plane, and otherwise over the
 frames, added frame by frame in order.  A law builds its frames once
 per rule and k and holds them read-only for every later call, while
@@ -164,10 +164,10 @@ _POLE_FRAME = complement_frames(_POLE[None, :, None])[0]
 
 
 class _ContinuousLaw:
-    """A directional law with a density: integrated over its 2-D arcs or its 3-D product rule.
+    """A directional law with a density: integrated over its 2-D arc or its 3-D product rule.
 
-    Each law supplies ``arcs()``, the line-angle intervals that carry it in
-    the plane with their densities, ``nodes()``, its product rule in space,
+    Each law supplies ``arc``, the line-angle interval (lo, hi, density)
+    that carries it in the plane, ``nodes()``, its product rule in space,
     and ``_radial_mean_3d``.
     """
 
@@ -197,17 +197,15 @@ class _ContinuousLaw:
         if spec.d == 3:
             return self._radial_mean_3d(spec.k, h, r, f, targets)
         psi = math.atan2(-h[0], h[1])  # <h, normal(phi)> = r cos(phi - psi)
-        total = 0.0
-        for lo, hi, dens in self.arcs():
-            brk = _angle_breakpoints(r, psi, targets, lo, hi)
-            total += dens * _piecewise_gl(lambda phi: f(r * np.abs(np.cos(phi - psi))), lo, hi, brk)
-        return total
+        lo, hi, dens = self.arc
+        brk = _angle_breakpoints(r, psi, targets, lo, hi)
+        return dens * _piecewise_gl(lambda phi: f(r * np.abs(np.cos(phi - psi))), lo, hi, brk)
 
     def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
         """E over the law of f(the points projected onto the complement), f mapping (N, n, d - k) to N values.
 
         In space the product rule's frames are summed in order.  In the
-        plane the arcs are integrated, split where a projected pairwise gap
+        plane the arc is integrated, split where a projected pairwise gap
         meets one of the targets (a gap of 0 has no kink).
         """
         if spec.d == 3:
@@ -219,28 +217,22 @@ class _ContinuousLaw:
             normals = np.column_stack([-np.sin(phis), np.cos(phis)])
             return f(np.matvec(pts, normals)[:, :, None])
 
-        total = 0.0
-        for lo, hi, dens in self.arcs():
-            brk = []
-            for rr, psi in gaps:
-                brk.extend(_angle_breakpoints(rr, psi, targets, lo, hi))
-            total += dens * _piecewise_gl(g, lo, hi, brk, n=32)
-        return total
+        lo, hi, dens = self.arc
+        brk = [b for rr, psi in gaps for b in _angle_breakpoints(rr, psi, targets, lo, hi)]
+        return dens * _piecewise_gl(g, lo, hi, brk, n=32)
 
 
 class Isotropic(_ContinuousLaw):
     """Haar-uniform directional law."""
 
     rule = (64, 128)  # z and azimuth nodes of the product rule on the upper hemisphere
+    arc = (0.0, math.pi, 1.0 / math.pi)
 
     def sample_vectors(self, d: int, rng: np.random.Generator, n: int) -> np.ndarray:
         return canonical_directions(haar_vectors(d, rng, n))
 
     def nodes(self):
         return _zone_nodes(_POLE, _POLE_FRAME, 0.0, 1.0, *self.rule)
-
-    def arcs(self):
-        return [(0.0, math.pi, 1.0 / math.pi)]
 
     def _radial_mean_3d(self, k: int, h, r: float, f, targets) -> float:
         if k == 1:  # |Pr h| = r sin(theta), theta the angle between h and the axis
@@ -297,8 +289,7 @@ class FixedAxes:
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
         """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
-        t = np.vecmat(h, self.frames(spec)[0])
-        return float(np.cumsum(self._weights * f(np.sqrt(np.vecdot(t, t))))[-1])
+        return _frame_sum(spec, h[None], lambda t: f(np.sqrt(np.vecdot(t[:, 0], t[:, 0]))))
 
     def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
         """E over the law of f(the points projected onto the complement), added axis by axis in order."""
@@ -324,6 +315,8 @@ class GirdleBand(_ContinuousLaw):
         if not 0.0 < self.delta <= 0.5 * math.pi:
             raise ArgumentError("delta", "band half-width delta must lie in (0, pi/2]")
         self.frame = complement_frames(self.axis.vec[None, :, None])[0]  # d x (d - 1) frame orthogonal to the axis
+        c = math.atan2(self.axis.vec[1], self.axis.vec[0]) + 0.5 * math.pi
+        self.arc = (c - self.delta, c + self.delta, 1.0 / (2.0 * self.delta))
 
     @property
     def dim(self) -> int:
@@ -353,10 +346,6 @@ class GirdleBand(_ContinuousLaw):
         s = math.sin(self.delta)
         return _zone_nodes(self.axis.vec, self.frame, -s, s, *self.rule)
 
-    def arcs(self):
-        c = math.atan2(self.axis.vec[1], self.axis.vec[0]) + 0.5 * math.pi
-        return [(c - self.delta, c + self.delta, 1.0 / (2.0 * self.delta))]
-
     def _radial_mean_3d(self, k: int, h, r: float, f, targets) -> float:
         if k == 1:  # |Pr h| = r sqrt(1 - dot^2), dot = <h / r, omega>
             xs = {math.sqrt(max(0.0, 1.0 - (t / r) ** 2)) for t in targets if t <= r} | {1.0}
@@ -365,12 +354,12 @@ class GirdleBand(_ContinuousLaw):
         dot_targets = sorted({s * t / r for t in targets if t <= r for s in (1.0, -1.0)} | {0.0})
         return self._band_mean(h / r, lambda dot: f(r * np.abs(dot)), dot_targets)
 
-    def _band_mean(self, u: np.ndarray, f_of_dot, dot_targets, nz: int = 96) -> float:
-        """Band average of f(<u, omega>), split where the dot meets one of the targets."""
+    def _band_mean(self, u: np.ndarray, f_of_dot, dot_targets) -> float:
+        """Band average of f(<u, omega>) over 96 z nodes, split in azimuth where the dot meets one of the targets."""
         s = math.sin(self.delta)
         c0 = float(u @ self.axis.vec)
         cp = math.hypot(float(u @ self.frame[:, 0]), float(u @ self.frame[:, 1]))
-        z_nodes, z_weights = gauss_legendre(nz, -s, s)
+        z_nodes, z_weights = gauss_legendre(96, -s, s)
         total = 0.0
         for z, wz in zip(z_nodes, z_weights):
             amp = math.sqrt(max(0.0, 1.0 - z * z)) * cp
@@ -638,10 +627,10 @@ def spec_to_dict(spec: ProcessSpec) -> dict:
     return {"d": spec.d, "k": spec.k, "lambda": spec.intensity, "alpha": alpha, "base": base}
 
 
-def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
-    """Parse a spec document, rejecting missing, unknown and malformed fields with their paths."""
-    check_fields(doc, path, ("d", "k", "lambda", "alpha", "base"))
-    alpha_doc, apath = doc["alpha"], f"{path}.alpha"
+def spec_from_dict(doc: dict) -> ProcessSpec:
+    """Parse a spec document, rejecting missing, unknown and malformed fields with their paths under ``spec``."""
+    check_fields(doc, "spec", ("d", "k", "lambda", "alpha", "base"))
+    alpha_doc, apath = doc["alpha"], "spec.alpha"
     akind = _typed(alpha_doc, apath, _ALPHA_FIELDS, "directional law")
     if akind == "isotropic":
         alpha = Isotropic()
@@ -655,7 +644,7 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         axis = _built(f"{apath}.axis", Direction, alpha_doc["axis"])
         alpha = _built(apath, GirdleBand, axis, alpha_doc["delta"])
 
-    base_doc, bpath = doc["base"], f"{path}.base"
+    base_doc, bpath = doc["base"], "spec.base"
     bkind = _typed(base_doc, bpath, _BASE_FIELDS, "base law")
     if bkind == "disc_radius_law":
         base = DiscRadiusLaw(_built(f"{bpath}.atoms", RadiusLaw, base_doc["atoms"]))
@@ -668,4 +657,4 @@ def spec_from_dict(doc: dict, path: str = "spec") -> ProcessSpec:
         base = _built(f"{bpath}.components", MixtureBase, comps)
     else:
         base = DeterministicBase(_shape_from_dict(base_doc, bpath))
-    return _built(path, ProcessSpec, doc["d"], doc["k"], doc["lambda"], alpha, base)
+    return _built("spec", ProcessSpec, doc["d"], doc["k"], doc["lambda"], alpha, base)

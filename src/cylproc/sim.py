@@ -96,11 +96,9 @@ class Window:
     def min_side(self) -> float:
         return float(np.min(np.array(self.hi) - np.array(self.lo)))
 
-    def erode(self, margin) -> "Window":
-        m = np.broadcast_to(np.asarray(margin, dtype=float), (self.dim,))
-        lo = tuple(l + x for l, x in zip(self.lo, m))
-        hi = tuple(h - x for h, x in zip(self.hi, m))
-        return Window(lo, hi)
+    def erode(self, margin: float) -> "Window":
+        """The box moved in by ``margin`` on every side."""
+        return Window(tuple(l + margin for l in self.lo), tuple(h - margin for h in self.hi))
 
     def erode_for_lag(self, h) -> "Window":
         """Points x with both x and x + h inside the window."""
@@ -289,16 +287,14 @@ def distance_mask(real: Realization, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def distance_to_union(real: Realization, x, cap: float | None = None) -> float:
+def distance_to_union(real: Realization, x) -> float:
     """Euclidean distance from a window point to the union set.
 
     Exact for distances up to the erosion margin of the query point: a
     cylinder within distance r of x intersects the ball B(x, r), so it hits
-    the window whenever that ball does.  ``cap`` censors the value at the
-    given radius (the caller's guarantee horizon); distances beyond it are
-    reported as the cap itself.  Realizations of base laws with radius-zero
-    atoms are rejected because their axis lines are thinned out of the
-    sample yet would be sensed by distance queries.
+    the window whenever that ball does.  Realizations of base laws with
+    radius-zero atoms are rejected because their axis lines are thinned
+    out of the sample yet would be sensed by distance queries.
     """
     if real.spec.base.has_zero_mass:
         raise ValueError("distance queries are unsupported for base laws with "
@@ -306,8 +302,7 @@ def distance_to_union(real: Realization, x, cap: float | None = None) -> float:
     x = np.asarray(x, dtype=float)
     if not real.window.contains_points(x)[0]:
         raise ValueError("distance queries must start inside the window")
-    dist = float(distance_mask(real, x[None, :])[0])
-    return dist if cap is None else min(dist, float(cap))
+    return float(distance_mask(real, x[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +385,13 @@ def _probe_components(ids, tins, touts):
     return tuple(np.concatenate(parts) for parts in out)
 
 
-def count_component_entries(ids, tins, touts, length: float) -> int:
+def count_component_entries(ids, tins, touts) -> int:
     """Number of merged-component entry points strictly inside the probes.
 
-    Probes are independent segments [0, length] indexed by ``ids``.  Each
-    connected component of the union along a probe is counted through its
-    entry endpoint; components straddling the probe start (t_in == 0) are
+    Probes are independent segments indexed by ``ids``, with t clipped to
+    the segment as :func:`ray_interval_bulk` gives it.  Each connected
+    component of the union along a probe is counted through its entry
+    endpoint; components straddling the probe start (t_in == 0) are
     dropped.  Only entry times are read, so component exits are not formed.
     """
     return sum(int(np.count_nonzero(s[new] > 1e-9)) for _, s, _, new in _probe_sweep(ids, tins, touts))
@@ -444,7 +440,7 @@ def export_realization_csv(real: Realization, path) -> None:
         fh.writelines(row % (i, *v, tails[j]) for i, (v, j) in enumerate(values))
 
 
-def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0, stream: int = 0) -> Realization:
+def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0) -> Realization:
     """Rebuild a realization from :func:`export_realization_csv` output.
 
     Rows are parsed into the arrays as they are read; then all frames are
@@ -492,4 +488,4 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
     axes = canonical_directions(table[:, :d])
     frames = complement_frames(axes[:, :, None]) if spec.k == 1 else axes[:, :, None]
     return Realization(spec, window, axes, frames, table[:, d:], shapes, np.frombuffer(index, dtype=np.int64),
-                       seed, stream)
+                       seed)

@@ -84,8 +84,7 @@ def values() -> dict:
             for name, v in (("haar", probe_dirs), ("axis", np.broadcast_to(np.eye(d)[0], probe_dirs.shape))):
                 ids, tins, touts = sim.ray_interval_bulk(real, origins, v, LENGTH)
                 out[f"{key}/ray_interval_bulk[{name}]"] = digest(ids, tins, touts)
-                out[f"{key}/count_component_entries[{name}]"] = str(
-                    sim.count_component_entries(ids, tins, touts, LENGTH))
+                out[f"{key}/count_component_entries[{name}]"] = str(sim.count_component_entries(ids, tins, touts))
     return out
 
 

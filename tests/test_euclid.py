@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylproc import analytic
 from cylproc.euclid import (
     ConvexPolygon,
     Direction,
@@ -67,7 +66,7 @@ def det(axis, eta, k=1) -> float:
     d = len(axis)
     spec = ProcessSpec(d=d, k=k, intensity=1.0, alpha=FixedAxes([(axis, 1.0)]),
                        base=DeterministicBase(Segment(1.0) if d - k == 1 else Disc(1.0)))
-    return analytic._expect_pr_norm(spec, np.asarray(eta, dtype=float))
+    return spec.alpha.radial_mean(spec, np.asarray(eta, dtype=float), 1.0, lambda q: q, ())
 
 
 def test_subspace_det_examples_and_properties():

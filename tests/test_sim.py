@@ -267,7 +267,7 @@ def test_component_entry_counting():
     touts = np.array([1.0, 3.0, 4.0, 2.0, 6.0])
     # ray 0: straddling start (dropped) + one merged component -> 1
     # ray 1: two components -> 2
-    assert count_component_entries(ids, tins, touts, 10.0) == 3
+    assert count_component_entries(ids, tins, touts) == 3
     assert covered_length(ids, tins, touts) == pytest.approx(1.0 + 2.0 + 1.0 + 1.0)
 
 
@@ -279,7 +279,7 @@ def test_interval_merge_does_not_depend_on_probe_index():
     counts, lengths = [], []
     for first in (0, 5000, 99_998):
         ids = np.array([first, first, first + 1, first + 1])
-        counts.append(count_component_entries(ids, tins, touts, 10.0))
+        counts.append(count_component_entries(ids, tins, touts))
         lengths.append(covered_length(ids, tins, touts))
     assert counts == [3, 3, 3]
     assert lengths[0] == lengths[1] == lengths[2] == pytest.approx(4.0, abs=1e-11)
@@ -332,7 +332,7 @@ def test_probe_merge_is_the_per_probe_loop(intervals, chunk):
         m.setattr(sim, "_CHUNK", chunk)  # small caps spread the probes over several stacks
         got_ids, got_in, got_out = sim._probe_components(ids, tins, touts)
         assert [list(c) for c in zip(got_ids.tolist(), got_in.tolist(), got_out.tolist())] == want
-        assert count_component_entries(ids, tins, touts, 10.0) == sum(lo > 1e-9 for _, lo, _ in want)
+        assert count_component_entries(ids, tins, touts) == sum(lo > 1e-9 for _, lo, _ in want)
         assert covered_length(ids, tins, touts) == float(np.sum(np.array([hi - lo for _, lo, hi in want])))
 
 
