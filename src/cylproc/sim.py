@@ -47,6 +47,7 @@ import numpy as np
 from .euclid import (
     _TANGENT_TOL,
     GEOM_TOL,
+    NORM_TOL,
     Direction,
     _run_ends,
     _sweep,
@@ -450,41 +451,56 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
     Re-exporting the result therefore writes the same bytes.  Each
     distinct (tag, parameters) gives one entry of the shape table; those
     written from a base shape of ``spec`` are that very shape, so polygon
-    vertices are not recentred again.  A row whose shape or ``offset_v``
-    does not fit d - k raises a ValueError naming its line.
+    vertices are not recentred again.  A bad row raises a ValueError that
+    names its line: a short row, a field that is not a number, a shape or
+    ``offset_v`` that does not fit d - k, a non-finite offset, and a
+    non-finite or zero axis.  The reader takes quotes literally, as the
+    writer uses none, so row i of the table is line i + 2 of the file.
     """
     m = spec.d - spec.k
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("CSV file is empty")
         d = 3 if "axis_z" in header else 2
         if d != spec.d:
             raise ValueError("CSV dimension does not match the spec")
-        col = {name: j for j, name in enumerate(header)}
-        names = ("axis_x", "axis_y", "axis_z")[:d] + ("offset_u", "offset_v")[:m]
-        pick = operator.itemgetter(*[col[name] for name in names])
-        v_at = col.get("offset_v")  # empty exactly when the complement is a line
-        tag_at = col["shape"]
-        param_at = [j for j, name in enumerate(header) if name.startswith("param")]
-        atoms = {(shape.tag, _csv_params(shape)): shape for shape, _ in spec.base.atoms() if shape is not None}
-        slots, shapes = {}, []
-        values, index = array("d"), array("q")
-        for row in reader:
-            if v_at is not None and (row[v_at] == "") != (m == 1):
-                raise ValueError(f"CSV line {reader.line_num}: offset_v must be "
-                                 f"{'empty' if m == 1 else 'given'} when d - k = {m}")
-            key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
-            slot = slots.get(key)
-            if slot is None:
-                shape = atoms[key] if key in atoms else shape_from_params(key[0], [float(x) for x in key[1]])
-                if shape.dim != m:
-                    raise ValueError(f"CSV line {reader.line_num}: a {key[0]} base has dimension "
-                                     f"{shape.dim}, not d - k = {m}")
-                slot = slots[key] = len(shapes)
-                shapes.append(shape)
-            index.append(slot)
-            values.extend(map(float, pick(row)))
+        try:
+            col = {name: j for j, name in enumerate(header)}
+            names = ("axis_x", "axis_y", "axis_z")[:d] + ("offset_u", "offset_v")[:m]
+            pick = operator.itemgetter(*[col[name] for name in names])
+            v_at = col.get("offset_v")  # empty exactly when the complement is a line
+            tag_at = col["shape"]
+            param_at = [j for j, name in enumerate(header) if name.startswith("param")]
+            atoms = {(shape.tag, _csv_params(shape)): shape for shape, _ in spec.base.atoms() if shape is not None}
+            slots, shapes = {}, []
+            values, index = array("d"), array("q")
+            for row in reader:
+                if v_at is not None and (row[v_at] == "") != (m == 1):
+                    raise ValueError(f"offset_v must be {'empty' if m == 1 else 'given'} when d - k = {m}")
+                key = (row[tag_at], tuple(row[j] for j in param_at if row[j] != ""))
+                slot = slots.get(key)
+                if slot is None:
+                    shape = atoms[key] if key in atoms else shape_from_params(key[0], [float(x) for x in key[1]])
+                    if shape.dim != m:
+                        raise ValueError(f"a {key[0]} base has dimension {shape.dim}, not d - k = {m}")
+                    slot = slots[key] = len(shapes)
+                    shapes.append(shape)
+                index.append(slot)
+                values.extend(map(float, pick(row)))
+        except IndexError as exc:
+            raise ValueError(f"CSV line {reader.line_num}: the row has too few fields") from exc
+        except KeyError as exc:
+            raise ValueError(f"CSV line 1: no column {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from exc
     table = np.frombuffer(values, dtype=float).reshape(len(index), d + m)
+    bad = ~(np.isfinite(table).all(axis=1) & (np.sqrt(np.vecdot(table[:, :d], table[:, :d])) >= NORM_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"CSV line {i + 2}: the axis {table[i, :d].tolist()} must be finite and nonzero "
+                         f"and the offset {table[i, d:].tolist()} finite")
     axes = canonical_directions(table[:, :d])
     frames = complement_frames(axes[:, :, None]) if spec.k == 1 else axes[:, :, None]
     return Realization(spec, window, axes, frames, table[:, d:], shapes, np.frombuffer(index, dtype=np.int64),

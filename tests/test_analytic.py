@@ -29,6 +29,7 @@ from cylproc.euclid import (
     haar_mean_plane_det,
 )
 from cylproc.model import (
+    ArgumentError,
     DeterministicBase,
     DiscRadiusLaw,
     FixedAxes,
@@ -331,6 +332,13 @@ PUBLIC_ARGUMENTS = {
 def test_vector_arguments_of_the_wrong_dimension_or_not_finite_are_rejected(fn, bad):
     with pytest.raises(ValueError):
         PUBLIC_ARGUMENTS[fn](spec3_iso(), bad)
+
+
+@pytest.mark.parametrize("h_dir", [[2.0, 0.0, 0.0], [0.0, 0.6, 0.6]])
+def test_covariance_derivative_rejects_a_direction_that_is_not_unit(h_dir):
+    with pytest.raises(ArgumentError, match="unit vector") as info:
+        covariance_derivative(spec3_iso(), h_dir)
+    assert info.value.field == "h_dir"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, True, "1"])

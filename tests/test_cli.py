@@ -384,6 +384,30 @@ def test_malformed_fields_exit_1_with_their_path(tmp_path, capsys, command, conf
     assert "Traceback" not in err and "unknown quantity" not in err
 
 
+SPEC2 = {"d": 2, "k": 1, "lambda": 0.1, "alpha": {"type": "isotropic"},
+         "base": {"type": "segment", "half_length": 1.0}}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    pytest.param("analytic", None, "error: cannot read config file ", id="unreadable"),
+    pytest.param("analytic", "[1, 2]", "error: config root must be a JSON object", id="root_not_an_object"),
+    pytest.param("analytic", {"analytic": {}}, "error: config: missing required field 'spec'", id="no_spec"),
+    pytest.param("analytic", {"spec": SPEC2, "analytic": {"pore_moments": True}},
+                 "error: analytic.pore_moments: pore moments apply to axial cylinders in R^3", id="planar_pores"),
+    pytest.param("estimate", {"spec": SPEC3, "window": WINDOW3, "estimate": dict(ESTIMATE, quantities=["volume"])},
+                 "error: estimate.quantities: unknown quantity 'volume'", id="unknown_quantity"),
+    pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0, 0], "hi": [8, 8, 8, 8]}},
+                 "error: window: window must be a box in R^2 or R^3", id="four_coordinates"),
+])
+def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_importing_the_package_and_the_cli_leaves_scipy_special_unloaded():
     # scipy.special serves the pore moments alone and loads on their first call; a fresh
     # interpreter shows what an import costs, whatever this process has loaded already

@@ -320,6 +320,15 @@ def test_grassmann_average_det():
     assert haar_mean_line_det(3) == pytest.approx(math.pi / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("vertices, match", [
+    pytest.param([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], "zero-length", id="repeated_vertex"),
+    pytest.param([[0, 0], [1, 0], [2, 0]], "positive area", id="flat"),
+])
+def test_polygon_rejects_a_repeated_vertex_and_a_flat_outline(vertices, match):
+    with pytest.raises(ValueError, match=match):
+        ConvexPolygon(vertices)
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         ConvexPolygon([[0, 0], [1, 0]])  # too few

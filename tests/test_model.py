@@ -142,6 +142,15 @@ def test_base_pairing_rejected():
     ProcessSpec(d=2, k=1, intensity=0.1, alpha=Isotropic(), base=DeterministicBase(Segment(1.0)))
 
 
+@pytest.mark.parametrize("axes, match", [
+    pytest.param([], "at least one axis", id="no_axis"),
+    pytest.param([([1.0, 0.0], 0.5), ([0.0, 0.0, 1.0], 0.5)], "one ambient dimension", id="two_dimensions"),
+])
+def test_fixed_axes_reject_no_axis_and_mixed_dimensions(axes, match):
+    with pytest.raises(ValueError, match=match):
+        FixedAxes(axes)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProcessSpec(d=4, k=1, intensity=0.1, alpha=Isotropic(), base=DeterministicBase(Disc(1.0)))

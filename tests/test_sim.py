@@ -565,6 +565,46 @@ def test_csv_reader_rejects_a_shape_that_does_not_fit_the_complement(tmp_path):
         import_realization_csv(path, hit_spec("slab3", "isotropic"), hit_window(3))
 
 
+CSV_HEADER = "cyl_id,axis_x,axis_y,axis_z,offset_u,offset_v,shape,param0\r\n"
+CSV_GOOD_ROW = "0,0,0,1,0.5,0.5,disc,0.3\r\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,nan,0.5,disc,0.3\r\n", "CSV line 3: ", id="nan_offset"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,0.5\r\n", "CSV line 3: the row has too few fields", id="short_row"),
+    pytest.param(CSV_GOOD_ROW + "\r\n", "CSV line 3: the row has too few fields", id="blank_line"),
+    pytest.param(CSV_GOOD_ROW + "1,0,x,1,0.5,0.5,disc,0.3\r\n", "CSV line 3: could not convert", id="not_a_number"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,0.5,torus,0.3\r\n", "CSV line 3: unknown shape tag", id="unknown_tag"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,0.5,disc,-0.3\r\n", "CSV line 3: disc radius", id="negative_radius"),
+    pytest.param(CSV_GOOD_ROW + "1,0,inf,1,0.5,0.5,disc,0.3\r\n", "CSV line 3: the axis", id="infinite_axis"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,0,0.5,0.5,disc,0.3\r\n", "CSV line 3: the axis", id="zero_axis"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,-inf,disc,0.3\r\n", "CSV line 3: ", id="infinite_offset"),
+    pytest.param(None, "CSV file is empty", id="empty_file"),
+    pytest.param("cyl_id,axis_x,axis_y,axis_z,offset_u,offset_v\r\n" + CSV_GOOD_ROW, "CSV line 1: no column 'shape'",
+                 id="no_shape_column"),
+    pytest.param("cyl_id,axis_x,axis_y,offset_u,shape,param0\r\n0,1,0,0.5,segment,0.3\r\n",
+                 "CSV dimension does not match the spec", id="planar_file"),
+])
+def test_csv_reader_names_the_line_of_a_bad_row(tmp_path, text, match):
+    path = tmp_path / "real.csv"
+    path.write_text("" if text is None else text if text.startswith("cyl_id") else CSV_HEADER + text)
+    with pytest.raises(ValueError, match=match):
+        import_realization_csv(path, hit_spec("disc3", "isotropic"), hit_window(3))
+
+
+@pytest.mark.parametrize("query, match", [
+    pytest.param(lambda real: ray_intervals(real, [-5, 0, 0], np.array([2.0, 0, 0]), 1.0), "unit vector",
+                 id="ray_of_a_direction_that_is_not_unit"),
+    pytest.param(lambda real: distance_to_union(real, [50, 0, 0]), "inside the window",
+                 id="distance_from_outside_the_window"),
+    pytest.param(lambda real: sample_realization(real.spec, Window((0, 0), (1, 1)), seed=0), "dimensions differ",
+                 id="sample_in_a_planar_window"),
+])
+def test_queries_reject_arguments_they_cannot_answer(query, match):
+    with pytest.raises(ValueError, match=match):
+        query(single_cylinder_realization())
+
+
 # the per-shape kernels against the per-cylinder loops of the oracle: the
 # HIT_FAMILIES under every law, plus a mixture of two polygons with different
 # vertex counts
