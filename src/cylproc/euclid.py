@@ -265,8 +265,8 @@ class CrossSection:
     back.  ``param_shape`` arranges a flat list of numbers into it.  The
     covariogram of a ``radial`` kind depends on the lag's length alone.
     ``reach`` and ``diameter`` follow from the circumradius unless a kind
-    sets its own.  Two cross sections are equal when they are of one kind with equal
-    parameters.
+    sets its own.  Two cross sections are equal when they are of one kind
+    with equal parameters.
     """
 
     __slots__ = ()

@@ -570,7 +570,7 @@ CSV_GOOD_ROW = "0,0,0,1,0.5,0.5,disc,0.3\r\n"
 
 
 @pytest.mark.parametrize("text, match", [
-    pytest.param(CSV_GOOD_ROW + "1,0,0,1,nan,0.5,disc,0.3\r\n", "CSV line 3: ", id="nan_offset"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,nan,0.5,disc,0.3\r\n", "CSV line 3: the axis", id="nan_offset"),
     pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,0.5\r\n", "CSV line 3: the row has too few fields", id="short_row"),
     pytest.param(CSV_GOOD_ROW + "\r\n", "CSV line 3: the row has too few fields", id="blank_line"),
     pytest.param(CSV_GOOD_ROW + "1,0,x,1,0.5,0.5,disc,0.3\r\n", "CSV line 3: could not convert", id="not_a_number"),
@@ -578,7 +578,7 @@ CSV_GOOD_ROW = "0,0,0,1,0.5,0.5,disc,0.3\r\n"
     pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,0.5,disc,-0.3\r\n", "CSV line 3: disc radius", id="negative_radius"),
     pytest.param(CSV_GOOD_ROW + "1,0,inf,1,0.5,0.5,disc,0.3\r\n", "CSV line 3: the axis", id="infinite_axis"),
     pytest.param(CSV_GOOD_ROW + "1,0,0,0,0.5,0.5,disc,0.3\r\n", "CSV line 3: the axis", id="zero_axis"),
-    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,-inf,disc,0.3\r\n", "CSV line 3: ", id="infinite_offset"),
+    pytest.param(CSV_GOOD_ROW + "1,0,0,1,0.5,-inf,disc,0.3\r\n", "CSV line 3: the axis", id="infinite_offset"),
     pytest.param(None, "CSV file is empty", id="empty_file"),
     pytest.param("cyl_id,axis_x,axis_y,axis_z,offset_u,offset_v\r\n" + CSV_GOOD_ROW, "CSV line 1: no column 'shape'",
                  id="no_shape_column"),
