@@ -21,10 +21,13 @@ on a girdle band.  For the unit square these differ from rules twice as
 fine per axis by up to 1.7e-4 relative in the covariance and its
 derivative (on the girdle band) and 3.7e-5 in the three-point capacity;
 tests/test_quadrature.py holds those bounds.  The base enters only
-through each shape's batched ``covariogram``, ``covariogram_derivative``
-and ``union_areas``, called once for all the nodes or fixed axes; no
-shape formula lives here.  For a polygon the covariogram and the union
-both run on its one fixed-normal clip.  scipy serves only
+through each shape's batched ``covariogram``, ``covariogram_derivative``,
+``intersection_areas`` and ``union_areas``, called once for all the nodes
+or fixed axes; no shape formula lives here.  Two and three points reduce
+to inclusion-exclusion: three covariograms and one triple intersection
+per node for three, with no union sweep; four or more run the union
+kernel.  For a polygon the covariogram, the intersection and the union
+all run on its one fixed-normal clip.  scipy serves only
 ``pore_moments`` and is imported there, on first use, so importing the
 package does not load it.
 """
@@ -174,9 +177,12 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
     """Hitting probability of a finite point set.
 
     1 - exp(-lambda * E[volume of the base-sweep of the projected points]).
-    Pairs reduce to covariogram inclusion-exclusion; larger sets use exact
+    Pairs and triples reduce to inclusion-exclusion: a pair through the
+    mean covariogram, a triple through three covariograms and the area of
+    the triple intersection at each node.  Four or more points use exact
     union-of-translates areas (arc tracing for discs, the fixed-normal
-    clip for polygons), averaged by the law's ``union_mean``.
+    clip for polygons).  Triples and larger sets are averaged by the law's
+    ``union_mean``.
     """
     pts = reals("points", points, (None, spec.d))
     if not 0 < len(pts) <= MAX_CAPACITY_POINTS:
@@ -195,10 +201,19 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
 
 
 def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
-    """E over the base law of the volume of union_i (p_i - K) for each node; proj is (N, n, m)."""
+    """E over the base law of the volume of union_i (p_i - K) for each node; proj is (N, n, m).
+
+    Three points reduce to inclusion-exclusion (Schneider & Weil 2008, sec. 9.1): 3|K| minus the
+    covariograms of the three differences plus the area of the triple intersection.
+    """
     total = np.zeros(len(proj))
     for shape, w in spec.base.atoms():
-        if shape is not None:
+        if shape is None:
+            continue
+        if proj.shape[1] == 3:
+            pairs = sum(shape.covariogram(proj[:, i] - proj[:, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            total += w * (3.0 * shape.area - pairs + shape.intersection_areas(proj))
+        else:
             total += w * shape.union_areas(proj)
     return total
 

@@ -9,11 +9,14 @@ area, boundary, membership and distance tests, the reach of its
 membership test, the ray kernel that returns the non-empty clipped
 intervals of lines, the hit test against a window's shadow, and the tag
 and parameter it is written under, and one batched kernel each for the
-covariogram, its derivative at the origin and the area of a union of
-translates; a single lag or direction is the n = 1 view of a stack, bit
-for bit.  A polygon's covariogram and union of translates share one
-primitive, the clip of half-planes over its own fixed edge normals by
-tables built with it.  The union kernels share one interval-union
+covariogram, its derivative at the origin, the area of an intersection
+of translates and the area of a union of translates; a single lag or
+direction is the n = 1 view of a stack, bit for bit.  A polygon's
+intersection of translates is one clip of half-planes over its own fixed
+edge normals, by tables built with it; its covariogram is the two-row
+intersection, and its union of translates runs on the same clip.  A
+disc's intersection adds Green's integral over each circle's one arc
+inside all the others, with no sort.  The union kernels share one interval-union
 routine, :func:`_sweep`, which the simulation's probe merge uses too; it
 takes the pieces of each union on axis 0, and the union kernels put the
 quadrature node last, so each operation runs over a chunk's nodes as one
@@ -70,13 +73,20 @@ def canonical_directions(V) -> np.ndarray:
 
     A row is divided by its norm unless that is within 1e-12 of one, then
     flipped so that its first coordinate of magnitude > 1e-12 is positive.
+    A row whose squared norm overflows is first scaled by the power of two
+    that brings its largest coordinate into [1/2, 1), which is exact.
     """
     V = np.array(V, dtype=float)
     if V.ndim != 2 or V.shape[1] not in (2, 3):
         raise ValueError(f"directions must be vectors in R^2 or R^3, got shape {V.shape}")
     if not np.isfinite(V).all():
         raise ValueError("directions must have finite coordinates")
-    n = np.sqrt(np.vecdot(V, V))  # np.linalg.norm of each row
+    with np.errstate(over="ignore"):
+        n = np.sqrt(np.vecdot(V, V))  # np.linalg.norm of each row
+    huge = ~np.isfinite(n)
+    if huge.any():
+        W = np.ldexp(V[huge], -np.frexp(np.max(np.abs(V[huge]), axis=1))[1][:, None])
+        V[huge], n[huge] = W, np.sqrt(np.vecdot(W, W))
     if np.any(n < NORM_TOL):
         raise ValueError("cannot normalize a (near-)zero vector")
     far = np.abs(n - 1.0) > NORM_TOL
@@ -372,6 +382,11 @@ class Segment(CrossSection):
         s, R, new = _sweep(c - a, c + a, -math.inf, math.inf)
         return _rowsum(np.where(new, _run_ends(new, R) - s, 0.0))
 
+    def intersection_areas(self, C: np.ndarray) -> np.ndarray:
+        """Length of n_i (c_i - K) for each row of points C (N, n, 1): max(0, 2a - the spread of the c_i)."""
+        c = C[:, :, 0]
+        return np.maximum(0.0, 2.0 * self.half_length - (c.max(axis=1) - c.min(axis=1)))
+
 
 class Disc(CrossSection):
     """Disc of radius a centred at the origin of the complement frame."""
@@ -499,6 +514,59 @@ class Disc(CrossSection):
 
         return _chunked(chunk, C, 2 * n * n)
 
+    def intersection_areas(self, C: np.ndarray) -> np.ndarray:
+        """Area of n_i (c_i - K) for each row of points C (N, n, 2), by Green's sum over arcs in the others.
+
+        Circle i's arc inside disc j spans +- acos(|w| / 2a) <= pi / 2 about the direction of w = c_j - c_i,
+        so its arcs inside the other discs meet in one interval, found without a sort: each lies within pi
+        of its arc inside the first other disc.  The interval starts where one arc starts and ends where one
+        ends, at c_i + w (1/2 -+ i sqrt(a^2 - |w|^2 / 4) / |w|) as complex numbers, so Green's sum needs no
+        sine.  Centres within the dedupe tolerance of an earlier kept one drop out, as in
+        :meth:`union_areas`.  The area is pi a^2 where one centre is kept, and exactly 0 where two kept
+        centres lie 2a or more apart.
+        """
+        a = self.radius
+        n = C.shape[1]
+        if n == 1:
+            return np.full(len(C), math.pi * a * a)
+        I, J = np.triu_indices(n, 1)
+        pid = np.zeros((n, n), dtype=np.intp)  # the pair of two centres
+        pid[I, J] = pid[J, I] = np.arange(len(I))
+        other = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)  # (n, n - 1)
+        sides = pid[np.arange(n)[:, None], other]
+        sign = np.where(other < np.arange(n)[:, None], -1.0, 1.0)[:, :, None]  # c_i is its pair's later centre
+
+        def chunk(C):
+            X, Y = np.ascontiguousarray(C.transpose(2, 1, 0))  # (n, N): one row per centre
+            X, Y = X - X[0], Y - Y[0]  # the area is translation invariant; small coordinates keep Green's sum exact
+            d = (X[J] - X[I]) + 1j * (Y[J] - Y[I])  # c_j - c_i for each pair i < j
+            dist = np.abs(d)
+            keep = np.ones(X.shape, dtype=bool)  # centre i lies farther than the tolerance from earlier kept ones
+            for i in range(1, n):
+                keep[i] = ~np.any((dist[pid[i, :i]] <= _DEDUPE_TOL * a) & keep[:i], axis=0)
+            half = np.arccos(np.minimum(dist / (2.0 * a), 1.0))[sides]  # [i, q]: the q-th other disc of circle i
+            rise = (np.sqrt(np.maximum(a * a - 0.25 * dist * dist, 0.0)) / np.where(dist > 0.0, dist, 1.0))[sides]
+            w = d[sides] * sign
+            bound = keep[:, None] & keep[other]  # a kept disc bounds a kept circle
+            ref = w[:, -1]  # the direction of the first other kept disc
+            for q in range(n - 3, -1, -1):
+                ref = np.where(bound[:, q], w[:, q], ref)
+            rel = np.angle(w * ref[:, None].conj())
+            lo = np.where(bound, rel - half, -math.inf)
+            hi = np.where(bound, rel + half, math.inf)
+            l, h, wl, wh, rl, rh = lo[:, 0], hi[:, 0], w[:, 0], w[:, 0], rise[:, 0], rise[:, 0]
+            for q in range(1, n - 1):  # the latest start and the earliest end, and the arcs they come from
+                up, down = lo[:, q] > l, hi[:, q] < h
+                l, wl, rl = np.where(up, lo[:, q], l), np.where(up, w[:, q], wl), np.where(up, rise[:, q], rl)
+                h, wh, rh = np.where(down, hi[:, q], h), np.where(down, w[:, q], wh), np.where(down, rise[:, q], rh)
+            chord = wh * (0.5 + 1j * rh) - wl * (0.5 - 1j * rl)  # from the arc's start to its end
+            arc = bound.any(axis=1) & (h > l)  # a dropped centre has no arc
+            green = np.where(arc, 0.5 * (X * chord.imag - Y * chord.real + a * a * (h - l)), 0.0)
+            apart = np.any(keep[I] & keep[J] & (dist >= 2.0 * a), axis=0)
+            return np.where(keep.sum(axis=0) == 1, math.pi * a * a, np.where(apart, 0.0, _rowsum(green)))
+
+        return _chunked(chunk, C, n * (n - 1))
+
 
 class ConvexPolygon(CrossSection):
     """Convex polygon base, counterclockwise vertices, circumcentre at the origin.
@@ -592,31 +660,45 @@ class ConvexPolygon(CrossSection):
         """
         shape, H = H.shape, H.reshape(len(H), -1)
         lo, hi = np.zeros_like(H), np.zeros_like(H)
-        for f, g, a, b, enter, opposite in self._sides:
+        for f, g, a, b, enter, opposite in self._sides:  # a single side needs no reduction, and no opposite no test
             r = (H[g] - b * H[f]) / a
-            lo[f], hi[f] = np.max(r[:enter], axis=0), np.min(r[enter:], axis=0)
-            hi[f][np.any(H[opposite] + H[f] < 0.0, axis=0)] = -np.inf
+            lo[f] = r[0] if enter == 1 else np.max(r[:enter], axis=0)
+            hi[f] = r[enter] if enter == len(g) - 1 else np.min(r[enter:], axis=0)
+            if len(opposite):
+                hi[f][np.any(H[opposite] + H[f] < 0.0, axis=0)] = -np.inf
         return lo.reshape(shape), hi.reshape(shape)
 
     def covariogram(self, t):
-        """Area of K n (K + t) for lags t (..., 2): 1/2 sum_f H_f |edge f| of the clip at H = b + min(0, n . t).
-
-        It is exactly 0 off the interior of K - K, where |n . t| reaches K's width along an edge normal n.
-        """
+        """Area of K n (K + t) for lags t (..., 2): the two-row view of :meth:`intersection_areas`, at -K and -t - K."""
         t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1, 2)
-        apart = np.zeros(len(flat), dtype=bool)
-        for (nx, ny), w in zip(self._normals, self._widths):  # edge by edge: temporaries of one value per lag
-            apart |= np.abs(flat[:, 0] * nx + flat[:, 1] * ny) >= w
+        C = np.zeros((t.size // 2, 2, 2))
+        C[:, 1] = -t.reshape(-1, 2)
+        return self.intersection_areas(C).reshape(t.shape[:-1])[()]
+
+    def intersection_areas(self, C: np.ndarray) -> np.ndarray:
+        """Area of n_i (c_i - K) for each row of points C (N, n, 2): 1/2 sum_f H_f |edge f| of one clip.
+
+        The negated set is n_i (K - c_i) = {x : n_f . x <= H_f}, H_f = b_f - max_i n_f . c_i.  The area is
+        exactly 0 where the spread of the n_f . c_i reaches K's width along an edge normal n_f.
+        """
+        n, m = C.shape[1], len(self._offsets)
+        if n == 1:
+            return np.full(len(C), self.area)
         nx, ny = self._normals.T[:, :, None]
 
-        def chunk(T):  # elementwise products, and a sum side by side, round alike for any number of lags
-            H = self._offsets[:, None] + np.minimum(0.0, nx * T[:, 0] + ny * T[:, 1])
+        def chunk(C):  # elementwise products, and a sum side by side, round alike for any number of rows
+            X, Y = C.transpose(2, 1, 0)  # (n, N): one row per translate
+            # the area is translation invariant: the first translate moves to the origin, where n_f . c is 0
+            top = bottom = 0.0
+            for x, y in zip(X[1:] - X[0], Y[1:] - Y[0]):
+                p = nx * x + ny * y
+                top, bottom = np.maximum(top, p), np.minimum(bottom, p)
+            H = self._offsets[:, None] - top
             lo, hi = self._clip(H)
-            return 0.5 * _rowsum(H * np.maximum(hi - lo, 0.0))
+            area = np.maximum(0.5 * _rowsum(H * np.maximum(hi - lo, 0.0)), 0.0)
+            return np.where(np.any(top - bottom >= self._widths[:, None], axis=0), 0.0, area)
 
-        area = np.maximum(_chunked(chunk, flat, len(self._offsets)), 0.0)
-        return np.where(apart, 0.0, area).reshape(t.shape[:-1])[()]
+        return _chunked(chunk, C, max(m, n))
 
     def covariogram_derivative(self, u):
         """gamma'(o, u) for unit u (..., 2): minus the width of K's shadow on the line orthogonal to u."""

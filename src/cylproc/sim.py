@@ -496,7 +496,8 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
         except ValueError as exc:
             raise ValueError(f"CSV line {reader.line_num}: {exc}") from exc
     table = np.frombuffer(values, dtype=float).reshape(len(index), d + m)
-    bad = ~(np.isfinite(table).all(axis=1) & (np.sqrt(np.vecdot(table[:, :d], table[:, :d])) >= NORM_TOL))
+    with np.errstate(over="ignore"):  # an axis too long to square is rescaled by canonical_directions
+        bad = ~(np.isfinite(table).all(axis=1) & (np.sqrt(np.vecdot(table[:, :d], table[:, :d])) >= NORM_TOL))
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"CSV line {i + 2}: the axis {table[i, :d].tolist()} must be finite and nonzero "

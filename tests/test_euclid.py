@@ -430,6 +430,18 @@ def test_batched_frames_match_the_scalar_subspaces_bit_for_bit(kind, d, seed):
             assert same_bits(ref_basis, basis) and same_bits(ref_frame, frame)
 
 
+def test_a_direction_too_long_to_square_is_scaled_by_a_power_of_two():
+    # 1e200 squared overflows; the row is brought to a largest coordinate in [1/2, 1) exactly
+    assert Direction([1e200, 0.0, 0.0]) == Direction([1.0, 0.0, 0.0])
+    assert Direction([-1e300, 1e300]) == Direction([1.0, -1.0])
+    V = np.array([[0.6, 0.8, 0.0], [0.0, -3e300, 4e300], [2.0, 0.0, 0.0], [1e-3, 2e-3, -2e-3]])
+    out = canonical_directions(V)
+    # the ordinary rows keep their bits, and the long row is the same row scaled down by 2^1000
+    assert same_bits(out[[0, 2, 3]], canonical_directions(V[[0, 2, 3]]))
+    assert same_bits(out[1], canonical_directions(np.ldexp(V[1:2], -1000))[0])
+    assert np.allclose(out[1], [0.0, 0.6, -0.8], rtol=0.0, atol=1e-15)  # the first sizeable coordinate is positive
+
+
 def test_batched_frames_reject_what_direction_rejects():
     with pytest.raises(ValueError, match="zero vector"):
         canonical_directions(np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]]))

@@ -7,6 +7,7 @@ checks monotonicity and the bounds of capacity and covariance.  Each law
 builds its rule once per rule and k and holds it read-only.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -155,6 +156,120 @@ def test_polygon_union_of_three_is_inclusion_exclusion(poly, centres):
     assert poly.union_areas(-c[None])[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# three points by inclusion-exclusion, against the union sweep
+# ---------------------------------------------------------------------------
+
+THREE_SHAPES = {"segment": Segment(0.5), "disc": Disc(1.0), "square": SQUARE, "triangle": TRIANGLE}
+NO_COMMON_POINT = {  # every pair of translates overlaps, the three have no common point
+    "disc": [(0.0, 0.0), (1.8, 0.0), (0.9, 0.9 * math.sqrt(3.0))],  # circumradius 1.04 > a
+    "triangle": [(1.0, -0.5), (1.0, -1.0), (0.5, -0.5)],
+}
+
+
+def three_point_area(shape, C: np.ndarray) -> float:
+    """The area capacity_finite takes for three points: 3|K| - the three covariograms + the triple intersection."""
+    spec = ProcessSpec(d=3, k=3 - shape.dim, intensity=0.1, alpha=ISO, base=DeterministicBase(shape))
+    return analytic._union_volumes(spec, C[None])[0]
+
+
+def sweep_slack(shape, C: np.ndarray) -> float:
+    """How far union_areas may lie from the exact area of the union of the translates c_i - K.
+
+    Its sums hold terms as large as (circumradius + spread)^2, which bounds their rounding, and it
+    takes centres (discs) or edge lines (polygons) nearer than _DEDUPE_TOL * circumradius as one,
+    which moves the area by up to the boundary times their offset.
+    """
+    R = shape.circumradius
+    lags = (C[:, None] - C).reshape(-1, C.shape[1])
+    offsets = np.abs(lags @ shape._normals.T) if isinstance(shape, ConvexPolygon) else np.linalg.norm(lags, axis=1)
+    near = offsets[(offsets > 0.0) & (offsets <= euclid._DEDUPE_TOL * R)]
+    return 1e-14 * max(shape.area, (R + float(np.max(np.abs(lags)))) ** 2) + shape.boundary * float(near.sum())
+
+
+centre = st.floats(-2.5, 2.5, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(THREE_SHAPES)),
+       centres=st.lists(st.one_of(st.tuples(quarters, quarters), st.tuples(centre, centre)), min_size=3, max_size=3))
+@example("disc", [(0.3, 0.2)] * 3)  # coincident
+@example("square", [(0.3, 0.2), (0.9, -0.4), (0.3, 0.2)])
+@example("triangle", [(0.3, 0.2), (0.3, 0.2), (0.9, -0.4)])
+@example("segment", [(0.3, 0.0), (0.9, 0.0), (0.3, 0.0)])
+@example("disc", [(0.3, 0.2), (0.3 + 1e-13, 0.2), (0.3, 0.2 - 1e-13)])  # coincident within 1e-13
+@example("disc", [(0.3, 0.2), (0.3 + 1e-13, 0.2), (0.9, -0.4)])
+@example("triangle", [(0.3, 0.2), (0.3 + 1e-13, 0.2), (0.9, -0.4)])
+@example("square", [(0.3, 0.2), (0.3 + 1e-13, 0.2), (0.3, 0.2 - 1e-13)])
+@example("disc", [(0.0, 0.0), (2.0, 0.0), (1.0, 0.5)])  # centres exactly 2a apart
+@example("disc", [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
+@example("square", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)])  # opposite edges touch
+@example("square", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+@example("segment", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+@example("disc", [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])  # collinear
+@example("triangle", [(-0.7, 0.1), (0.0, 0.4), (0.7, 0.7)])
+@example("square", [(-0.5, -0.5), (0.25, 0.25), (1.0, 1.0)])
+@example("disc", [(0.0, 0.0), (0.4, 0.3), (50.0, -40.0)])  # one point far away
+@example("triangle", [(0.0, 0.0), (0.4, 0.3), (50.0, -40.0)])
+@example("segment", [(0.0, 0.0), (0.4, 0.0), (50.0, 0.0)])
+@example("disc", NO_COMMON_POINT["disc"])
+@example("triangle", NO_COMMON_POINT["triangle"])
+def test_three_points_by_inclusion_exclusion_are_the_union_sweep(name, centres):
+    # the triangle is not centrally symmetric, so c_i - K against c_i + K would show
+    shape = THREE_SHAPES[name]
+    C = np.array(centres)[:, :shape.dim]
+    assert abs(three_point_area(shape, C) - shape.union_areas(C[None])[0]) <= sweep_slack(shape, C)
+
+
+@pytest.mark.parametrize("name", sorted(NO_COMMON_POINT))
+def test_pairs_that_overlap_without_a_common_point_leave_no_triple_term(name):
+    shape, C = THREE_SHAPES[name], np.array(NO_COMMON_POINT[name])
+    assert min(shape.covariogram(C[i] - C[j]) for i, j in ((0, 1), (0, 2), (1, 2))) > 0.02 * shape.area
+    assert shape.intersection_areas(C[None])[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(THREE_SHAPES)),
+       centres=st.lists(st.one_of(st.tuples(quarters, quarters), st.tuples(centre, centre)), min_size=2, max_size=2))
+def test_the_intersection_of_two_translates_is_the_covariogram_of_their_lag(name, centres):
+    shape = THREE_SHAPES[name]
+    C = np.array(centres)[:, :shape.dim]
+    got, want = shape.intersection_areas(C[None])[0], shape.covariogram(C[0] - C[1])
+    if isinstance(shape, Disc):  # Green's sum over the two arcs against the closed form
+        assert abs(got - want) <= 1e-15 * shape.area
+    else:  # the same arithmetic
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(THREE_SHAPES))
+def test_the_intersection_of_n_translates_is_the_alternating_sum_of_unions(name):
+    # |n_i A_i| = sum over non-empty subsets S of (-1)^(|S| + 1) |u_{i in S} A_i|, on two to five centres,
+    # the second equal to the first in a quarter of the rows and the third within 1e-13 of it in another
+    shape = THREE_SHAPES[name]
+    rng = philox_stream(65, 0)
+    for n in (2, 3, 4, 5):
+        C = rng.uniform(-1.2, 1.2, (200, n, shape.dim))
+        C[:50, 1] = C[:50, 0]
+        if n > 2:
+            C[50:100, 2] = C[50:100, 0] + 1e-13
+        want = sum((-1) ** (len(S) + 1) * shape.union_areas(C[:, list(S)])
+                   for r in range(1, n + 1) for S in itertools.combinations(range(n), r))
+        assert np.allclose(shape.intersection_areas(C), want, rtol=0.0, atol=1e-12 * shape.area), n
+
+
+@pytest.mark.parametrize("poly", [TRIANGLE, HEXAGON], ids=["triangle", "hexagon"])
+def test_translates_a_width_apart_along_an_edge_normal_meet_in_exactly_zero_area(poly):
+    # on the boundary of K - K the clip leaves areas of order 1e-17; the spread test makes them 0
+    rng = philox_stream(66, 0)
+    for (nx, ny), width in zip(poly._normals, poly._widths):
+        t = width * np.array([nx, ny]) + rng.uniform(-1.0, 1.0, (2000, 1)) * np.array([-ny, nx])
+        p = nx * -t[:, 0] + ny * -t[:, 1]  # n . c of the second translate, as the kernel forms it
+        apart = np.abs(p) >= width
+        assert apart.sum() > 50
+        assert np.all(poly.covariogram(t[apart]) == 0.0)
+        assert np.all(poly.intersection_areas(np.stack([np.zeros_like(t), -t, -0.5 * t], axis=1))[apart] == 0.0)
+
+
 @pytest.mark.parametrize("shape, kernel, rows", [(SQUARE, "union_areas", (8192, 16, 2)),
                                                   (SQUARE, "covariogram", (8192, 2)),
                                                   (Disc(1.0), "union_areas", (8192, 16, 2))],
@@ -243,7 +358,7 @@ def test_disc_union_is_the_scalar_arc_tracing_bit_for_bit(centres, radius):
 def test_segment_union_is_the_scalar_interval_merge_bit_for_bit(centres, half):
     proj = np.array(centres, dtype=float)[None, :, None]
     seg = ProcessSpec(d=3, k=2, intensity=0.1, alpha=ISO, base=DeterministicBase(Segment(half)))
-    assert analytic._union_volumes(seg, proj)[0] == scalar.union_volume(seg, proj[0])
+    assert Segment(half).union_areas(proj)[0] == scalar.union_volume(seg, proj[0])
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +542,21 @@ def test_covariance_lies_between_p_squared_and_p(name, h):
     spec = PROPERTY_SPECS[name]
     p = volume_fraction(spec)
     assert p * p - 1e-12 <= covariance(spec, np.array(h)[:spec.d]) <= p + 1e-12
+
+
+class UnionKernelCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SPECS))
+def test_three_point_capacities_run_no_union_kernel(monkeypatch, name):
+    def refuse(shape, C):
+        raise UnionKernelCalled
+
+    for cls in (Segment, Disc, ConvexPolygon):
+        monkeypatch.setattr(cls, "union_areas", refuse)
+    spec = PROPERTY_SPECS[name]
+    pts = np.array(POINT_SETS[1] + ((0.9, 0.1, -0.2),))[:, :spec.d]
+    assert volume_fraction(spec) <= capacity_finite(spec, pts[:3]) <= 1.0
+    with pytest.raises(UnionKernelCalled):  # four points still take the sweep
+        capacity_finite(spec, pts)

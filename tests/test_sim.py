@@ -592,6 +592,13 @@ def test_csv_reader_names_the_line_of_a_bad_row(tmp_path, text, match):
         import_realization_csv(path, hit_spec("disc3", "isotropic"), hit_window(3))
 
 
+def test_csv_reader_takes_an_axis_too_long_to_square(tmp_path):
+    path = tmp_path / "real.csv"
+    path.write_text(CSV_HEADER + CSV_GOOD_ROW + "1,0,0,1e200,0.5,0.5,disc,0.3\r\n")
+    real = import_realization_csv(path, hit_spec("disc3", "isotropic"), hit_window(3))
+    assert np.array_equal(real.axes, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+
 @pytest.mark.parametrize("query, match", [
     pytest.param(lambda real: ray_intervals(real, [-5, 0, 0], np.array([2.0, 0, 0]), 1.0), "unit vector",
                  id="ray_of_a_direction_that_is_not_unit"),
