@@ -565,7 +565,7 @@ class Disc(CrossSection):
             apart = np.any(keep[I] & keep[J] & (dist >= 2.0 * a), axis=0)
             return np.where(keep.sum(axis=0) == 1, math.pi * a * a, np.where(apart, 0.0, _rowsum(green)))
 
-        return _chunked(chunk, C, n * (n - 1))
+        return _chunked(chunk, C, 2 * n * (n - 1))  # complex temporaries (n, n - 1) count twice
 
 
 class ConvexPolygon(CrossSection):

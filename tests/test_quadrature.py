@@ -272,8 +272,11 @@ def test_translates_a_width_apart_along_an_edge_normal_meet_in_exactly_zero_area
 
 @pytest.mark.parametrize("shape, kernel, rows", [(SQUARE, "union_areas", (8192, 16, 2)),
                                                   (SQUARE, "covariogram", (8192, 2)),
-                                                  (Disc(1.0), "union_areas", (8192, 16, 2))],
-                         ids=["square-union_areas", "square-covariogram", "disc-union_areas"])
+                                                  (Disc(1.0), "union_areas", (8192, 16, 2)),
+                                                  (SQUARE, "intersection_areas", (8192, 3, 2)),
+                                                  (Disc(1.0), "intersection_areas", (8192, 3, 2))],
+                         ids=["square-union_areas", "square-covariogram", "disc-union_areas",
+                              "square-intersection_areas", "disc-intersection_areas"])
 def test_polygon_kernels_keep_their_temporaries_chunked(shape, kernel, rows):
     # every temporary holds at most _CHUNK values; a table over all rows at once would be 16x or more
     # larger than this bound, which leaves room for the input's chunks, the output and a few temporaries
