@@ -6,10 +6,12 @@
 The first form samples two realizations (seeds 11 and 12) of every shape
 family of ``test_sim.HIT_FAMILIES`` under the isotropic, girdle and
 fixed-axes laws, and of the two-polygon mixture ``polygons3`` under the
-isotropic and fixed-axes laws.  On each it hashes the output of
-``covered_mask`` without and with shifts (zero, covariance-derivative
-steps and their halves, a lag, and a shift longer than the window's
-circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
+isotropic and fixed-axes laws.  On each it hashes the ``axes`` and
+``frames`` of the realization and of its CSV export read back, so a
+change of the frame convention shows in entries of its own, and the
+output of ``covered_mask`` without and with shifts (zero,
+covariance-derivative steps and their halves, a lag, and a shift longer
+than the window's circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
 Haar and axis-parallel probes, and ``count_component_entries`` of those
 intervals: each entry is a SHA-256 of the arrays' bytes.  The second form
 lists every entry that differs between two such files and the count of
@@ -20,6 +22,7 @@ exits 1 when a shared entry differs and 0 otherwise.
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +59,7 @@ def shifted_rows(real, pts, shifts):
         return np.array([sim.covered_mask(real, pts)] + [sim.covered_mask(real, pts + s) for s in shifts])
 
 
-def values() -> dict:
+def values(tmp: Path) -> dict:
     out = {}
     for family, law in CASES:
         spec = parity_spec(family, law)
@@ -65,6 +68,11 @@ def values() -> dict:
         for seed in SEEDS:
             key = f"{family}_{law}/{seed}"
             real = sim.sample_realization(spec, window, seed)
+            sim.export_realization_csv(real, tmp / "real.csv")
+            back = sim.import_realization_csv(tmp / "real.csv", spec, window)
+            for source, r in (("sample", real), ("csv", back)):
+                for name in ("axes", "frames"):
+                    out[f"{key}/{source}[{name}]"] = digest(getattr(r, name))
             gen = philox_stream(seed, 7)
             pts = window.uniform_points(gen, N_POINTS)
             dirs = haar_vectors(d, gen, 6)
@@ -104,5 +112,6 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
         sys.exit(0 if compare(*sys.argv[2:4]) else 1)
     else:
-        json.dump(values(), sys.stdout, indent=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            json.dump(values(Path(tmp)), sys.stdout, indent=1)
         print()
