@@ -130,7 +130,7 @@ class Direction:
         return isinstance(other, Direction) and np.array_equal(self._v, other._v)
 
     def __hash__(self):
-        return hash(self._v.tobytes())
+        return hash((self._v + 0.0).tobytes())  # + 0.0 folds -0.0 into 0.0, which compares equal
 
     def __repr__(self):
         return f"Direction({self._v.tolist()})"

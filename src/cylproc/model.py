@@ -5,9 +5,10 @@ cylinder axes, the intensity (expected cylinders per unit (d-k)-volume of
 position space), a directional law for the axes, and a base law for the
 cross sections.  The directional law is stated on the vector identifying
 the direction space: the axis direction when k = 1, the normal when
-k = d - 1.  Base sets are centred so the circumcentre sits at the origin
-of the canonical complement frame, and the base law does not depend on
-the sampled direction.
+k = d - 1; :meth:`ProcessSpec.subspace_frames` alone turns it into the
+complement frame.  Base sets are centred so the circumcentre sits at the
+origin of that frame, and the base law does not depend on the sampled
+direction.
 
 Each directional law owns what depends on its kind: its draws and its
 quadrature.  The continuous laws integrate over their one line-angle
@@ -177,14 +178,13 @@ class _ContinuousLaw:
     def frames(self, spec):
         """Complement frames (N, 3, 3 - k) of the product rule's nodes, and their weights, both read-only.
 
-        A slab's frame is its node itself, the normal of its plane.  They
-        are built on the first call for each ``rule`` and k, and held.
+        The nodes are not canonicalized, which would flip some slab frames.
+        They are built on the first call for each ``rule`` and k, and held.
         """
         key = (self.rule, spec.k)
         if key not in self._held:
             dirs, ww = self.nodes()
-            frames = complement_frames(dirs[:, :, None]) if spec.k == 1 else dirs[:, :, None]
-            self._held[key] = _read_only(frames), _read_only(ww)
+            self._held[key] = _read_only(spec.subspace_frames(dirs)), _read_only(ww)
         return self._held[key]
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
@@ -284,7 +284,7 @@ class FixedAxes:
         The frames are built on the first call for each k, and held.
         """
         if spec.k not in self._held:
-            self._held[spec.k] = _read_only(spec.subspace_frames(self._vecs)[1])
+            self._held[spec.k] = _read_only(spec.subspace_frames(self._vecs))
         return self._held[spec.k], self._weights
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
@@ -495,17 +495,14 @@ class ProcessSpec:
         if getattr(self.alpha, "dim", self.d) != self.d:
             raise ArgumentError("alpha", "directional law lives in the wrong dimension")
 
-    def subspace_frames(self, vecs) -> tuple[np.ndarray, np.ndarray]:
-        """Bases (N, d, k) and complement frames (N, d, d - k) of the direction spaces the rows identify.
+    def subspace_frames(self, vecs: np.ndarray) -> np.ndarray:
+        """Complement frames (N, d, d - k) of the direction spaces the unit rows (N, d) identify, as given.
 
-        A row is canonicalized first; it spans the line for k = 1 and is
-        the plane's normal for k = d - 1.
+        A row spans the line for k = 1, whose frame Gram-Schmidt builds, and
+        is the plane's normal, its own frame, for k = d - 1.
         """
-        v = canonical_directions(vecs)[:, :, None]
-        if self.k == 1:
-            return v, complement_frames(v)
-        basis = complement_frames(v)
-        return basis, complement_frames(basis)
+        v = vecs[:, :, None]
+        return complement_frames(v) if self.k == 1 else v
 
     def require_positive_volume(self):
         """Enforce the standing assumption 0 < volume fraction < 1."""

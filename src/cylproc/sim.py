@@ -10,13 +10,12 @@ exact; distances are exact up to the erosion margin used by the callers.
 A :class:`Realization` is a set of read-only arrays: per cylinder its
 identifying vector, complement frame, offset and an index into a table of
 the distinct cross sections.  The sampler fills them in one array pass:
-the frames come from one batched Gram-Schmidt
-(:func:`~cylproc.euclid.complement_frames`, bit for bit the per-subspace
-frames), and each distinct shape's own vectorized hit test compares its
-bases with the window's shadow, the zonotope spanned by the projected box
-edges.  The CSV reader fills the same arrays row by row and builds all
-frames in the same batched call; a shape is written under its tag and
-parameter.
+the vectors are the law's canonical draws, whose frames
+:meth:`~cylproc.model.ProcessSpec.subspace_frames` builds, and each
+distinct shape's own vectorized hit test compares its bases with the
+window's shadow, the zonotope spanned by the projected box edges.  The
+CSV reader fills the same arrays row by row and canonicalizes the vectors
+before the same call; a shape is written under its tag and parameter.
 
 Each query has one kernel, :func:`covered_mask`, :func:`distance_mask`
 and :func:`ray_interval_bulk`.  It loops over the shape table, projects
@@ -52,7 +51,6 @@ from .euclid import (
     _run_ends,
     _sweep,
     canonical_directions,
-    complement_frames,
     number,
     shape_from_params,
 )
@@ -125,9 +123,9 @@ class Realization:
     """All cylinders of one sample hitting the window, as read-only arrays.
 
     Cylinder i is {y : y . frames[i] in shapes[shape_index[i]] + offsets[i]}:
-    ``frames`` (N, d, m) holds the canonical frame of each complement,
-    ``offsets`` (N, m) the base position in it, and ``axes`` (N, d) the
-    identifying vector (the axis of a line, the normal of a slab).
+    ``axes`` (N, d) holds the canonical identifying vector (the axis of a
+    line, the normal of a slab), ``frames`` (N, d, m) its complement frame
+    by ``spec.subspace_frames``, and ``offsets`` (N, m) the base position.
     ``shapes`` holds the distinct cross sections.
     """
 
@@ -183,14 +181,13 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
         ang = rng.uniform(0.0, 2.0 * math.pi, n)
         offs = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     live = np.flatnonzero(np.array([shape is not None for shape in atoms])[drawn])
-    basis, frame = spec.subspace_frames(dirs[live])
+    frame = spec.subspace_frames(dirs[live])
     centre = np.vecmat(window.center, frame)  # the window centre in each frame
     off = centre + offs[live]
     hit = _hits_window(window, frame, centre, off, atoms, drawn[live])
     used, index = np.unique(drawn[live][hit], return_inverse=True)
     shapes = tuple(atoms[j] for j in used)
-    axes = (basis if spec.k == 1 else frame)[hit, :, 0]
-    return Realization(spec, window, axes, frame[hit], off[hit], shapes, index, seed, stream)
+    return Realization(spec, window, dirs[live][hit], frame[hit], off[hit], shapes, index, seed, stream)
 
 
 def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.ndarray,
@@ -444,10 +441,10 @@ def export_realization_csv(real: Realization, path) -> None:
 def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 0) -> Realization:
     """Rebuild a realization from :func:`export_realization_csv` output.
 
-    Rows are parsed into the arrays as they are read; then all frames are
-    built in one batched call.  The file stores the identifying vector of
-    each direction space: the axis of a line cylinder, whose frame is
-    rebuilt from it, and the normal of a slab, which is its frame.
+    Rows are parsed into the arrays as they are read; then the stored
+    identifying vectors (the axis of a line, the normal of a slab) are
+    canonicalized and all frames built in one ``spec.subspace_frames``
+    call, the rule the sampler's frames follow from its canonical draws.
     Re-exporting the result therefore writes the same bytes.  Each
     distinct (tag, parameters) gives one entry of the shape table; those
     written from a base shape of ``spec`` are that very shape, so polygon
@@ -503,6 +500,5 @@ def import_realization_csv(path, spec: ProcessSpec, window: Window, seed: int = 
         raise ValueError(f"CSV line {i + 2}: the axis {table[i, :d].tolist()} must be finite and nonzero "
                          f"and the offset {table[i, d:].tolist()} finite")
     axes = canonical_directions(table[:, :d])
-    frames = complement_frames(axes[:, :, None]) if spec.k == 1 else axes[:, :, None]
-    return Realization(spec, window, axes, frames, table[:, d:], shapes, np.frombuffer(index, dtype=np.int64),
-                       seed)
+    return Realization(spec, window, axes, spec.subspace_frames(axes), table[:, d:], shapes,
+                       np.frombuffer(index, dtype=np.int64), seed)

@@ -5,12 +5,13 @@ route: the convex hull of the projected window corners, the
 point-to-hull distance and a separating-axis overlap test.  The tests
 compare the batched hit test with :func:`hits_window` candidate by
 candidate, and the sampler with :func:`sample_reference`, the
-per-candidate sampler loop built on it.  Directions come from
-:func:`canonical_direction` and frames from :func:`complement_frame`,
-the one-vector loops that ``euclid.canonical_directions`` and
-``euclid.complement_frames`` batch; :func:`subspace` builds the direction
-space of one sampled vector from them.  The query oracles are the
-per-cylinder loops the simulation module used to run.  The quadrature
+per-candidate sampler loop built on it.  :func:`canonical_direction`
+and :func:`complement_frame` are the one-vector loops that
+``euclid.canonical_directions`` and ``euclid.complement_frames`` batch;
+:func:`subspace` gives the complement frame of the direction space one
+canonical vector identifies, as ``ProcessSpec.subspace_frames`` does for
+a stack.  The query oracles are the per-cylinder loops the simulation
+module used to run.  The quadrature
 oracle, at the end, is the node-by-node loop the analytic module used to
 run, with covariograms one lag at a time from closed forms and, for
 polygons, from clipping one copy of the polygon by the other, and the
@@ -44,15 +45,14 @@ def canonical_direction(v) -> np.ndarray:
     raise ValueError("zero vector has no canonical sign")
 
 
-def subspace(spec, vec) -> tuple[np.ndarray, np.ndarray]:
-    """(basis, complement frame) of the direction space one vector identifies, one subspace at a time.
+def subspace(spec, vec) -> np.ndarray:
+    """Complement frame of the direction space one unit vector identifies, one subspace at a time.
 
-    The canonical vector spans the line for k = 1 and is the plane's
-    normal for k = d - 1.
+    The vector, taken as given, spans the line for k = 1 and is the
+    plane's normal, and so its own frame, for k = d - 1.
     """
-    v = canonical_direction(vec)[:, None]
-    basis = v if spec.k == 1 else complement_frame(v)
-    return basis, complement_frame(basis)
+    v = np.asarray(vec, dtype=float)[:, None]
+    return complement_frame(v) if spec.k == 1 else v.copy()
 
 
 def complement_frame(B: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ def corners(window) -> np.ndarray:
 
 
 def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
-    """(basis, frame, shape, offset) of each kept cylinder: the sampler's draws, one candidate at a time."""
+    """(axis, frame, shape, offset) of each kept cylinder: the sampler's draws, one candidate at a time."""
     rng = philox_stream(seed, stream)
     m = spec.d - spec.k
     rho = window.circumradius + spec.base.max_circumradius
@@ -108,10 +108,10 @@ def sample_reference(spec, window, seed: int, stream: int = 0) -> list:
     for vec, shape, o in zip(dirs, shapes, offs):
         if shape is None:
             continue
-        basis, frame = subspace(spec, vec)
+        frame = subspace(spec, vec)
         off = window.center @ frame + o
         if hits_window(frame, shape, off, corners(window)):
-            kept.append((basis, frame, shape, off))
+            kept.append((vec, frame, shape, off))
     return kept
 
 
@@ -293,9 +293,8 @@ def ray_interval_bulk(real, origins, dirs, length: float):
 def law_frames(spec) -> list:
     """(complement frame, weight) of each fixed axis or quadrature node, one subspace at a time."""
     if isinstance(spec.alpha, FixedAxes):
-        return [(subspace(spec, direction.vec)[1], w) for direction, w in spec.alpha.axes]
-    return [(complement_frame(omega[:, None]) if spec.k == 1 else omega[:, None], w)
-            for omega, w in zip(*spec.alpha.nodes())]
+        return [(subspace(spec, direction.vec), w) for direction, w in spec.alpha.axes]
+    return [(subspace(spec, omega), w) for omega, w in zip(*spec.alpha.nodes())]
 
 
 def radial_mean(spec, h, f) -> float:

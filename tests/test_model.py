@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cylproc import model
-from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment
+from cylproc.euclid import ConvexPolygon, Direction, Disc, Segment, canonical_directions
 from cylproc.model import (
     DeterministicBase,
     DiscRadiusLaw,
@@ -75,9 +75,29 @@ def test_fixed_axes_and_deterministic_base_are_constant():
         vec = spec.alpha.sample_vectors(spec.d, rng, 1)[0]
         (j,) = spec.base.sample_index(rng, 1)
         K = spec.base.atoms()[j][0]
-        basis, _ = spec.subspace_frames(vec[None])
-        assert np.allclose(basis[0, :, 0], [0, 0, 1])
+        frame = spec.subspace_frames(vec[None])[0]
+        assert np.allclose(vec, [0, 0, 1]) and np.allclose(vec @ frame, 0)
         assert K == Disc(1.0)
+
+
+# the fixed axes hold leading coordinates in (1e-12, 1e-7] ahead of a negative one, which a
+# sign test at another tolerance than canonical_directions' would flip
+SAMPLED_LAWS = {
+    "isotropic": lambda d: Isotropic(),
+    "girdle": lambda d: GirdleBand([0.6, 0.8] if d == 2 else [0.6, 0.0, 0.8], 0.4),
+    "fixed": lambda d: FixedAxes([([1e-9, -1.0], 0.5), ([0.6, 0.8], 0.3), ([1.0, 0.0], 0.2)] if d == 2 else
+                                 [([1e-9, -0.6, 0.8], 0.4), ([0.0, 1e-10, -1.0], 0.3), ([0.6, 0.0, 0.8], 0.3)]),
+    "fixed_one": lambda d: FixedAxes([([1e-8, -1.0] if d == 2 else [1e-8, -0.6, 0.8], 1.0)]),
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("law", sorted(SAMPLED_LAWS))
+def test_sampled_vectors_are_canonical_rows_bit_for_bit(law, d):
+    # the sampler stores the draws as axes and builds the frames from them as they are
+    u = SAMPLED_LAWS[law](d).sample_vectors(d, philox_stream(21, 0), 5000)
+    assert u.shape == (5000, d)
+    assert u.tobytes() == canonical_directions(u).tobytes()
 
 
 def test_girdle_band_constraint():
