@@ -72,11 +72,11 @@ GOLDEN = {
             "1533616f4563c82428e9d2ccc44b58eb0217e5ed7716666d2bf34dbef2b69a58"),
     },
     "slab": {
-        1: ("84247c69a6de66b85e3152327d225ba02a1e991c2b03e1d2dfaa8919ba7f8160",
+        1: ("62ee1880bce9bc0d93eb2df33ff2ff66876149926e3f47644cde51e4853a02a2",
             "91fd4840d8c8a7f1c88fc7655b5a2744bc37fc15289f307afd38517544b014d6"),
-        2: ("35508fcd5fd1973a9f94efaf8a0e815514828e2e4c33ddc85809d2fc225d1b74",
+        2: ("e243a0a20eb9b31d850dd1672b57f21083dabaaf86c7ec3a372cfed002c0f2e0",
             "05c94b4ca3a136c8335141005d13efa53f9cc9dba8400b89a0e70fd1c6b7b295"),
-        3: ("228e0af35e621860600415890aebb70e69a3407146c7683af7f889853d5f5d73",
+        3: ("33f4f1b9f368e1aa5e12c9e6215f95dd2200934ee3dad3572d3093271d552520",
             "88d06d8c6149b3c2f3ac6d4e4e520ae71a83de85cdc5f83c5b6929f2d7b171a8"),
     },
     "square3": {
@@ -124,7 +124,7 @@ CAPACITY_GOLDEN = {
     "band2_iso": "0x1.388948c207d2bp-1",
     "fixed_disc3": "0x1.1e4fae24a78e8p-1",
     "fixed_mixture3": "0x1.6f7c20ad039edp-2",
-    "fixed_slab3": "0x1.fd26e64bc1afap-2",
+    "fixed_slab3": "0x1.fd26e64bc1afcp-2",
     "fixed_square3": "0x1.3fbcaed126854p-2",
     "slab_girdle": "0x1.0a9505a21f943p-1",
     "slab_iso": "0x1.ff44329da55d2p-2",
