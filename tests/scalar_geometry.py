@@ -11,11 +11,11 @@ and :func:`complement_frame` are the one-vector loops that
 :func:`subspace` gives the complement frame of the direction space one
 canonical vector identifies, as ``ProcessSpec.subspace_frames`` does for
 a stack.  The query oracles are the per-cylinder loops the simulation
-module used to run.  The quadrature
-oracle, at the end, is the node-by-node loop the analytic module used to
-run, with covariograms one lag at a time from closed forms and, for
-polygons, from clipping one copy of the polygon by the other, and the
-axis-by-axis radial mean of fixed axes.
+module used to run.  The quadrature oracle, at the end, is the
+node-by-node loop the analytic module used to run, with covariograms one
+lag at a time from closed forms and, for polygons, from clipping one copy
+of the polygon by the other, and the axis-by-axis radial mean of fixed
+axes.
 """
 
 import math
@@ -52,7 +52,7 @@ def subspace(spec, vec) -> np.ndarray:
     plane's normal, and so its own frame, for k = d - 1.
     """
     v = np.asarray(vec, dtype=float)[:, None]
-    return complement_frame(v) if spec.k == 1 else v.copy()
+    return complement_frame(v) if spec.k == 1 else v
 
 
 def complement_frame(B: np.ndarray) -> np.ndarray:
