@@ -6,9 +6,10 @@
 The first form samples two realizations (seeds 11 and 12) of every shape
 family of ``test_sim.HIT_FAMILIES`` under the isotropic, girdle and
 fixed-axes laws, and of the two-polygon mixture ``polygons3`` under the
-isotropic and fixed-axes laws.  On each it hashes the ``axes`` and
-``frames`` of the realization and of its CSV export read back, so a
-change of the frame convention shows in entries of its own, and the
+isotropic and fixed-axes laws.  On each it hashes the ``axes``,
+``frames``, ``offsets`` and ``shape_index`` of the realization and of its
+CSV export read back, so a change of the frame convention or of the
+sampler's draws shows in entries of its own, and the
 output of ``covered_mask`` without and with shifts (zero,
 covariance-derivative steps and their halves, a lag, and a shift longer
 than the window's circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
@@ -71,7 +72,7 @@ def values(tmp: Path) -> dict:
             sim.export_realization_csv(real, tmp / "real.csv")
             back = sim.import_realization_csv(tmp / "real.csv", spec, window)
             for source, r in (("sample", real), ("csv", back)):
-                for name in ("axes", "frames"):
+                for name in ("axes", "frames", "offsets", "shape_index"):
                     out[f"{key}/{source}[{name}]"] = digest(getattr(r, name))
             gen = philox_stream(seed, 7)
             pts = window.uniform_points(gen, N_POINTS)
