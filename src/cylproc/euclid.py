@@ -136,21 +136,21 @@ class Direction:
         return f"Direction({self._v.tolist()})"
 
 
-def complement_frames(B: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal bases of the orthogonal complements of span(B[i]) for a stack B (N, d, m).
+def complement_frames(V: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal bases (N, d, d - 1) of the complements of the lines the unit rows V (N, d) span.
 
     Gram-Schmidt over the standard basis in index order, two passes per
     candidate (the second restores orthogonality lost to rounding); a
     candidate is accepted when its residual is comfortably nonzero.  The
-    result depends only on span(B[i]) numerically, never on run order or
-    on the other rows, which keeps complement coordinates reproducible.
-    Every dot product goes through ``np.vecdot``, ``np.vecmat`` or
-    ``np.matvec`` on C-contiguous stacks, which round like the scalar
-    ``@`` of a one-subspace loop; ``einsum`` or a plain sum would not.
+    result depends only on the line V[i] spans numerically, never on run
+    order or on the other rows, which keeps complement coordinates
+    reproducible.  Every dot product goes through ``np.vecdot`` on
+    C-contiguous stacks, which rounds like the scalar ``@`` of a
+    one-line loop; ``einsum`` or a plain sum would not.
     """
-    B = np.ascontiguousarray(B, dtype=float)
-    N, d, m = B.shape
-    k = d - m
+    V = np.ascontiguousarray(V, dtype=float)
+    N, d = V.shape
+    k = d - 1
     F = np.zeros((N, d, k))
     count = np.zeros(N, dtype=np.intp)  # columns accepted so far, per row
     for i in range(d):
@@ -160,7 +160,7 @@ def complement_frames(B: np.ndarray) -> np.ndarray:
         v = np.zeros((N, d))
         v[:, i] = 1.0
         for _ in range(2):
-            v = v - np.matvec(B, np.vecmat(v, B))
+            v = v - V * np.vecdot(V, v)[:, None]
             for j in range(k):
                 has = count > j
                 if not has.any():

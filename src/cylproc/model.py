@@ -19,9 +19,10 @@ f(|Pr h|) over its direction spaces, split at the kinks of f, and one
 ``union_mean``, the mean of a function of a point set's projections
 onto the complement: over the arc, split where a projected gap meets
 a target, for a continuous law in the plane, and otherwise over the
-frames, added frame by frame in order.  A law builds its frames once
-per rule and k and holds them read-only for every later call, while
-``nodes`` builds the rule anew on each call.
+frames, added frame by frame in order.  Every law builds the frames of
+its ``nodes`` (a product rule, or the fixed axes themselves) once per
+rule and k and holds them read-only for every later call, while a
+continuous law's ``nodes`` builds the rule anew on each call.
 """
 
 from __future__ import annotations
@@ -161,22 +162,19 @@ def _frame_sum(spec, pts: np.ndarray, f) -> float:
 
 
 _POLE = np.array([0.0, 0.0, 1.0])
-_POLE_FRAME = complement_frames(_POLE[None, :, None])[0]
+_POLE_FRAME = complement_frames(_POLE[None])[0]
 
 
-class _ContinuousLaw:
-    """A directional law with a density: integrated over its 2-D arc or its 3-D product rule.
+class _HeldFrames:
+    """A directional law whose quadrature ``nodes()``, directions and weights, are framed once per ``rule`` and k."""
 
-    Each law supplies ``arc``, the line-angle interval (lo, hi, density)
-    that carries it in the plane, ``nodes()``, its product rule in space,
-    and ``_radial_mean_3d``.
-    """
+    rule = None  # a law with a product rule names its sizes here
 
     def __init__(self):
         self._held = {}  # (rule, k) -> read-only frames and weights
 
     def frames(self, spec):
-        """Complement frames (N, 3, 3 - k) of the product rule's nodes, and their weights, both read-only.
+        """Complement frames (N, d, d - k) of the law's nodes, and their weights, both read-only.
 
         The nodes are not canonicalized, which would flip some slab frames.
         They are built on the first call for each ``rule`` and k, and held.
@@ -186,6 +184,15 @@ class _ContinuousLaw:
             dirs, ww = self.nodes()
             self._held[key] = _read_only(spec.subspace_frames(dirs)), _read_only(ww)
         return self._held[key]
+
+
+class _ContinuousLaw(_HeldFrames):
+    """A directional law with a density: integrated over its 2-D arc or its 3-D product rule.
+
+    Each law supplies ``arc``, the line-angle interval (lo, hi, density)
+    that carries it in the plane, ``nodes()``, its product rule in space,
+    and ``_radial_mean_3d``.
+    """
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
         """E over the law of f(|Pr h|), Pr the projection onto the complement of the direction space.
@@ -241,20 +248,15 @@ class Isotropic(_ContinuousLaw):
         # k = 2: |Pr h| = r z, with z = |<h / r, normal>| uniform on [0, 1]
         return _piecewise_gl(lambda z: f(r * z), 0.0, 1.0, [t / r for t in targets if t < r])
 
-    def __eq__(self, other):
-        return isinstance(other, Isotropic)
-
-    def __hash__(self):
-        return hash("Isotropic")
-
     def __repr__(self):
         return "Isotropic()"
 
 
-class FixedAxes:
+class FixedAxes(_HeldFrames):
     """Discrete directional law on finitely many axes with positive weights, summed axis by axis."""
 
     def __init__(self, axes):
+        super().__init__()
         pairs = tuple((a if isinstance(a, Direction) else Direction(a), number(w, "weight")) for a, w in axes)
         if not pairs:
             raise ValueError("at least one axis required")
@@ -265,7 +267,6 @@ class FixedAxes:
         self.axes = pairs
         self._vecs = np.array([a.vec for a, _ in pairs])
         self._weights = _read_only(np.array([w for _, w in pairs]))
-        self._held = {}  # k -> read-only complement frames
 
     @property
     def dim(self) -> int:
@@ -278,14 +279,9 @@ class FixedAxes:
             return self._vecs[np.zeros(n, dtype=np.intp)]
         return self._vecs[rng.choice(len(self.axes), size=n, p=self._weights)]
 
-    def frames(self, spec):
-        """Complement frames (N, d, d - k) of the axes' direction spaces, and the weights, both read-only.
-
-        The frames are built on the first call for each k, and held.
-        """
-        if spec.k not in self._held:
-            self._held[spec.k] = _read_only(spec.subspace_frames(self._vecs))
-        return self._held[spec.k], self._weights
+    def nodes(self):
+        """The axes (N, d) and their weights: the law's own quadrature."""
+        return self._vecs, self._weights
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
         """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
@@ -314,7 +310,7 @@ class GirdleBand(_ContinuousLaw):
         self.delta = real("delta", delta)
         if not 0.0 < self.delta <= 0.5 * math.pi:
             raise ArgumentError("delta", "band half-width delta must lie in (0, pi/2]")
-        self.frame = complement_frames(self.axis.vec[None, :, None])[0]  # d x (d - 1) frame orthogonal to the axis
+        self.frame = complement_frames(self.axis.vec[None])[0]  # d x (d - 1) frame orthogonal to the axis
         c = math.atan2(self.axis.vec[1], self.axis.vec[0]) + 0.5 * math.pi
         self.arc = (c - self.delta, c + self.delta, 1.0 / (2.0 * self.delta))
 
@@ -410,7 +406,7 @@ class BaseDistribution:
 
     @property
     def mean_boundary(self) -> float:
-        return sum(w * shape.boundary for shape, w in self._atoms if shape is not None)
+        return sum((w * shape.boundary for shape, w in self._atoms if shape is not None), 0.0)
 
     @property
     def max_circumradius(self) -> float:
@@ -501,8 +497,7 @@ class ProcessSpec:
         A row spans the line for k = 1, whose frame Gram-Schmidt builds, and
         is the plane's normal, its own frame, for k = d - 1.
         """
-        v = vecs[:, :, None]
-        return complement_frames(v) if self.k == 1 else v
+        return complement_frames(vecs) if self.k == 1 else vecs[:, :, None]
 
     def require_positive_volume(self):
         """Enforce the standing assumption 0 < volume fraction < 1."""

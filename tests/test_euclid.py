@@ -62,7 +62,7 @@ def test_equal_directions_hash_equal_whatever_the_sign_of_a_zero():
 
 def test_project_along_examples():
     def complement_coords(axis, x):
-        return np.array(x, dtype=float) @ complement_frames(np.array(axis, dtype=float)[None, :, None])[0]
+        return np.array(x, dtype=float) @ complement_frames(np.array(axis, dtype=float)[None])[0]
 
     assert np.allclose(complement_coords([1.0, 0.0], [3.0, 4.0]), [4.0])
     assert np.allclose(complement_coords([1.0, 0.0], [5.0, 0.0]), [0.0])
@@ -423,7 +423,7 @@ def direction_batch(kind: str, d: int, seed: int, n: int = 48) -> np.ndarray:
 def test_batched_frames_match_the_scalar_subspaces_bit_for_bit(kind, d, seed):
     vecs = direction_batch(kind, d, seed)
     canon = canonical_directions(vecs)
-    frames = complement_frames(canon[:, :, None])
+    frames = complement_frames(canon)
     for v, c, f in zip(vecs, canon, frames):
         # the batched canonicalization and Gram-Schmidt are the scalar one-vector loops, bit for bit
         assert same_bits(scalar.canonical_direction(v), c)
@@ -453,4 +453,4 @@ def test_batched_frames_reject_what_direction_rejects():
         canonical_directions(np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]]))
     with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
         canonical_directions(np.ones((2, 4)))
-    assert complement_frames(np.zeros((0, 3, 1))).shape == (0, 3, 2)
+    assert complement_frames(np.zeros((0, 3))).shape == (0, 3, 2)
