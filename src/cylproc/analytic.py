@@ -187,17 +187,14 @@ def capacity_finite(spec: ProcessSpec, points) -> float:
     pts = reals("points", points, (None, spec.d))
     if not 0 < len(pts) <= MAX_CAPACITY_POINTS:
         raise ArgumentError("points", f"the point set must hold 1 to {MAX_CAPACITY_POINTS} points")
-    lam = spec.intensity
-    abar = spec.base.mean_area
     if len(pts) == 1:
-        return -math.expm1(-lam * abar)
+        return volume_fraction(spec)
     if len(pts) == 2:
-        vol = 2.0 * abar - _expect_gamma(spec, pts[1] - pts[0])
-        return -math.expm1(-lam * vol)
-    # the union volume kinks where a projected pairwise gap matches an atom diameter
-    targets = [shape.diameter for shape, _ in _split_atoms(spec)[0]]
-    vol = spec.alpha.union_mean(spec, pts, lambda proj: _union_volumes(spec, proj), targets)
-    return -math.expm1(-lam * vol)
+        vol = 2.0 * spec.base.mean_area - _expect_gamma(spec, pts[1] - pts[0])
+    else:  # the union volume kinks where a projected pairwise gap matches an atom diameter
+        targets = [shape.diameter for shape, _ in _split_atoms(spec)[0]]
+        vol = spec.alpha.union_mean(spec, pts, lambda proj: _union_volumes(spec, proj), targets)
+    return -math.expm1(-spec.intensity * vol)
 
 
 def _union_volumes(spec: ProcessSpec, proj: np.ndarray) -> np.ndarray:
@@ -259,8 +256,6 @@ def specific_surface(spec: ProcessSpec) -> float:
     certifies the identity.
     """
     lam = spec.intensity
-    if lam == 0.0:
-        return 0.0
     d, k = spec.d, spec.k
     haar = haar_mean_line_det(d) if k == 1 else haar_mean_plane_det()
     slope = -spec.base.mean_boundary / crofton_factor(d - k)
