@@ -19,7 +19,7 @@ from . import analytic, estimate
 from .model import (ArgumentError, ConfigError, ProcessSpec, _built, check_fields, direction, real, reals,
                     spec_from_dict)
 from .optimize import DesignProblem, solve_radius_law, solution_to_json, verify_solution
-from .sim import Window, export_realization_csv, sample_realization
+from .sim import Window, _covering, export_realization_csv, sample_realization
 
 
 def _fmt(x: float) -> str:
@@ -56,6 +56,7 @@ def _parse_window(config: dict, spec: ProcessSpec) -> Window:
     window = _built("window", Window, doc["lo"], doc["hi"])
     if window.dim != spec.d:
         raise ConfigError(f"window: a box in R^{window.dim} does not match the spec's R^{spec.d}")
+    _covering(spec, window)  # a window the sampler cannot draw fails before any sampling
     return window
 
 
@@ -138,7 +139,7 @@ def _run_estimators(config: dict, args) -> list[estimate.EstimateReport]:
     n_points = _built("estimate", real, "n_points", section.get("n_points", 100_000), minimum=1, integer=True)
     n_reps = _built("estimate", real, "n_replicates", section.get("n_replicates", 50), minimum=2, integer=True)
     estimators = [_prepare(q, section, spec, window, n_points) for q in quantities]
-    return estimate.run_estimators(spec, window, estimators, n_reps, args.seed, args.workers)
+    return _built("estimate", estimate.run_estimators, spec, window, estimators, n_reps, args.seed, args.workers)
 
 
 def _emit_reports(reports, args) -> None:
@@ -220,12 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--z-threshold", type=float, default=4.0,
                         help="compare: largest acceptable |z| (default 4)")
+    parser.error = _usage_error  # exit 1 through main, not argparse's exit 2
     return parser
 
 
+def _usage_error(message: str):
+    raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         real("--workers", args.workers, minimum=1, integer=True)
         real("--seed", args.seed, minimum=0, integer=True)
         real("--z-threshold", args.z_threshold, minimum=0)

@@ -110,7 +110,10 @@ def run_estimators(spec: ProcessSpec, window: Window, estimators, n_reps: int, s
 
     def replicate(rep):
         real = sample_realization(spec, window, seed, stream=2 * rep)
-        return [e.one(real, philox_stream(seed, 2 * rep + 1)) for e in estimators]
+        try:
+            return [e.one(real, philox_stream(seed, 2 * rep + 1)) for e in estimators]
+        except ValueError as exc:
+            raise ValueError(f"replicate {rep}: {exc}") from exc
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -179,15 +182,16 @@ def est_covariance(spec: ProcessSpec, window: Window, lags, n_points: int, n_rep
 # contact distributions
 # ---------------------------------------------------------------------------
 
-def _uncovered_points(real: Realization, gen, region: Window, n_points: int, p_hint: float):
-    """Uniform points of the region conditioned on not being covered."""
+def _uncovered_points(real: Realization, gen, region: Window, n_points: int, p_hint: float, quantity: str):
+    """Uniform points of the region conditioned on not being covered, or a ValueError naming the quantity."""
     out = []
     have = 0
     guard = 0
     while have < n_points:
         guard += 1
         if guard > 200:
-            raise RuntimeError("rejection sampling failed to find uncovered points")
+            raise ValueError(f"{quantity}: 200 batches of rejection sampling found {have} of {n_points} "
+                             "uncovered points: the realization covers nearly all of the region")
         need = n_points - have
         batch = max(int(need / max(1.0 - p_hint, 1e-3) * 1.25), 256)
         pts = region.uniform_points(gen, batch)
@@ -225,7 +229,7 @@ def prepare_spherical_cdf(spec: ProcessSpec, window: Window, radii, n_points: in
     region = window.erode(r_max)
 
     def one(real, gen):
-        pts = _uncovered_points(real, gen, region, n_points, p)
+        pts = _uncovered_points(real, gen, region, n_points, p, "spherical_cdf")
         dist = distance_mask(real, pts)
         return [float(np.mean(dist <= r)) for r in radii]
 
@@ -248,7 +252,7 @@ def prepare_linear_cdf(spec: ProcessSpec, window: Window, eta: Direction, radii,
         raise ValueError("linear contact estimation: complement is too thin for rejection sampling (p > 0.999)")
 
     def one(real, gen):
-        pts = _uncovered_points(real, gen, region, n_rays, p)
+        pts = _uncovered_points(real, gen, region, n_rays, p, "linear_cdf")
         t_first = first_entry_times(real, pts, eta_vec, r_max)
         return [float(np.mean(t_first <= r)) for r in radii]
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .euclid import (
     _TANGENT_TOL,
     GEOM_TOL,
@@ -54,7 +55,7 @@ from .euclid import (
     number,
     shape_from_params,
 )
-from .model import ProcessSpec
+from .model import ArgumentError, ProcessSpec
 from .rng import philox_stream
 
 
@@ -74,8 +75,8 @@ class Window:
         hi = tuple(number(x, "window bounds") for x in self.hi)
         if len(lo) != len(hi) or len(lo) not in (2, 3):
             raise ValueError("window must be a box in R^2 or R^3")
-        if not all(h > l for l, h in zip(lo, hi)):
-            raise ValueError("window must have positive extent in every coordinate")
+        if not all(0.0 < h - l < math.inf for l, h in zip(lo, hi)):
+            raise ValueError("window must have a positive finite extent in every coordinate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -150,6 +151,25 @@ class Realization:
         return len(self.shape_index)
 
 
+_MAX_MEAN = 9.2e18  # numpy's Poisson sampler draws means up to about 9.22e18
+
+
+def _covering(spec: ProcessSpec, window: Window) -> tuple[float, float]:
+    """Radius R_W + r_max of the covering disc or interval in position space, and its mean candidate count.
+
+    A count the Poisson sampler cannot draw is an ArgumentError naming the window.
+    """
+    r_max = spec.base.max_circumradius
+    if not math.isfinite(r_max):
+        raise ValueError("base law must have bounded circumradius")
+    rho = window.circumradius + r_max
+    mean = spec.intensity * (2.0 * rho if spec.d - spec.k == 1 else math.pi * rho * rho)
+    if not mean <= _MAX_MEAN:
+        raise ArgumentError("window", f"the window needs {mean:.3g} candidate cylinders on average, "
+                                      f"more than the sampler can draw ({_MAX_MEAN:.3g})")
+    return rho, mean
+
+
 def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int = 0) -> Realization:
     """Exact sample of the cylinders hitting the window.
 
@@ -162,14 +182,10 @@ def sample_realization(spec: ProcessSpec, window: Window, seed: int, stream: int
     """
     if spec.d != window.dim:
         raise ValueError("spec and window dimensions differ")
-    r_max = spec.base.max_circumradius
-    if not math.isfinite(r_max):
-        raise ValueError("base law must have bounded circumradius")
+    rho, mean = _covering(spec, window)
     rng = philox_stream(seed, stream)
     d, m = spec.d, spec.d - spec.k
-    rho = window.circumradius + r_max
-    measure = 2.0 * rho if m == 1 else math.pi * rho * rho
-    n = int(rng.poisson(spec.intensity * measure)) if spec.intensity > 0 else 0
+    n = int(rng.poisson(mean)) if spec.intensity > 0 else 0
 
     atoms = [shape for shape, _ in spec.base.atoms()]
     dirs = spec.alpha.sample_vectors(d, rng, n)
@@ -314,10 +330,11 @@ def ray_intervals(real: Realization, origin, direction, length: float):
     the window.  Tangential grazes produce no interval.
     """
     origin = np.asarray(origin, dtype=float)
-    d_vec = direction.vec if isinstance(direction, Direction) else np.asarray(direction, dtype=float)
-    n = float(np.linalg.norm(d_vec))
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
+    length = model.real("length", length, minimum=0)
+    d_vec = model.reals("direction", direction.vec if isinstance(direction, Direction) else direction,
+                        (real.window.dim,))
+    if abs(float(np.linalg.norm(d_vec)) - 1.0) > 1e-9:
+        raise ArgumentError("direction", "direction must be a unit vector")
     endpoint = origin + length * d_vec
     inside = real.window.contains_points(np.stack([origin, endpoint]))
     if not bool(np.all(inside)):

@@ -398,6 +398,11 @@ SPEC2 = {"d": 2, "k": 1, "lambda": 0.1, "alpha": {"type": "isotropic"},
                  "error: estimate.quantities: unknown quantity 'volume'", id="unknown_quantity"),
     pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0, 0], "hi": [8, 8, 8, 8]}},
                  "error: window: window must be a box in R^2 or R^3", id="four_coordinates"),
+    # both fail before anything is drawn or allocated
+    pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [1e12, 4, 4]}},
+                 "error: window: the window needs ", id="more_candidates_than_the_sampler_draws"),
+    pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [-1e308, 0, 0], "hi": [1e308, 4, 4]}},
+                 "error: window: window must have a positive finite extent", id="extent_overflows"),
 ])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, config, message):
     path = tmp_path / "config.json"
@@ -415,3 +420,33 @@ def test_importing_the_package_and_the_cli_leaves_scipy_special_unloaded():
     path = [str(Path(cylproc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["compare", "--seed", "abc", "--config", "x.json"], "argument --seed: invalid int value",
+                 id="seed_not_an_integer"),
+    pytest.param(["compare", "--seed", "1"], "the following arguments are required: --config", id="no_config"),
+    pytest.param(["optimise", "--config", "x.json"], "argument command: invalid choice", id="unknown_command"),
+    pytest.param(["analytic", "--config", "x.json", "--z-threshold", "q"], "argument --z-threshold: invalid float",
+                 id="threshold_not_a_number"),
+])
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0 and "usage: cylproc" in capsys.readouterr().out
+
+
+def test_a_realization_covering_the_rejection_region_exits_1_naming_quantity_and_replicate(tmp_path, capsys):
+    spec = dict(SPEC3, **{"lambda": 1.4})
+    cfg = write_config(tmp_path, {"spec": spec, "window": {"lo": [0, 0, 0], "hi": [4, 4, 4]},
+                                  "estimate": {"quantities": ["spherical_cdf"], "n_points": 200,
+                                               "n_replicates": 5, "radii": [0.5]}})
+    assert main(["estimate", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimate: replicate 2: spherical_cdf: ") and err.count("\n") == 1

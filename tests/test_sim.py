@@ -16,6 +16,7 @@ from cylproc.euclid import (
     gauss_legendre,
 )
 from cylproc.model import (
+    ArgumentError,
     DeterministicBase,
     DiscRadiusLaw,
     FixedAxes,
@@ -82,6 +83,15 @@ def z_axis_discs(offsets):
 
 def single_cylinder_realization():
     return z_axis_discs([[0.0, 0.0]])
+
+
+def test_a_window_the_sampler_cannot_draw_fails_before_any_draw():
+    # both fail before any allocation: the sizes in between would allocate billions of candidates
+    with pytest.raises(ValueError, match="positive finite extent"):
+        Window((-1e308, 0, 0), (1e308, 4, 4))
+    with pytest.raises(ArgumentError, match="more than the sampler can draw") as info:
+        sample_realization(single_cylinder_realization().spec, Window((0, 0, 0), (1e12, 4, 4)), seed=0)
+    assert info.value.field == "window"
 
 
 def test_window_validation_and_geometry():
@@ -631,6 +641,20 @@ def test_csv_reader_takes_an_axis_too_long_to_square(tmp_path):
 def test_queries_reject_arguments_they_cannot_answer(query, match):
     with pytest.raises(ValueError, match=match):
         query(single_cylinder_realization())
+
+
+@pytest.mark.parametrize("direction, length, field", [
+    pytest.param([1.0, 0.0, 0.0], -2.0, "length", id="negative_length"),
+    pytest.param([1.0, 0.0, 0.0], math.nan, "length", id="nan_length"),
+    pytest.param([math.nan, 0.0, 0.0], 1.0, "direction", id="nan_direction"),
+    pytest.param([2.0, 0.0, 0.0], 1.0, "direction", id="direction_not_unit"),
+])
+def test_a_ray_from_a_covered_origin_names_its_bad_argument(direction, length, field):
+    real = single_cylinder_realization()
+    assert covered_mask(real, np.zeros((1, 3)))[0]  # the origin lies on the cylinder's axis
+    with pytest.raises(ArgumentError) as info:
+        ray_intervals(real, [0.0, 0.0, 0.0], np.array(direction), length)
+    assert info.value.field == field
 
 
 # the per-shape kernels against the per-cylinder loops of the oracle: the
