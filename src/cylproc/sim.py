@@ -75,8 +75,9 @@ class Window:
         hi = tuple(number(x, "window bounds") for x in self.hi)
         if len(lo) != len(hi) or len(lo) not in (2, 3):
             raise ValueError("window must be a box in R^2 or R^3")
-        if not all(0.0 < h - l < math.inf for l, h in zip(lo, hi)):
-            raise ValueError("window must have a positive finite extent in every coordinate")
+        sides = [h - l for l, h in zip(lo, hi)]
+        if not (all(s > 0.0 for s in sides) and sum(s * s for s in sides) < math.inf):
+            raise ValueError("window must have a positive extent in every coordinate and a finite diagonal")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -402,7 +402,7 @@ SPEC2 = {"d": 2, "k": 1, "lambda": 0.1, "alpha": {"type": "isotropic"},
     pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [0, 0, 0], "hi": [1e12, 4, 4]}},
                  "error: window: the window needs ", id="more_candidates_than_the_sampler_draws"),
     pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [-1e308, 0, 0], "hi": [1e308, 4, 4]}},
-                 "error: window: window must have a positive finite extent", id="extent_overflows"),
+                 "error: window: window must have a positive extent", id="extent_overflows"),
 ])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, config, message):
     path = tmp_path / "config.json"

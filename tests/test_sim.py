@@ -87,8 +87,9 @@ def single_cylinder_realization():
 
 def test_a_window_the_sampler_cannot_draw_fails_before_any_draw():
     # both fail before any allocation: the sizes in between would allocate billions of candidates
-    with pytest.raises(ValueError, match="positive finite extent"):
-        Window((-1e308, 0, 0), (1e308, 4, 4))
+    for lo, hi in (((-1e308, 0, 0), (1e308, 4, 4)), ((0, 0, 0), (1e200, 1e200, 4))):  # a side, or the diagonal
+        with pytest.raises(ValueError, match="finite diagonal"):
+            Window(lo, hi)
     with pytest.raises(ArgumentError, match="more than the sampler can draw") as info:
         sample_realization(single_cylinder_realization().spec, Window((0, 0, 0), (1e12, 4, 4)), seed=0)
     assert info.value.field == "window"
