@@ -14,7 +14,10 @@ output of ``covered_mask`` without and with shifts (zero,
 covariance-derivative steps and their halves, a lag, and a shift longer
 than the window's circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
 Haar and axis-parallel probes, and ``count_component_entries`` of those
-intervals: each entry is a SHA-256 of the arrays' bytes.  The second form
+intervals: each entry is a SHA-256 of the arrays' bytes.  Line cylinders
+(d - k = 2) add two probe sets: long Haar probes, 0.8 times the window's
+shortest side as in the line scan, and probes within 1e-9 rad of a
+cylinder's axis.  The second form
 lists every entry that differs between two such files and the count of
 equal entries; keys only one file holds are counted, not compared.  It
 exits 1 when a shared entry differs and 0 otherwise.
@@ -40,6 +43,8 @@ CASES += [("polygons3", law) for law in ("isotropic", "fixed")]
 SEEDS = (11, 12)
 N_POINTS = 2000
 LENGTH = 3.0
+LONG = 0.8  # long probes, as a share of the window's shortest side
+TILT = 1e-9  # the largest angle of a near-axis probe to its cylinder's axis, in radians
 STEP = 0.02
 
 
@@ -94,6 +99,27 @@ def values(tmp: Path) -> dict:
                 ids, tins, touts = sim.ray_interval_bulk(real, origins, v, LENGTH)
                 out[f"{key}/ray_interval_bulk[{name}]"] = digest(ids, tins, touts)
                 out[f"{key}/count_component_entries[{name}]"] = str(sim.count_component_entries(ids, tins, touts))
+            if d - spec.k == 2:
+                for name, (length, origins, v) in line_probes(real, gen).items():
+                    ids, tins, touts = sim.ray_interval_bulk(real, origins, v, length)
+                    out[f"{key}/ray_interval_bulk[{name}]"] = digest(ids, tins, touts)
+                    out[f"{key}/count_component_entries[{name}]"] = str(sim.count_component_entries(ids, tins, touts))
+    return out
+
+
+def line_probes(real, gen) -> dict:
+    """Long Haar probes, and probes tilted by at most TILT from the axes of the cylinders in turn."""
+    window, d = real.window, real.spec.d
+    length = LONG * window.min_side
+    haar = haar_vectors(d, gen, N_POINTS)
+    axes = real.axes[np.arange(N_POINTS) % max(real.n_cylinders(), 1)] if real.n_cylinders() else haar
+    across = np.cross(axes, haar_vectors(d, gen, N_POINTS))
+    across /= np.linalg.norm(across, axis=1, keepdims=True)
+    near = axes + np.tan(gen.uniform(0.0, TILT, N_POINTS))[:, None] * across
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    out = {}
+    for name, v in (("haar_long", haar), ("near_axis", near)):
+        out[name] = length, window.erode(0.5 * length).uniform_points(gen, N_POINTS) - 0.5 * length * v, v
     return out
 
 
