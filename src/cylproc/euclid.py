@@ -44,7 +44,6 @@ _FRAME_TOL = 1e-7     # Gram-Schmidt residual acceptance threshold
 _DEDUPE_TOL = 1e-12   # translates, or polygon edge lines, nearer than this times the circumradius coincide
 _JOIN_TOL = 1e-14     # covered pieces of a union of translates nearer than this are joined
 _CHUNK = 1 << 13      # elements per temporary of a union or polygon covariogram kernel (64 KB); bounds a call's memory
-_REACH_TOL = 1e-6     # relative slack of the circumcircle pre-test of the polygon ray kernel
 
 
 def number(value, name: str = "", minimum: float | None = None, integer: bool = False):
@@ -275,8 +274,10 @@ class CrossSection:
     back.  ``param_shape`` arranges a flat list of numbers into it.  The
     covariogram of a ``radial`` kind depends on the lag's length alone.
     ``reach`` and ``diameter`` follow from the circumradius unless a kind
-    sets its own.  Two cross sections are equal when they are of one kind
-    with equal parameters.
+    sets its own.  ``ray_radius(length)`` bounds how far from the origin a
+    line may pass and still get an interval of a probe of that length from
+    ``clipped_intervals``; it is inf where no pair is pruned.  Two cross
+    sections are equal when they are of one kind with equal parameters.
     """
 
     __slots__ = ()
@@ -350,13 +351,16 @@ class Segment(CrossSection):
         """gamma'(o, u) = -1 for unit u (..., 1), in either direction; the number itself when u is None."""
         return -1.0 if u is None else np.full(np.shape(u)[:-1], -1.0)[()]
 
+    def ray_radius(self, length: float) -> float:
+        """inf: no pair is pruned, as the solve is as cheap as any miss test would be."""
+        return math.inf
+
     def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
         """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 1) through the segment.
 
         Returns (flat index into (c, n), t_in, t_out), in index order.  A
         line parallel to the segment and inside it gets [0, length].  Every
-        pair is solved and clipped before the hits are compressed: the
-        solve is as cheap as any miss test would be.
+        pair is solved and clipped before the hits are compressed.
         """
         a = self.half_length
         w0, p0 = w[..., 0], u0[..., 0]
@@ -436,6 +440,13 @@ class Disc(CrossSection):
     def covariogram_derivative(self, u=None):
         """gamma'(o, u) = -2a for unit u (..., 2); the number itself when u is None."""
         return -2.0 * self.radius if u is None else np.full(np.shape(u)[:-1], -2.0 * self.radius)[()]
+
+    def ray_radius(self, length: float) -> float:
+        """The radius: a line gets an interval only where a^2 |w|^2 - (u0 x w)^2 exceeds the tangency tolerance.
+
+        A line parallel to the axis gets one only inside the disc.
+        """
+        return self.radius
 
     def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
         """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 2) through the disc.
@@ -708,28 +719,26 @@ class ConvexPolygon(CrossSection):
         shadow = (np.vstack([perp, np.zeros(2)]) @ self.vertices.T)[:-1]
         return -(shadow.max(axis=1) - shadow.min(axis=1)).reshape(u.shape[:-1])[()]
 
+    def ray_radius(self, length: float) -> float:
+        """The circumradius, widened by how far past an edge the clip lets a line parallel to it pass.
+
+        That is GEOM_TOL plus the drift of a parallel line over the probe,
+        over the edge length, widened at the sharpest corner.
+        """
+        return self.circumradius + (GEOM_TOL + length * _TANGENT_TOL) / self._shortest * self._corner
+
     def clipped_intervals(self, u0: np.ndarray, w: np.ndarray, length: float):
         """The non-empty intervals in [0, length] of the lines u0 + t w (c, n, 2) through the polygon.
 
-        Returns (flat index into (c, n), t_in, t_out), in index order.  Only
-        the lines that pass within ``bound`` of the circumcentre are clipped
-        edge by edge (Cyrus-Beck).  ``bound`` exceeds the circumradius by a
-        relative slack for rounding and by how far past an edge the clip
-        lets a line parallel to it pass: GEOM_TOL plus the drift of a
-        parallel line over the probe, over the edge length, widened at the
-        sharpest corner.
+        Returns (flat index into (c, n), t_in, t_out), in index order.  Every
+        line is clipped edge by edge (Cyrus-Beck); the ray kernel passes only
+        the lines within ``ray_radius`` of the centre.
         """
-        par_slack = (GEOM_TOL + length * _TANGENT_TOL) / self._shortest
-        bound = self.circumradius * (1.0 + _REACH_TOL) + par_slack * self._corner
-        ww = np.einsum("...j,...j->...", w, w)
-        cross = u0[..., 0] * w[..., 1] - u0[..., 1] * w[..., 0]  # |cross| / |w|: distance of the line from the centre
-        live = np.flatnonzero(cross * cross <= bound * bound * ww)
-        cyl, ray = np.unravel_index(live, ww.shape)
-        u0, w = u0[cyl, ray], w[cyl, ray]
+        u0, w = (np.ascontiguousarray(x.reshape(-1, 2)) for x in (u0, w))
         E = np.roll(self.vertices, -1, axis=0) - self.vertices
-        lo = np.full(len(live), -np.inf)
-        hi = np.full(len(live), np.inf)
-        ok = np.ones(len(live), dtype=bool)
+        lo = np.full(len(u0), -np.inf)
+        hi = np.full(len(u0), np.inf)
+        ok = np.ones(len(u0), dtype=bool)
         for n_e, q in zip(np.column_stack([E[:, 1], -E[:, 0]]), self.vertices):
             denom = w @ n_e
             num = (q - u0) @ n_e
@@ -743,7 +752,7 @@ class ConvexPolygon(CrossSection):
             lo = np.where(lower, np.maximum(lo, t), lo)
         lo[~ok] = 0.0
         hi[~ok] = -1.0
-        return _clipped(live, lo, hi, length)
+        return _clipped(np.arange(len(u0)), lo, hi, length)
 
     def meets_zonotope(self, gens: np.ndarray, centre: np.ndarray, off: np.ndarray) -> np.ndarray:
         """Separating-axis test of the polygon at each ``off`` against the zonogon at ``centre`` spanned by gens.

@@ -18,16 +18,21 @@ CSV reader fills the same arrays row by row and canonicalizes the vectors
 before the same call; a shape is written under its tag and parameter.
 
 Each query has one kernel, :func:`covered_mask`, :func:`distance_mask`
-and :func:`ray_interval_bulk`.  It loops over the shape table, projects
+and :func:`ray_interval_bulk`, and each finishes only the pairs whose
+answer can change.  The point kernels loop over the shape table, project
 that shape's cylinders in stacks of at most ``_CHUNK`` point-cylinder
-pairs with one ``matmul``, and runs the shape's own test on the stack.
-The kernels finish only the pairs whose answer can change: a shape's ray
-kernel solves only the lines that pass its miss test and returns only
-non-empty intervals, and :func:`covered_mask` with ``shifts`` re-projects
-only the pairs near enough for a shifted point to fall inside.
+pairs with one ``matmul``, and run the shape's own test on the stack;
+:func:`covered_mask` with ``shifts`` re-projects only the pairs near
+enough for a shifted point to fall inside.  The ray kernel has two
+stages.  The first tests, by one product per stack, whether each probe's
+line passes within the shape's ``ray_radius`` of each line cylinder's
+axis.  The second projects the kept pairs cylinder by cylinder, with the
+same bits as a whole stack, and the shape's own kernel solves them a
+batch of at most ``_CHUNK`` at a time, returning only non-empty
+intervals, grouped by shape, cylinder and probe.
 No code here depends on a shape's kind.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
-n = 1 views of them that add only the window checks.  Probe intervals are
+n = 1 views of them that add only argument and window checks.  Probe intervals are
 merged in one place, :func:`_probe_sweep`, by the interval-union routine
 of the union-of-translates kernels, which takes the pieces of each union
 on axis 0: one column per probe.
@@ -231,6 +236,7 @@ def _hits_window(window: Window, frame: np.ndarray, centre: np.ndarray, off: np.
 
 _CHUNK = 1 << 14  # point-cylinder pairs per stacked projection; bounds every kernel temporary
 _NEAR_TOL = 1e-9  # relative slack of the near-pair test of shifted membership
+_RAY_TOL = 1e-6  # relative slack of the ray kernel's line-to-axis test
 
 
 def _chunks(real: Realization, n: int):
@@ -286,7 +292,7 @@ def covered_mask(real: Realization, points: np.ndarray, shifts=None) -> np.ndarr
 
 def contains(real: Realization, x) -> bool:
     """Exact membership of a single point of the window in the union set."""
-    x = np.asarray(x, dtype=float)
+    x = model.reals("x", x, (real.window.dim,))
     if not real.window.contains_points(x)[0]:
         raise ValueError("membership is only guaranteed inside the window")
     return bool(covered_mask(real, x[None, :])[0])
@@ -314,7 +320,7 @@ def distance_to_union(real: Realization, x) -> float:
     if real.spec.base.has_zero_mass:
         raise ValueError("distance queries are unsupported for base laws with "
                          "radius-zero atoms (their axis lines are not materialized)")
-    x = np.asarray(x, dtype=float)
+    x = model.reals("x", x, (real.window.dim,))
     if not real.window.contains_points(x)[0]:
         raise ValueError("distance queries must start inside the window")
     return float(distance_mask(real, x[None, :])[0])
@@ -330,7 +336,7 @@ def ray_intervals(real: Realization, origin, direction, length: float):
     The probe segment {origin + t*direction, t in [0, length]} must stay in
     the window.  Tangential grazes produce no interval.
     """
-    origin = np.asarray(origin, dtype=float)
+    origin = model.reals("origin", origin, (real.window.dim,))
     length = model.real("length", length, minimum=0)
     d_vec = model.reals("direction", direction.vec if isinstance(direction, Direction) else direction,
                         (real.window.dim,))
@@ -350,20 +356,98 @@ def ray_interval_bulk(real: Realization, origins: np.ndarray, dirs: np.ndarray, 
     Returns flat arrays (ray_id, t_in, t_out) with t clipped to [0, length],
     grouped by shape, then by cylinder, then by probe; an interval whose
     unclipped entry lies before 0 is reported with t_in == 0, which marks a
-    component straddling the segment start.  Each shape's kernel returns
-    only the non-empty intervals.
+    component straddling the segment start.  Two stages: :func:`_ray_pairs`
+    keeps, in that order, the probe-cylinder pairs that can give an
+    interval, and each batch of them is projected by :func:`_project_pairs`
+    and solved by one call of the shape's kernel, which returns only the
+    non-empty intervals.
     """
     origins, dirs = np.asarray(origins, dtype=float), np.asarray(dirs, dtype=float)
-    n = len(origins)
     ids_all, tin_all, tout_all = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
-    for shape, sel in _chunks(real, n):
-        frames = real.frames[sel]
-        u0 = _project(frames, origins) - real.offsets[sel, None]
-        pair, t_in, t_out = shape.clipped_intervals(u0, _project(frames, dirs), length)
-        ids_all.append(pair % n)
+    for shape, cyl, probe in _ray_pairs(real, origins, dirs, length):
+        pair, t_in, t_out = shape.clipped_intervals(*_project_pairs(real, cyl, probe, origins, dirs), length)
+        ids_all.append(pair % len(origins) if probe is None else probe[pair])
         tin_all.append(t_in)
         tout_all.append(t_out)
     return np.concatenate(ids_all).astype(np.int64), np.concatenate(tin_all), np.concatenate(tout_all)
+
+
+def _ray_pairs(real: Realization, origins: np.ndarray, dirs: np.ndarray, length: float):
+    """(shape, cylinder indices, probe indices) of the pairs that can give an interval, at most _CHUNK at a time.
+
+    Pairs come shape by shape, cylinder by cylinder and probe by probe.  A
+    shape whose ``ray_radius`` is inf keeps every pair: it comes in stacks
+    of whole cylinders, as many as _CHUNK pairs hold (at least one), with
+    None for the probes.  Otherwise its cylinders are lines in R^3, and
+    one with axis a through p0 = F off keeps the probes o + t v whose line
+    passes within that radius R of the axis: with
+    P = (o - p0) . (v x a) = v . (p0 x a) + a . (o x v), that is
+    P^2 + (R a . v)^2 <= R^2 |v|^2.  One product of the rows [p0 x a, a]
+    and [R a, 0] with the probe columns [v; o x v] gives both terms for a
+    stack of at most _CHUNK pairs.  The bound gains s^2 |v|^2 for
+    rounding, s = _RAY_TOL (R + the largest window or origin coordinate).
+    The test, the projection and the shapes' solves round by a few ulps of
+    these lengths; the disc's discriminant rounds by ulps of |u0|^2 |w|^2,
+    which moves its tangent line by about sqrt(ulp) |u0|.
+    """
+    n = len(origins)
+    width = min(max(n, 1), _CHUNK)  # probes per stack
+    step = _CHUNK // width  # cylinders per stack
+    cols = None
+    for j, shape in enumerate(real.shapes):
+        sel = np.flatnonzero(real.shape_index == j)
+        radius = shape.ray_radius(length)
+        if math.isinf(radius):
+            for a in range(0, len(sel), step):
+                yield shape, sel[a:a + step], None
+            continue
+        if cols is None:
+            cols = np.concatenate([dirs, np.cross(origins, dirs)], axis=1).T.copy()
+            scale = max(map(abs, real.window.lo + real.window.hi)) + np.abs(origins).max(initial=0.0)
+        axes = real.axes[sel]
+        base = np.matvec(real.frames[sel], real.offsets[sel])
+        rows = np.stack([np.column_stack([np.cross(base, axes), axes]),
+                         np.column_stack([radius * axes, np.zeros_like(axes)])], axis=1)  # (c, 2, 6)
+        bound = (radius * radius + (_RAY_TOL * (radius + scale)) ** 2) * np.vecdot(dirs, dirs)
+        held, count = [], 0
+        for a in range(0, len(sel), step):
+            for p in range(0, n, width):
+                k = min(width, n - p)
+                PQ = np.matmul(rows[a:a + step].reshape(-1, 6), cols[:, p:p + k])
+                np.square(PQ, out=PQ)
+                flat = np.flatnonzero(PQ[0::2] + PQ[1::2] <= bound[p:p + k])
+                if count + len(flat) > _CHUNK:
+                    yield shape, *map(np.concatenate, zip(*held))
+                    held, count = [], 0
+                held.append((sel[a + flat // k], p + flat % k))
+                count += len(flat)
+        if count:
+            yield shape, *map(np.concatenate, zip(*held))
+
+
+def _project_pairs(real: Realization, cyl: np.ndarray, probe, origins: np.ndarray, dirs: np.ndarray):
+    """Frame coordinates (c, n, m) of the pairs' origins, less the offsets, and of their directions.
+
+    With probe None they are those of every probe in each cylinder, by
+    :func:`_project`.  Otherwise they are those of each pair, (1, K, m)
+    and stored coordinate-major as :func:`_project` stores them: the pairs
+    come cylinder by cylinder, and each cylinder's run is one product
+    F^T P^T of its gathered probes into the run's columns, which rounds as
+    :func:`_project` does, so the shape's solve gives the same bits.
+    """
+    if probe is None:
+        frames = real.frames[cyl]
+        return _project(frames, origins) - real.offsets[cyl, None], _project(frames, dirs)
+    u0 = np.empty((real.frames.shape[2], len(cyl)))
+    w = np.empty_like(u0)
+    starts = np.flatnonzero(np.diff(cyl, prepend=-1)).tolist()
+    pts, vecs = np.take(origins, probe, axis=0), np.take(dirs, probe, axis=0)
+    for a, b in zip(starts, starts[1:] + [len(cyl)]):
+        frame = real.frames[cyl[a]].T
+        np.matmul(frame, pts[a:b].T, out=u0[:, a:b])
+        np.matmul(frame, vecs[a:b].T, out=w[:, a:b])
+    u0 -= np.take(real.offsets, cyl, axis=0).T
+    return u0.T[None], w.T[None]
 
 
 def _probe_sweep(ids, tins, touts):

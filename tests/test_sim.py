@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cylproc import sim
 from cylproc.analytic import capacity_finite, volume_fraction
@@ -658,6 +659,22 @@ def test_a_ray_from_a_covered_origin_names_its_bad_argument(direction, length, f
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("query, field", [
+    pytest.param(lambda real: ray_intervals(real, [math.nan, 0.0, 0.0], np.array([1.0, 0, 0]), 1.0), "origin",
+                 id="ray_from_a_nan_origin"),
+    pytest.param(lambda real: ray_intervals(real, [0.0, 0.0], np.array([1.0, 0, 0]), 1.0), "origin",
+                 id="ray_from_a_planar_origin"),
+    pytest.param(lambda real: contains(real, [0.0, math.nan, 0.0]), "x", id="membership_of_a_nan_point"),
+    pytest.param(lambda real: contains(real, [0.0, 0.0]), "x", id="membership_of_a_planar_point"),
+    pytest.param(lambda real: distance_to_union(real, [0.0, 0.0, math.nan]), "x", id="distance_of_a_nan_point"),
+    pytest.param(lambda real: distance_to_union(real, [0.0, 0.0]), "x", id="distance_of_a_planar_point"),
+])
+def test_scalar_queries_name_a_point_that_is_not_d_finite_numbers(query, field):
+    with pytest.raises(ArgumentError) as info:
+        query(single_cylinder_realization())
+    assert info.value.field == field
+
+
 # the per-shape kernels against the per-cylinder loops of the oracle: the
 # HIT_FAMILIES under every law, plus a mixture of two polygons with different
 # vertex counts
@@ -712,6 +729,17 @@ def test_query_kernels_match_the_per_cylinder_loops_across_chunks():
     n_points = 4000
     assert np.bincount(real.shape_index).min() > sim._CHUNK // n_points  # every shape spans chunks
     assert_kernels_match_the_oracle(real, n_points, seed=12)
+
+
+@pytest.mark.parametrize("family", ["mixture3", "slab3"])
+def test_rays_match_the_per_cylinder_loops_with_more_probes_than_a_stack(family):
+    # a stack then holds one cylinder and a part of the probes, and a batch can end inside a cylinder's probes
+    spec = parity_spec(family, "isotropic")
+    real = sample_realization(spec, hit_window(3), seed=14)
+    n = sim._CHUNK + 2500
+    origins, dirs = probes(real.window, philox_stream(14, 7), n, 5.6)
+    ids, _, _ = assert_rays_match_the_oracle(real, origins, dirs, 5.6)
+    assert len(ids) > sim._CHUNK
 
 
 def test_query_kernels_on_an_empty_realization():
@@ -819,6 +847,100 @@ def test_a_ray_the_clip_lets_past_a_short_edge_is_kept():
     real = one_direction_realization(3, 1, shape, [0, 0, 1.0], [[0.0, 0.0]])
     ids, _, _ = assert_rays_match_the_oracle(real, np.array([[*at, 0.0]]), np.array([[*w, 0.0]]), length)
     assert ids.tolist() == [0]
+
+
+def short_edge_polygon() -> ConvexPolygon:
+    """A unit-circle pentagon with one edge of 1e-4, past which the clip lets parallel lines through."""
+    angles = np.array([0.0, 0.5 * math.pi, 0.5 * math.pi + 1e-4, math.pi, 1.5 * math.pi])
+    return ConvexPolygon(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+PREFILTER_FAMILIES = {
+    "disc": DeterministicBase(Disc(0.7)),
+    "square": DeterministicBase(SQUARE),
+    "short_edge": DeterministicBase(short_edge_polygon()),
+    "radius_law": HIT_FAMILIES["zero_atom3"][2],
+    "mixture": HIT_FAMILIES["mixture3"][2],
+}
+
+
+def prefilter_edge_probes(real, gen, length: float):
+    """Probes where the ray kernel's line-to-axis test decides, a few per cylinder.
+
+    Lines at the cylinder's ``ray_radius`` and at its circumradius from the
+    axis, and one ulp either side of each; for a polygon, a line parallel
+    to an edge and up to twice the clip's tolerance outside it; and a line
+    whose direction is within 1e-13 of the axis.  Each probe has its middle
+    nearest the axis, and its direction is stretched to a non-unit length.
+    """
+    origins, dirs = [], []
+    for a, frame, off, j in zip(real.axes, real.frames, real.offsets, real.shape_index):
+        shape = real.shapes[j]
+        base = frame @ off
+        middle = base + ((real.window.center - base) @ a + gen.uniform(-2.0, 2.0)) * a
+        big, r = shape.ray_radius(length), shape.circumradius
+        for rho in (big, np.nextafter(big, 0.0), np.nextafter(big, math.inf),
+                    r, np.nextafter(r, 0.0), np.nextafter(r, math.inf)):
+            v = haar_vectors(3, gen, 1)[0]
+            across = np.cross(v, a)
+            origins.append(middle + rho * across / np.linalg.norm(across) - 0.5 * length * v)
+            dirs.append(v)
+        if isinstance(shape, ConvexPolygon):
+            k = gen.integers(len(shape.vertices))
+            q, e = shape.vertices[k], np.roll(shape.vertices, -1, axis=0)[k] - shape.vertices[k]
+            out = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+            foot = q + 0.5 * e + gen.uniform(0.0, 2.0) * GEOM_TOL / np.linalg.norm(e) * out
+            v = frame @ (e / np.linalg.norm(e)) + gen.uniform(-1.0, 1.0) * a
+            origins.append(middle + frame @ foot - 0.5 * length * v)
+            dirs.append(v)
+        tilt = np.cross(a, haar_vectors(3, gen, 1)[0])
+        v = a + 1e-13 * tilt / np.linalg.norm(tilt)
+        side = np.cross(a, haar_vectors(3, gen, 1)[0])
+        origins.append(middle + gen.uniform(0.0, 1.5) * r * side / np.linalg.norm(side) - 0.5 * length * v)
+        dirs.append(v)
+    stretch = gen.uniform(0.25, 4.0, (len(dirs), 1))
+    return np.reshape(origins, (-1, 3)), np.reshape(dirs, (-1, 3)) * stretch
+
+
+def scaled_realization(real, s: float):
+    """The realization with every length times s: window, offsets and bases."""
+    shapes = tuple(Disc(x.radius * s) if isinstance(x, Disc) else ConvexPolygon(x.vertices * s) for x in real.shapes)
+    window = Window(tuple(s * x for x in real.window.lo), tuple(s * x for x in real.window.hi))
+    return Realization(real.spec, window, real.axes, real.frames, s * real.offsets, shapes, real.shape_index,
+                       real.seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(PREFILTER_FAMILIES)), law=st.sampled_from(["isotropic", "fixed"]),
+       j=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+def test_the_ray_prefilter_keeps_every_pair_the_oracle_solves(family, law, j, seed):
+    spec = ProcessSpec(d=3, k=1, intensity=0.2, alpha=hit_law(law, 3), base=PREFILTER_FAMILIES[family])
+    real = sample_realization(spec, hit_window(3), seed)
+    length = 0.8 * real.window.min_side
+    origins, dirs = prefilter_edge_probes(real, philox_stream(seed, 3), length)
+    s = 2.0 ** j  # exact: the probes scale with the window, as the prefilter's slack does
+    try:
+        real = scaled_realization(real, s)
+    except ValueError:  # a polygon edge below the constructor's absolute GEOM_TOL, at the smallest scales
+        assume(False)
+    assert_rays_match_the_oracle(real, s * origins, dirs, s * length)
+
+
+def test_the_ray_kernel_keeps_its_temporaries_chunked():
+    # the line scan's geometry: 10,000 Haar probes of length 32 over about 280 unit discs in a side-40 window.
+    # The intervals, gathered and then joined, take twice their size; all else is stacks of _CHUNK pairs.
+    # A line-to-axis test over all pairs at once would hold 2 x 280 x 10,000 floats (45 MB).
+    window = Window((0.0,) * 3, (40.0,) * 3)
+    real = sample_realization(spec3_iso(), window, seed=5)
+    origins, dirs = probes(window, philox_stream(5, 7), 10_000, 32.0)
+    tracemalloc.start()
+    try:
+        ids, tins, touts = ray_interval_bulk(real, origins, dirs, 32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) > 10_000
+    assert peak < 2 * (ids.nbytes + tins.nbytes + touts.nbytes) + 32 * sim._CHUNK * 8
 
 
 @pytest.mark.parametrize("shape", [SQUARE, TRIANGLE, Disc(0.7)], ids=["square", "triangle", "disc"])
