@@ -32,10 +32,10 @@ batch of at most ``_CHUNK`` at a time, returning only non-empty
 intervals, grouped by shape, cylinder and probe.
 No code here depends on a shape's kind.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
-n = 1 views of them that add only argument and window checks.  Probe intervals are
-merged in one place, :func:`_probe_sweep`, by the interval-union routine
-of the union-of-translates kernels, which takes the pieces of each union
-on axis 0: one column per probe.
+n = 1 views of them that add only argument and window checks.  Probe
+intervals are merged in one place, :func:`_probe_sweep`, by the
+interval-union routine of the union-of-translates kernels, which takes
+the pieces of each union on axis 0: one column per probe.
 """
 
 from __future__ import annotations
