@@ -731,15 +731,22 @@ def test_query_kernels_match_the_per_cylinder_loops_across_chunks():
     assert_kernels_match_the_oracle(real, n_points, seed=12)
 
 
-@pytest.mark.parametrize("family", ["mixture3", "slab3"])
+@pytest.mark.parametrize("family", ["disc3", "mixture3", "slab3"])
 def test_rays_match_the_per_cylinder_loops_with_more_probes_than_a_stack(family):
-    # a stack then holds one cylinder and a part of the probes, and a batch can end inside a cylinder's probes
+    # a stack then holds one cylinder and a part of the probes, and a batch can end inside a cylinder's
+    # probes; the intervals still come shape by shape, cylinder by cylinder and probe by probe
     spec = parity_spec(family, "isotropic")
     real = sample_realization(spec, hit_window(3), seed=14)
     n = sim._CHUNK + 2500
     origins, dirs = probes(real.window, philox_stream(14, 7), n, 5.6)
-    ids, _, _ = assert_rays_match_the_oracle(real, origins, dirs, 5.6)
-    assert len(ids) > sim._CHUNK
+    got = ray_interval_bulk(real, origins, dirs, 5.6)
+    shapes = [Realization(real.spec, real.window, real.axes[sel], real.frames[sel], real.offsets[sel], real.shapes,
+                          real.shape_index[sel], real.seed)
+              for sel in (real.shape_index == j for j in range(len(real.shapes)))]
+    want = [np.concatenate(x) for x in zip(*(oracle.ray_interval_bulk(r, origins, dirs, 5.6) for r in shapes))]
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+    assert len(got[0]) > sim._CHUNK
 
 
 def test_query_kernels_on_an_empty_realization():
@@ -878,8 +885,8 @@ def prefilter_edge_probes(real, gen, length: float):
         shape = real.shapes[j]
         base = frame @ off
         middle = base + ((real.window.center - base) @ a + gen.uniform(-2.0, 2.0)) * a
-        big, r = shape.ray_radius(length), shape.circumradius
-        for rho in (big, np.nextafter(big, 0.0), np.nextafter(big, math.inf),
+        reach, r = shape.ray_radius(length), shape.circumradius
+        for rho in (reach, np.nextafter(reach, 0.0), np.nextafter(reach, math.inf),
                     r, np.nextafter(r, 0.0), np.nextafter(r, math.inf)):
             v = haar_vectors(3, gen, 1)[0]
             across = np.cross(v, a)
