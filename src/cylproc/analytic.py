@@ -5,19 +5,19 @@ its directional derivative, linear and spherical contact distributions,
 specific surface area, and the pore-radius moments used by the design
 module.
 
-The directional law enters only through its own members (see
+The directional law enters only through two members (see
 ``cylproc.model``): ``radial_mean``, the mean of f(|Pr h|) split at the
 kinks of f, serves the segment and disc atoms, whose covariogram depends
-on |t| alone, and the mean projected length E[h, L]; ``frames`` gives
-the complement frames and weights of its fixed axes or product-rule
-nodes, which each law builds once per rule and k and holds read-only;
-and ``union_mean``, the mean union volume of three or more points,
-integrates over the law's arc in the plane and sums its frames in order
-otherwise.  No law or shape class is named here.  The split rules reach
-machine precision on the isotropic worked cases.  Polygon atoms, and
-capacities of three or more points in space, use the product rules,
-which are not split at kinks: 64 x 128 nodes on the hemisphere, 48 x 96
-on a girdle band.  For the unit square these differ from rules twice as
+on |t| alone, and the mean projected length E[h, L]; ``union_mean``, the
+mean of f(the projected points), integrates over the law's arc in the
+plane and otherwise sums over the complement frames of its fixed axes or
+product-rule nodes, held read-only per rule and k.  It takes the union
+volume of three or more points and, on the one point h, the polygon
+atoms' covariogram and their slope times [h, L].  No law or shape class
+is named here.  The split rules reach machine precision on the isotropic
+worked cases.  Polygon atoms, and capacities of three or more points in
+space, use the product rules, which are not split at kinks: 64 x 128
+nodes on the hemisphere, 48 x 96 on a girdle band.  For the unit square these differ from rules twice as
 fine per axis by up to 1.7e-4 relative in the covariance and its
 derivative (on the girdle band) and 3.7e-5 in the three-point capacity;
 tests/test_quadrature.py holds those bounds.  The base enters only
@@ -88,7 +88,7 @@ def _expect_gamma(spec: ProcessSpec, h) -> float:
     if radial:  # g kinks where the projected lag reaches an atom's diameter
         total += spec.alpha.radial_mean(spec, h, r, g, [shape.diameter for shape, _ in radial])
     if polys:
-        total += _frame_gamma_mean(spec, polys, h)
+        total += spec.alpha.union_mean(spec, h[None], lambda t: sum(w * p.covariogram(t[:, 0]) for p, w in polys), ())
     return total
 
 
@@ -102,28 +102,16 @@ def _expect_gamma_prime(spec: ProcessSpec, unit_h: np.ndarray) -> float:
     const = sum(w * shape.covariogram_derivative() for shape, w in radial)
     total = const * spec.alpha.radial_mean(spec, unit_h, 1.0, lambda q: q, ()) if const != 0.0 else 0.0
 
+    def slope(t):  # [h, L] gamma'_K(o, u) of the polygon atoms, u = t / |t|, t the projected unit h
+        nt = np.sqrt(np.vecdot(t[:, 0], t[:, 0]))
+        ok = nt > 1e-14  # [h, L] vanishes together with the projection
+        out = np.zeros(len(nt))
+        out[ok] = nt[ok] * sum(w * p.covariogram_derivative(t[ok, 0] / nt[ok, None]) for p, w in polys)
+        return out
+
     if polys:
-        total += _polygon_slope_mean(spec, polys, unit_h)
+        total += spec.alpha.union_mean(spec, unit_h[None], slope, ())
     return total
-
-
-def _frame_gamma_mean(spec: ProcessSpec, atoms, h: np.ndarray) -> float:
-    """E over the directional law's frames of the atoms' mean covariogram at the projected lag."""
-    frames, ww = spec.alpha.frames(spec)
-    t = np.vecmat(h, frames)
-    gam = sum(w * shape.covariogram(t) for shape, w in atoms)
-    return float(ww @ gam)
-
-
-def _polygon_slope_mean(spec: ProcessSpec, polys, unit_h: np.ndarray) -> float:
-    """E over the directional law of [h, L] gamma'_K(o, u) for the polygon atoms; u is the unit projected lag."""
-    frames, ww = spec.alpha.frames(spec)
-    t = np.vecmat(unit_h, frames)
-    nt = np.sqrt(np.vecdot(t, t))
-    ok = nt > 1e-14  # [h, L] vanishes together with the projection
-    u = t[ok] / nt[ok, None]
-    slope = sum(wp * poly.covariogram_derivative(u) for poly, wp in polys)
-    return float(ww[ok] @ (nt[ok] * slope))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +124,10 @@ def volume_fraction(spec: ProcessSpec) -> float:
 
 
 def covariance(spec: ProcessSpec, h) -> float:
-    """Two-point coverage probability C(h) = P(o and h both covered)."""
+    """Two-point coverage probability C(h) = P(o and h both covered): 2 p less the two-point capacity, by expm1."""
     h = reals("h", h, (spec.d,))
-    lam = spec.intensity
-    abar = spec.base.mean_area
-    return 1.0 - 2.0 * math.exp(-lam * abar) + math.exp(-2.0 * lam * abar + lam * _expect_gamma(spec, h))
+    vol = 2.0 * spec.base.mean_area - _expect_gamma(spec, h)
+    return 2.0 * volume_fraction(spec) + math.expm1(-spec.intensity * vol)
 
 
 def covariance_2d_isotropic(lam: float, a: float, r: float) -> float:
@@ -232,16 +219,14 @@ def linear_cdf(spec: ProcessSpec, eta: Direction, r: float) -> float:
 def spherical_cdf(spec: ProcessSpec, r: float) -> float:
     """Spherical contact distribution (distance from an uncovered point).
 
-    For a one-dimensional complement 1 - exp(-2 lambda r), independent of
-    the cross-section law; for a planar complement
-    1 - exp(-lambda (r E[S(K)] + pi r^2)).
+    The Steiner formula 1 - exp(-lambda (r E[S(K)] + (m - 1) pi r^2)) in
+    the complement of dimension m; for m = 1 a segment's boundary counts
+    its two endpoints, so E[S] = 2 whatever the cross-section law.
     """
     r = real("r", r, minimum=0)
     spec.require_positive_volume()
     m = spec.d - spec.k
-    if m == 1:
-        return -math.expm1(-2.0 * spec.intensity * r)
-    return -math.expm1(-spec.intensity * (r * spec.base.mean_boundary + math.pi * r * r))
+    return -math.expm1(-spec.intensity * (r * spec.base.mean_boundary + (m - 1) * math.pi * r * r))
 
 
 def specific_surface(spec: ProcessSpec) -> float:

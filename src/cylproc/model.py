@@ -18,8 +18,8 @@ those nodes (or of its fixed axes), one ``radial_mean``, the mean of
 f(|Pr h|) over its direction spaces, split at the kinks of f, and one
 ``union_mean``, the mean of a function of a point set's projections
 onto the complement: over the arc, split where a projected gap meets
-a target, for a continuous law in the plane, and otherwise over the
-frames, added frame by frame in order.  Every law builds the frames of
+a target, for a continuous law in the plane, and otherwise as one dot
+of the frames' weights with f.  Every law builds the frames of
 its ``nodes`` (a product rule, or the fixed axes themselves) once per
 rule and k and holds them read-only for every later call, while a
 continuous law's ``nodes`` builds the rule anew on each call.
@@ -152,15 +152,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frame_sum(spec, pts: np.ndarray, f) -> float:
-    """Sum over the law's frames of weight * f(the points projected on each), added frame by frame in order.
-
-    f maps projections (N, n, d - k) to N values.
-    """
-    frames, ww = spec.alpha.frames(spec)
-    return float(np.cumsum(ww * f(np.matmul(pts, frames)))[-1])
-
-
 _POLE = np.array([0.0, 0.0, 1.0])
 _POLE_FRAME = complement_frames(_POLE[None])[0]
 
@@ -184,6 +175,11 @@ class _HeldFrames:
             dirs, ww = self.nodes()
             self._held[key] = _read_only(spec.subspace_frames(dirs)), _read_only(ww)
         return self._held[key]
+
+    def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
+        """The one frame sum: E over the frames of f(the points projected onto each), f (N, n, d - k) -> N values."""
+        frames, ww = self.frames(spec)
+        return float(ww @ f(np.matmul(pts, frames)))
 
 
 class _ContinuousLaw(_HeldFrames):
@@ -211,12 +207,12 @@ class _ContinuousLaw(_HeldFrames):
     def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
         """E over the law of f(the points projected onto the complement), f mapping (N, n, d - k) to N values.
 
-        In space the product rule's frames are summed in order.  In the
-        plane the arc is integrated, split where a projected pairwise gap
-        meets one of the targets (a gap of 0 has no kink).
+        In space the product rule's frames are summed.  In the plane the
+        arc is integrated, split where a projected pairwise gap meets one
+        of the targets (a gap of 0 has no kink).
         """
         if spec.d == 3:
-            return _frame_sum(spec, pts, f)
+            return super().union_mean(spec, pts, f, targets)
         gaps = [(float(np.linalg.norm(dv)), math.atan2(-dv[0], dv[1]))
                 for dv in (pts[i] - pts[j] for i in range(len(pts)) for j in range(i))]
 
@@ -253,7 +249,7 @@ class Isotropic(_ContinuousLaw):
 
 
 class FixedAxes(_HeldFrames):
-    """Discrete directional law on finitely many axes with positive weights, summed axis by axis."""
+    """Discrete directional law on finitely many axes with positive weights, summed over their frames."""
 
     def __init__(self, axes):
         super().__init__()
@@ -284,12 +280,8 @@ class FixedAxes(_HeldFrames):
         return self._vecs, self._weights
 
     def radial_mean(self, spec, h: np.ndarray, r: float, f, targets) -> float:
-        """E over the law of f(|Pr h|), added axis by axis in order; r and the kinks matter to integrated laws only."""
-        return _frame_sum(spec, h[None], lambda t: f(np.sqrt(np.vecdot(t[:, 0], t[:, 0]))))
-
-    def union_mean(self, spec, pts: np.ndarray, f, targets) -> float:
-        """E over the law of f(the points projected onto the complement), added axis by axis in order."""
-        return _frame_sum(spec, pts, f)
+        """E over the law of f(|Pr h|), the one-point view of ``union_mean``; r matters to integrated laws only."""
+        return self.union_mean(spec, h[None], lambda t: f(np.sqrt(np.vecdot(t[:, 0], t[:, 0]))), targets)
 
     def __repr__(self):
         return f"FixedAxes({[(a.vec.tolist(), w) for a, w in self.axes]})"

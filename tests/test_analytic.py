@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -225,6 +226,24 @@ def test_covariance_2d_continuity_and_quadrature_agreement():
         assert covariance(spec, np.array([r * 0.6, r * 0.8])) == pytest.approx(closed, abs=1e-10)
 
 
+CENTRED_SQUARE = ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 0.1])
+@pytest.mark.parametrize("alpha, shape", [(Isotropic(), Disc(1.0)), (GirdleBand(Direction([0, 0, 1.0]), 0.4), CENTRED_SQUARE)],
+                         ids=["disc_iso", "square_girdle"])
+def test_covariance_matches_a_50_digit_evaluation_at_low_volume_fraction(lam, alpha, shape):
+    # 1 - 2 exp(-lam A) + exp(-2 lam A + lam E gamma(h)) at 50 digits, from the same E gamma(h) taken as exact
+    spec = ProcessSpec(d=3, k=1, intensity=lam, alpha=alpha, base=DeterministicBase(shape))
+    for h in ((0.3, 0.1, 0.2), (0.7, -0.4, 0.5), (1.2, 0.3, -0.6), (2.5, 1.0, 0.3)):
+        e_gamma = analytic._expect_gamma(spec, np.array(h))
+        with mpmath.workdps(50):
+            la = mpmath.mpf(lam) * mpmath.mpf(spec.base.mean_area)
+            want = 1 - 2 * mpmath.exp(-la) + mpmath.exp(-2 * la + mpmath.mpf(lam) * mpmath.mpf(e_gamma))
+            err = abs((covariance(spec, h) - want) / want)
+        assert err < 1e-14, (h, float(err))
+
+
 # ---------------------------------------------------------------------------
 # covariance derivative
 # ---------------------------------------------------------------------------
@@ -363,6 +382,12 @@ def test_spherical_cdf_values():
         assert spherical_cdf(spec2, 1.0) == pytest.approx(1 - math.exp(-1.0), abs=1e-14)
     slab = ProcessSpec(d=3, k=2, intensity=0.5, alpha=Isotropic(), base=DeterministicBase(Segment(2.0)))
     assert spherical_cdf(slab, 0.75) == pytest.approx(1 - math.exp(-2 * 0.5 * 0.75), abs=1e-14)
+    # a segment mixture: each boundary counts two endpoints, so E[S] = 2 whatever the half-lengths
+    segments = MixtureBase([(Segment(0.3), 0.4), (Segment(1.7), 0.6)])
+    for d in (2, 3):
+        spec = ProcessSpec(d=d, k=d - 1, intensity=0.5, alpha=Isotropic(), base=segments)
+        for r in (0.1, 0.75, 3.0):
+            assert spherical_cdf(spec, r) == pytest.approx(1 - math.exp(-2 * 0.5 * r), rel=1e-15)
 
 
 def test_cdfs_monotone_from_zero_to_one():
@@ -458,6 +483,45 @@ def test_specific_surface_radius_law():
     spec = ProcessSpec(d=3, k=1, intensity=0.1, alpha=Isotropic(), base=DiscRadiusLaw(law))
     expected = 2 * math.pi * 0.1 * law.mean * math.exp(-0.1 * math.pi * law.second_moment)
     assert specific_surface(spec) == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# what the characteristics read of a directional law
+# ---------------------------------------------------------------------------
+
+class LawView:
+    """A real law seen only through its radial_mean and union_mean, and its dim where it has one."""
+
+    def __init__(self, law):
+        self.radial_mean, self.union_mean = law.radial_mean, law.union_mean
+        if hasattr(law, "dim"):
+            self.dim = law.dim
+
+
+LAWS_2D = {"iso": Isotropic(), "girdle": GirdleBand(Direction([0.0, 1.0]), 0.4),
+           "fixed": FixedAxes([(Direction([1.0, 0.0]), 0.5), (Direction([0.6, 0.8]), 0.5)])}
+VIEW_BASES = {  # (d, k, base)
+    "disc": (3, 1, DeterministicBase(Disc(1.0))),
+    "square": (3, 1, DeterministicBase(CENTRED_SQUARE)),
+    "mixture": (3, 1, MixtureBase([(Disc(0.7), 0.5), (CENTRED_SQUARE, 0.5)])),
+    "slab": (3, 2, DeterministicBase(Segment(0.5))),
+    "band": (2, 1, DeterministicBase(Segment(0.5))),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SURFACE_LAWS))
+@pytest.mark.parametrize("base", sorted(VIEW_BASES))
+def test_the_characteristics_read_a_law_only_through_its_radial_and_union_means(base, law):
+    d, k, shape_law = VIEW_BASES[base]
+    alpha = (SURFACE_LAWS if d == 3 else LAWS_2D)[law]
+    real, view = (ProcessSpec(d=d, k=k, intensity=0.1, alpha=a, base=shape_law) for a in (alpha, LawView(alpha)))
+    pts = np.array([(0.0, 0.0, 0.0), (0.4, -0.5, 0.3), (-0.3, 0.2, 0.6), (0.7, 0.3, 0.2)])[:, :d]
+    unit = np.array([1.0, 2.0, 2.0][:d]) / np.linalg.norm([1.0, 2.0, 2.0][:d])
+    calls = [(covariance, pts[1]), (covariance_derivative, unit), (linear_cdf, Direction(unit), 0.5),
+             (capacity_finite, pts[:2]), (capacity_finite, pts[:3]), (capacity_finite, pts),
+             (spherical_cdf, 0.5), (specific_surface,)]
+    for fn, *args in calls:
+        assert fn(view, *args).hex() == fn(real, *args).hex(), fn.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -374,19 +374,30 @@ def rules(monkeypatch, scale):
     monkeypatch.setattr(GirdleBand, "rule", (int(48 * scale), int(96 * scale)))
 
 
-def scalar_loops(monkeypatch):
-    # on fixed axes the segment and disc atoms, and E[h, L], go through the law's radial mean
+def scalar_loops(monkeypatch, fn):
+    """Route fn's frame sums to the node-by-node oracle, which never calls the integrand analytic passes.
+
+    On fixed axes the segment and disc atoms, and E[h, L], go through the
+    law's radial mean.  Every other frame sum, of every law in space and of
+    fixed axes in the plane, is the one ``union_mean``: of one point, the
+    polygon atoms' mean covariogram at the lag or, for the derivative,
+    their slope times [h, L]; of more, the mean union volume.
+    """
     monkeypatch.setattr(FixedAxes, "radial_mean", lambda law, spec, h, r, f, targets: scalar.radial_mean(spec, h, f))
-    monkeypatch.setattr(analytic, "_frame_gamma_mean", scalar.frame_gamma_mean)
-    monkeypatch.setattr(analytic, "_polygon_slope_mean", scalar.polygon_slope_mean)
-    # every law in space, and fixed axes in the plane, sum their union volumes frame by frame through one helper
-    monkeypatch.setattr(model, "_frame_sum", lambda spec, pts, f: scalar.mean_union_volume(spec, pts))
+    one_point = scalar.polygon_slope_mean if fn is covariance_derivative else scalar.frame_gamma_mean
+
+    def frame_sum(law, spec, pts, f, targets):
+        if len(pts) > 1:
+            return scalar.mean_union_volume(spec, pts)
+        return one_point(spec, [(s, w) for s, w in spec.base.atoms() if s is not None and not s.radial], pts[0])
+
+    monkeypatch.setattr(model._HeldFrames, "union_mean", frame_sum)
 
 
 def batched_and_scalar(monkeypatch, fn, *args):
     got = fn(*args)
     with monkeypatch.context() as m:
-        scalar_loops(m)
+        scalar_loops(m, fn)
         want = fn(*args)
     return got, want
 
@@ -409,9 +420,12 @@ def test_benchmark_values_match_the_scalar_loops(monkeypatch, family, variant):
 def test_other_bases_match_the_scalar_loops(monkeypatch, name):
     # quarter-size rules keep the scalar loops short; each node is computed as at full size
     rules(monkeypatch, 0.5)
-    spec, pts = OTHER_SPECS[name], np.array(POINT_SETS[1])
-    for fn, *args in [(capacity_finite, spec, pts), (covariance, spec, pts[2] - pts[0]),
-                      (covariance_derivative, spec, DERIV_DIR)]:
+    spec, pts = OTHER_SPECS[name], np.array(POINT_SETS[1] + ((0.9, 0.1, -0.2),))
+    calls = [(capacity_finite, spec, pts[:3]), (covariance, spec, pts[2] - pts[0]),
+             (covariance_derivative, spec, DERIV_DIR)]
+    if spec.alpha is FIXED:  # four points run the union kernel, which the oracle sweeps quickly on three axes
+        calls.append((capacity_finite, spec, pts))
+    for fn, *args in calls:
         got, want = batched_and_scalar(monkeypatch, fn, *args)
         assert got == pytest.approx(want, rel=1e-12), fn.__name__
 
