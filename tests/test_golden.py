@@ -125,9 +125,9 @@ CAPACITY_GOLDEN = {
     "fixed_disc3": "0x1.1e4fae24a78e8p-1",
     "fixed_mixture3": "0x1.6f7c20ad039edp-2",
     "fixed_slab3": "0x1.fd26e64bc1afcp-2",
-    "fixed_square3": "0x1.3fbcaed126854p-2",
-    "slab_girdle": "0x1.0a9505a21f943p-1",
-    "slab_iso": "0x1.ff44329da55d2p-2",
+    "fixed_square3": "0x1.3fbcaed126855p-2",
+    "slab_girdle": "0x1.0a9505a21f94ap-1",
+    "slab_iso": "0x1.ff44329da55e0p-2",
 }
 
 
