@@ -17,19 +17,19 @@ atoms' covariogram and their slope times [h, L].  No law or shape class
 is named here.  The split rules reach machine precision on the isotropic
 worked cases.  Polygon atoms, and capacities of three or more points in
 space, use the product rules, which are not split at kinks: 64 x 128
-nodes on the hemisphere, 48 x 96 on a girdle band.  For the unit square these differ from rules twice as
-fine per axis by up to 1.7e-4 relative in the covariance and its
-derivative (on the girdle band) and 3.7e-5 in the three-point capacity;
-tests/test_quadrature.py holds those bounds.  The base enters only
-through each shape's batched ``covariogram``, ``covariogram_derivative``,
-``intersection_areas`` and ``union_areas``, called once for all the nodes
-or fixed axes; no shape formula lives here.  Two and three points reduce
-to inclusion-exclusion: three covariograms and one triple intersection
-per node for three, with no union sweep; four or more run the union
-kernel.  For a polygon the covariogram, the intersection and the union
-all run on its one fixed-normal clip.  scipy serves only
-``pore_moments`` and is imported there, on first use, so importing the
-package does not load it.
+nodes on the hemisphere, 48 x 96 on a girdle band.  For the unit square
+these differ from rules twice as fine per axis by up to 1.7e-4 relative
+in the covariance and its derivative (on the girdle band) and 3.7e-5 in
+the three-point capacity; tests/test_quadrature.py holds those bounds.
+The base enters only through each shape's batched ``covariogram``,
+``covariogram_derivative``, ``intersection_areas`` and ``union_areas``,
+called once for all the nodes or fixed axes; no shape formula lives
+here.  Two and three points reduce to inclusion-exclusion: three
+covariograms and one triple intersection per node for three, with no
+union sweep; four or more run the union kernel.  For a polygon the
+covariogram, the intersection and the union all run on its one
+fixed-normal clip.  scipy serves only ``pore_moments`` and is imported
+there, on first use, so importing the package does not load it.
 """
 
 from __future__ import annotations
