@@ -14,7 +14,9 @@ output of ``covered_mask`` without and with shifts (zero,
 covariance-derivative steps and their halves, a lag, and a shift longer
 than the window's circumradius over the bases), ``distance_mask``, ``ray_interval_bulk`` for
 Haar and axis-parallel probes, and ``count_component_entries`` of those
-intervals: each entry is a SHA-256 of the arrays' bytes.  Line cylinders
+intervals with, beside it, the merged components ``_probe_components``
+gives (probe ids, t_in and t_out), so the merge's ends and signed zeros
+are pinned too: each entry is a SHA-256 of the arrays' bytes.  Line cylinders
 (d - k = 2) add two probe sets: long Haar probes, 0.8 times the window's
 shortest side as in the line scan, and probes within 1e-9 rad of a
 cylinder's axis.  The second form
@@ -99,11 +101,13 @@ def values(tmp: Path) -> dict:
                 ids, tins, touts = sim.ray_interval_bulk(real, origins, v, LENGTH)
                 out[f"{key}/ray_interval_bulk[{name}]"] = digest(ids, tins, touts)
                 out[f"{key}/count_component_entries[{name}]"] = str(sim.count_component_entries(ids, tins, touts))
+                out[f"{key}/probe_components[{name}]"] = digest(*sim._probe_components(ids, tins, touts))
             if d - spec.k == 2:
                 for name, (length, origins, v) in line_probes(real, gen).items():
                     ids, tins, touts = sim.ray_interval_bulk(real, origins, v, length)
                     out[f"{key}/ray_interval_bulk[{name}]"] = digest(ids, tins, touts)
                     out[f"{key}/count_component_entries[{name}]"] = str(sim.count_component_entries(ids, tins, touts))
+                    out[f"{key}/probe_components[{name}]"] = digest(*sim._probe_components(ids, tins, touts))
     return out
 
 
