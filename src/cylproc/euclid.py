@@ -17,8 +17,8 @@ edge normals, by tables built with it; its covariogram is the two-row
 intersection, and its union of translates runs on the same clip.  A
 disc's intersection adds Green's integral over each circle's one arc
 inside all the others, with no sort.  The union kernels share one interval-union
-routine, :func:`_sweep`, which the simulation's probe merge uses too; it
-takes the pieces of each union on axis 0, and the union kernels put the
+routine, :func:`_sweep`, which takes the pieces of each union on axis 0
+and joins pieces within ``_JOIN_TOL``; the union kernels put the
 quadrature node last, so each operation runs over a chunk's nodes as one
 contiguous row.  Their running maxima and minima and their in-order sums
 over axis 0 go row by row, bit for bit numpy's accumulate (:func:`_scan`,
@@ -918,7 +918,7 @@ def _rowsum(a):
     return total
 
 
-def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
+def _sweep(s, e, lo, hi):
     """Sort pieces [s, e] along axis 0 by start, after clipping them to [lo, hi]: the interval union.
 
     The pieces of one union lie on axis 0 and the unions side by side on
@@ -927,8 +927,8 @@ def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
 
     Returns the sorted starts, the running maximum R of the ends before
     each piece (from lo, with one more entry after the last piece), and
-    whether each piece starts a new covered run (s > R + tol).  Pieces
-    outside [lo, hi] become empty pieces at lo, which change nothing.
+    whether each piece starts a new covered run (s > R + ``_JOIN_TOL``).
+    Pieces outside [lo, hi] become empty pieces at lo, which change nothing.
     Start and end sort together as one complex number, so tied starts come
     in the order of their ends; that moves only where an empty slot falls.
     """
@@ -939,7 +939,7 @@ def _sweep(s, e, lo, hi, tol: float = _JOIN_TOL):
     z.sort(axis=0)
     s = z.real
     R = _scan(np.maximum, np.concatenate([np.broadcast_to(lo, (1, *s.shape[1:])), z.imag]))
-    return s, R, s > R[:-1] + tol
+    return s, R, s > R[:-1] + _JOIN_TOL
 
 
 def _run_ends(new, R):

@@ -33,9 +33,9 @@ intervals, grouped by shape, cylinder and probe.
 No code here depends on a shape's kind.  The scalar queries
 :func:`contains`, :func:`distance_to_union` and :func:`ray_intervals` are
 n = 1 views of them that add only argument and window checks.  Probe
-intervals are merged in one place, :func:`_probe_sweep`, by the
-interval-union routine of the union-of-translates kernels, which takes
-the pieces of each union on axis 0: one column per probe.
+intervals are merged in one place, :func:`_probe_components`, by one
+sort on (probe, t_in) and one running maximum of (probe, t_out), flat
+over all probes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .euclid import (
     GEOM_TOL,
     NORM_TOL,
     Direction,
-    _run_ends,
-    _sweep,
     canonical_directions,
     number,
     shape_from_params,
@@ -450,39 +448,25 @@ def _project_pairs(real: Realization, cyl: np.ndarray, probe, origins: np.ndarra
     return u0.T[None], w.T[None]
 
 
-def _probe_sweep(ids, tins, touts):
-    """Stacks of probes: their ids and the interval sweep of each one's intervals as one column.
-
-    The intervals are stable-sorted by probe id and padded with -inf into
-    one column per probe, so the sweep joins intervals within the tangent
-    tolerance of each other inside a probe and never across probes.  A
-    stack holds at most ``_CHUNK`` cells, which bounds the temporaries.
-    """
-    order = np.argsort(ids, kind="stable")
-    probes, first, counts = np.unique(ids[order], return_index=True, return_counts=True)
-    width = counts.max(initial=1)
-    step = max(1, _CHUNK // width)
-    for a in range(0, len(probes), step):
-        n = counts[a:a + step]
-        lane = np.repeat(np.arange(len(n)), n)  # each interval's probe in the stack
-        slot = np.arange(len(lane)) - (first[a:a + step] - first[a])[lane]
-        sel = order[first[a]:first[a] + len(lane)]
-        S = np.full((width, len(n)), -np.inf)
-        E = S.copy()
-        S[slot, lane] = tins[sel]
-        E[slot, lane] = touts[sel]
-        yield probes[a:a + step], *_sweep(S, E, -np.inf, np.inf, _TANGENT_TOL)
-
-
 def _probe_components(ids, tins, touts):
-    """Merged components of the union along each probe, as (probe id, t_in, t_out)."""
-    out = [[ids[:0]], [tins[:0]], [touts[:0]]]
-    for probes, s, R, new in _probe_sweep(ids, tins, touts):
-        ends, new = _run_ends(new, R).T, new.T  # probe by probe, as the intervals came
-        out[0].append(probes[np.nonzero(new)[0]])
-        out[1].append(s.T[new])
-        out[2].append(ends[new])
-    return tuple(np.concatenate(parts) for parts in out)
+    """Merged components of the union along each probe, as (probe id, t_in, t_out), in probe and t order.
+
+    One sort on probe + i*t_in and one running maximum of probe + i*t_out,
+    whose real part keeps an end from carrying across probes: an interval
+    starts a component when it is its probe's first or starts more than the
+    tangent tolerance past the run's end before it.  One complex buffer
+    holds the key and then the running ends.
+    """
+    z = np.empty(len(ids), dtype=complex)
+    z.real, z.imag = ids, tins
+    order = np.argsort(z)
+    s = tins[order]
+    z.real, z.imag = ids[order], touts[order]
+    del order
+    np.maximum.accumulate(z, out=z)  # the probes are sorted, so the real part stays each one's id
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (z.real[1:] != z.real[:-1]) | (s[1:] > z.imag[:-1] + _TANGENT_TOL)
+    return z.real[new].astype(ids.dtype), s[new], z.imag[np.roll(new, -1)]  # a component ends where the next starts
 
 
 def count_component_entries(ids, tins, touts) -> int:
@@ -490,11 +474,11 @@ def count_component_entries(ids, tins, touts) -> int:
 
     Probes are independent segments indexed by ``ids``, with t clipped to
     the segment as :func:`ray_interval_bulk` gives it.  Each connected
-    component of the union along a probe is counted through its entry
-    endpoint; components straddling the probe start (t_in == 0) are
-    dropped.  Only entry times are read, so component exits are not formed.
+    component of the union along a probe, as :func:`_probe_components`
+    merges it, is counted through its entry endpoint; components
+    straddling the probe start (t_in == 0) are dropped.
     """
-    return sum(int(np.count_nonzero(s[new] > 1e-9)) for _, s, _, new in _probe_sweep(ids, tins, touts))
+    return int(np.count_nonzero(_probe_components(ids, tins, touts)[1] > 1e-9))
 
 
 def first_entry_times(real: Realization, origins: np.ndarray, direction_vec: np.ndarray, length: float):

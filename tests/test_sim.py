@@ -337,14 +337,18 @@ def merged_per_probe(ids, tins, touts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(intervals=ragged_intervals(), chunk=st.sampled_from([1, 5, sim._CHUNK]))
-def test_probe_merge_is_the_per_probe_loop(intervals, chunk):
+@given(intervals=ragged_intervals(), chunk=st.sampled_from([1, 5, sim._CHUNK]), data=st.data())
+def test_probe_merge_is_the_per_probe_loop(intervals, chunk, data):
     ids, tins, touts = intervals
     want = merged_per_probe(ids, tins, touts)
+    shuffled = data.draw(st.permutations(range(len(ids))))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(sim, "_CHUNK", chunk)  # small caps spread the probes over several stacks
+        m.setattr(sim, "_CHUNK", chunk)  # the merge is one flat pass, so no cap on a kernel's stacks may change it
         got_ids, got_in, got_out = sim._probe_components(ids, tins, touts)
         assert [list(c) for c in zip(got_ids.tolist(), got_in.tolist(), got_out.tolist())] == want
+        # the merge sorts its input itself: the same intervals in another order give the same bits
+        again = sim._probe_components(ids[shuffled], tins[shuffled], touts[shuffled])
+        assert [(a.dtype, a.tobytes()) for a in again] == [(a.dtype, a.tobytes()) for a in (got_ids, got_in, got_out)]
         assert count_component_entries(ids, tins, touts) == sum(lo > 1e-9 for _, lo, _ in want)
         assert covered_length(ids, tins, touts) == float(np.sum(np.array([hi - lo for _, lo, hi in want])))
 
@@ -948,6 +952,21 @@ def test_the_ray_kernel_keeps_its_temporaries_chunked():
         tracemalloc.stop()
     assert len(ids) > 10_000
     assert peak < 2 * (ids.nbytes + tins.nbytes + touts.nbytes) + 32 * sim._CHUNK * 8
+
+
+def test_the_probe_merge_holds_little_beside_its_input():
+    # the line scan's geometry, as above: the merge sorts one complex key and reuses it for the running ends
+    window = Window((0.0,) * 3, (40.0,) * 3)
+    real = sample_realization(spec3_iso(), window, seed=5)
+    origins, dirs = probes(window, philox_stream(5, 7), 10_000, 32.0)
+    ids, tins, touts = ray_interval_bulk(real, origins, dirs, 32.0)
+    tracemalloc.start()
+    try:
+        count_component_entries(ids, tins, touts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (ids.nbytes + tins.nbytes + touts.nbytes)
 
 
 @pytest.mark.parametrize("shape", [SQUARE, TRIANGLE, Disc(0.7)], ids=["square", "triangle", "disc"])
