@@ -233,7 +233,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         real("--workers", args.workers, minimum=1, integer=True)
-        real("--seed", args.seed, minimum=0, integer=True)
+        if real("--seed", args.seed, minimum=0, integer=True) >= 1 << 64:  # the Philox key holds 64 bits
+            raise ArgumentError("--seed", f"must be below 2**64, got {args.seed}")
         real("--z-threshold", args.z_threshold, minimum=0)
         config = _load_config(args.config)
         return _COMMANDS[args.command](config, args)
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

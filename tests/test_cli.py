@@ -281,6 +281,7 @@ def test_analytic_zero_linear_eta_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"), ("--seed", "-1"),
+                                         ("--seed", str(1 << 64)),  # the low 64 bits would give seed 0's draws
                                          ("--z-threshold", "nan"), ("--z-threshold", "-1"),
                                          ("--z-threshold", "inf")])
 def test_bad_seed_and_worker_count_exit_1(tmp_path, capsys, flag, value):
@@ -403,6 +404,12 @@ SPEC2 = {"d": 2, "k": 1, "lambda": 0.1, "alpha": {"type": "isotropic"},
                  "error: window: the window needs ", id="more_candidates_than_the_sampler_draws"),
     pytest.param("simulate", {"spec": SPEC3, "window": {"lo": [-1e308, 0, 0], "hi": [1e308, 4, 4]}},
                  "error: window: window must have a positive extent", id="extent_overflows"),
+    # counts whose arrays numpy refuses before allocating anything; never a size near a machine's memory
+    pytest.param("estimate", {"spec": SPEC3, "window": WINDOW3, "estimate": dict(ESTIMATE, n_points=1e15)},
+                 "error: out of memory: ", id="points_beyond_memory"),
+    pytest.param("estimate", {"spec": SPEC3, "window": WINDOW3,
+                              "estimate": dict(ESTIMATE, quantities=["surface_linescan"], n_lines=1e15)},
+                 "error: out of memory: ", id="lines_beyond_memory"),
 ])
 def test_config_errors_exit_1_with_their_message(tmp_path, capsys, command, config, message):
     path = tmp_path / "config.json"
