@@ -459,7 +459,7 @@ def _probe_components(ids, tins, touts):
     """
     z = np.empty(len(ids), dtype=complex)
     z.real, z.imag = ids, tins
-    order = np.argsort(z)
+    order = np.argsort(z, kind="stable")  # merges the runs the ray kernel returns, one per cylinder
     s = tins[order]
     z.real, z.imag = ids[order], touts[order]
     del order
