@@ -461,7 +461,8 @@ def _probe_components(ids, tins, touts):
     z.real, z.imag = ids, tins
     order = np.argsort(z, kind="stable")  # merges the runs the ray kernel returns, one per cylinder
     s = tins[order]
-    z.real, z.imag = ids[order], touts[order]
+    z.real = ids[order]  # one gathered temporary at a time
+    z.imag = touts[order]
     del order
     np.maximum.accumulate(z, out=z)  # the probes are sorted, so the real part stays each one's id
     new = np.ones(len(s), dtype=bool)
