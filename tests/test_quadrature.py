@@ -290,8 +290,8 @@ def test_polygon_kernels_keep_their_temporaries_chunked(shape, kernel, rows):
     assert peak < 20 * euclid._CHUNK * 8
 
 
-# starts on a grid of quarters tie and pieces of length 0 are empty; +inf starts and -inf padding are
-# the empty pieces of the polygon kernel and of the probe merge
+# starts on a grid of quarters tie and pieces of length 0 are empty; +inf starts are the empty pieces
+# of the polygon kernel, and -inf pieces pad a union shorter than the others
 sweep_piece = st.one_of(st.tuples(quarters, st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0])).map(
     lambda sl: (sl[0], sl[0] + sl[1])), st.just((math.inf, math.inf)), st.just((-math.inf, -math.inf)))
 sweep_row = st.tuples(st.lists(sweep_piece, max_size=7), st.integers(-8, 4).map(lambda i: 0.25 * i),
@@ -325,7 +325,7 @@ def test_sweep_is_the_scalar_interval_merge_row_by_row(rows):
         assert lengths[r] == sum(b - a for a, b in runs)
 
 
-# ties on a grid of quarters, signed zeros and the -inf padding of the probe merge; no +inf, so no sum is NaN
+# ties on a grid of quarters, signed zeros and -inf padding; no +inf, so no sum is NaN
 scan_value = st.one_of(st.sampled_from([-math.inf, 0.0, -0.0]), quarters, st.floats(-1e6, 1e6))
 
 
